@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -68,15 +69,6 @@ class RunManifest:
             timestamp=datetime.now(timezone.utc).isoformat(),
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-            "timestamp": self.timestamp,
-        }
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with the exit-code contract (usage errors exit 1)."""
@@ -87,12 +79,32 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _env_seed() -> int:
-    return int(os.environ.get("CLONEBOUND_SEED", "0"))
+def _resolve_seed(args) -> int:
+    """``--seed``, else ``CLONEBOUND_SEED``, else 0; an integer >= 0."""
+    name, text = "--seed", args.seed
+    if text is None:
+        name, text = "CLONEBOUND_SEED", os.environ.get("CLONEBOUND_SEED", "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {text!r}")
+    return seed
 
 
-def _env_tol() -> float:
-    return float(os.environ.get("CLONEBOUND_TOL", "1e-10"))
+def _resolve_tol(args) -> float:
+    """``--tol``, else ``CLONEBOUND_TOL``, else 1e-10; finite and >= 0."""
+    name, text = "--tol", args.tol
+    if text is None:
+        name, text = "CLONEBOUND_TOL", os.environ.get("CLONEBOUND_TOL", "1e-10")
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {text!r}")
+    return tol
 
 
 def _dump_json(payload: dict) -> str:
@@ -101,6 +113,19 @@ def _dump_json(payload: dict) -> str:
 
 def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
+
+
+def _emit(command: str, text: str, out) -> int:
+    """Write a report to the file ``out``, or to stdout when it is None."""
+    if out is None:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        _write_text(Path(out), text)
+    except OSError as exc:
+        print(f"clonebound {command}: cannot write {out}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return EXIT_OK
 
 
 def build_parser() -> _Parser:
@@ -123,7 +148,8 @@ def build_parser() -> _Parser:
                    help="overlap of a canonical pair (alternative to --states)")
     p.add_argument("--states", type=str, default=None,
                    help="JSON file with explicit 'phi' and 'psi' amplitude lists")
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=int, default=None,
+                   help="dimension of the --z pair (default 2)")
     p.add_argument("--favored", choices=("phi", "psi"), default="phi")
     p.add_argument("--out", type=str, default=None, help="report file (default stdout)")
     p.add_argument("--seed", type=int, default=None)
@@ -149,10 +175,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _resolve_seed(args) -> int:
-    return args.seed if args.seed is not None else _env_seed()
-
-
 def cmd_bounds(args) -> int:
     if not (0.0 <= args.z_min < args.z_max <= 1.0) or args.steps < 2:
         print(
@@ -161,7 +183,6 @@ def cmd_bounds(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    seed = _resolve_seed(args)
     curve_re = sample_curve("re_lower_bound", re_lower_bound,
                             args.z_min, args.z_max, args.steps)
     curve_ae = sample_curve("ae_lower_bound", ae_lower_bound,
@@ -175,7 +196,7 @@ def cmd_bounds(args) -> int:
             "steps": args.steps,
             "format": args.format,
         },
-        seed,
+        args.seed,
     )
     out_dir = Path(args.out)
     try:
@@ -193,19 +214,19 @@ def cmd_bounds(args) -> int:
                 out_dir / "run.manifest.json",
                 _dump_json(
                     {"artifacts": ["fig1.csv", "fig2.csv"],
-                     "manifest": manifest.as_dict()}
+                     "manifest": asdict(manifest)}
                 ),
             )
             written = ["fig1.csv", "fig2.csv", "run.manifest.json"]
         else:
             fig1 = curve_re.to_json_dict()
-            fig1["manifest"] = manifest.as_dict()
+            fig1["manifest"] = asdict(manifest)
             fig2 = {
                 "name": "fig2",
                 "z": [float(v) for v in curve_ae.grid],
                 "ae_bound": [float(v) for v in curve_ae.values],
                 "hb_bound": [float(v) for v in curve_hb.values],
-                "manifest": manifest.as_dict(),
+                "manifest": asdict(manifest),
             }
             _write_text(out_dir / "fig1.json", _dump_json(fig1))
             _write_text(out_dir / "fig2.json", _dump_json(fig2))
@@ -217,7 +238,7 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _load_state_file(path: str, dim_flag: int):
+def _load_state_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     states = {}
@@ -227,6 +248,8 @@ def _load_state_file(path: str, dim_flag: int):
         pairs = np.asarray(payload[key], dtype=float)
         if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 2:
             raise ValueError(f"state {key!r} must be a list of [re, im] pairs")
+        if not np.all(np.isfinite(pairs)):
+            raise ValueError(f"state {key!r} has a non-finite amplitude")
         vec = pairs[:, 0] + 1j * pairs[:, 1]
         n = np.linalg.norm(vec)
         if n == 0.0:
@@ -248,14 +271,15 @@ def cmd_cloner(args) -> int:
         print("clonebound cloner: provide exactly one of --z or --states",
               file=sys.stderr)
         return EXIT_USAGE
-    seed = _resolve_seed(args)
     try:
         if args.states is not None:
-            set_ = _load_state_file(args.states, args.dim)
+            if args.dim is not None:
+                raise ValueError("--dim applies only with --z")
+            set_ = _load_state_file(args.states)
         else:
             if not 0.0 <= args.z <= 1.0:
                 raise ValueError(f"overlap z must be in [0, 1], got {args.z}")
-            set_ = TwoStateSet.at_overlap(args.z, args.dim)
+            set_ = TwoStateSet.at_overlap(args.z, 2 if args.dim is None else args.dim)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"clonebound cloner: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -284,7 +308,7 @@ def cmd_cloner(args) -> int:
         {"kind": args.kind, "z": z, "dim": set_.dim,
          "favored": args.favored if args.kind == "asym" else None,
          "states": args.states},
-        seed,
+        args.seed,
     )
     report = {
         "kind": args.kind,
@@ -303,19 +327,9 @@ def cmd_cloner(args) -> int:
         "re": result.re if result.re is not None else UNDEFINED_RE_TEXT,
         "closed_form": closed,
         "unitarity_residual": unitarity_residual(result),
-        "manifest": manifest.as_dict(),
+        "manifest": asdict(manifest),
     }
-    text = _dump_json(report)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            _write_text(Path(args.out), text)
-        except OSError as exc:
-            print(f"clonebound cloner: cannot write {args.out}: {exc}",
-                  file=sys.stderr)
-            return EXIT_IO
-    return EXIT_OK
+    return _emit("cloner", _dump_json(report), args.out)
 
 
 def _parse_dims(text: str):
@@ -339,11 +353,9 @@ def cmd_lemmas(args) -> int:
     except ValueError as exc:
         print(f"clonebound lemmas: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    seed = _resolve_seed(args)
-    tol = args.tol if args.tol is not None else _env_tol()
     total_violations = 0
     for name, sweep in ALL_SWEEPS:
-        r = sweep(args.trials, dims=dims, seed=seed, tol=tol)
+        r = sweep(args.trials, dims=dims, seed=args.seed, tol=args.tol)
         total_violations += r.violations
         print(
             f"{name}: trials={r.trials} min_slack={r.min_slack:.6e} "
@@ -369,9 +381,8 @@ def cmd_verify(args) -> int:
         print("clonebound verify: --restarts and --sweep-trials must be >= 1",
               file=sys.stderr)
         return EXIT_USAGE
-    seed = _resolve_seed(args)
     records = [
-        verify_point(z, restarts=args.restarts, seed=seed,
+        verify_point(z, restarts=args.restarts, seed=args.seed,
                      sweep_trials=args.sweep_trials)
         for z in z_values
     ]
@@ -381,24 +392,17 @@ def cmd_verify(args) -> int:
         "verify",
         {"z": z_values, "restarts": args.restarts,
          "sweep_trials": args.sweep_trials},
-        seed,
+        args.seed,
     )
     report = {
         "points": [r.as_dict() for r in records],
         "violations": total_violations,
         "max_attainment_gap": max_gap,
-        "manifest": manifest.as_dict(),
+        "manifest": asdict(manifest),
     }
-    text = _dump_json(report)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            _write_text(Path(args.out), text)
-        except OSError as exc:
-            print(f"clonebound verify: cannot write {args.out}: {exc}",
-                  file=sys.stderr)
-            return EXIT_IO
+    code = _emit("verify", _dump_json(report), args.out)
+    if code != EXIT_OK:
+        return code
     if total_violations:
         print(f"clonebound verify: {total_violations} floor violations",
               file=sys.stderr)
@@ -417,6 +421,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse raises for --help/--version (code 0) and usage errors.
         return int(exc.code or 0)
+    try:
+        args.seed = _resolve_seed(args)
+        if args.command == "lemmas":
+            args.tol = _resolve_tol(args)
+    except ValueError as exc:
+        print(f"clonebound {args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return args.func(args)
 
 

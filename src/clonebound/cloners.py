@@ -106,7 +106,6 @@ class ClonerSpec:
 
     kind: str
     favored: Optional[str] = None
-    ancilla_dim: int = 1
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -116,15 +115,15 @@ class ClonerSpec:
 
     @classmethod
     def symmetric(cls) -> "ClonerSpec":
-        return cls("symmetric", None, 1)
+        return cls("symmetric")
 
     @classmethod
     def asymmetric(cls, favored: str = "phi") -> "ClonerSpec":
-        return cls("asymmetric", favored, 1)
+        return cls("asymmetric", favored)
 
     @classmethod
     def wootters_zurek(cls) -> "ClonerSpec":
-        return cls("wootters_zurek", None, 2)
+        return cls("wootters_zurek")
 
     def build(self, set_: TwoStateSet) -> ClonerResult:
         if self.kind == "symmetric":

@@ -31,7 +31,6 @@ from .statespace import (
     check_unit,
     inner,
     measure_prob,
-    normalize,
     basis_state,
     tensor,
 )
@@ -128,7 +127,6 @@ class CloneAnalysis:
 
     v: np.ndarray
     q: np.ndarray
-    perp_norm: float
     x: float
     delta_s: float
     k: Optional[np.ndarray]
@@ -163,7 +161,6 @@ def analyze_output(v, s, dims: FactorDims) -> CloneAnalysis:
     q = np.einsum("a,b,abj->j", s.conj(), s.conj(), grid)
     ss = np.multiply.outer(s, s)
     perp = (grid - ss[:, :, None] * q[None, None, :]).reshape(-1)
-    perp_norm = float(np.linalg.norm(perp))
     q_norm = float(np.linalg.norm(q))
 
     if q_norm > DEGENERATE_TOL:
@@ -175,8 +172,7 @@ def analyze_output(v, s, dims: FactorDims) -> CloneAnalysis:
     return CloneAnalysis(
         v=v,
         q=q,
-        perp_norm=perp_norm,
-        x=perp_norm,
+        x=float(np.linalg.norm(perp)),
         delta_s=float(np.arccos(min(q_norm, 1.0))),
         k=k,
         ideal=ideal,
@@ -220,7 +216,7 @@ def analyze_pair(set_: TwoStateSet, v_phi, v_psi, dims: FactorDims) -> ClonerRes
     else:
         ideal_angle = angle(a_phi.ideal, a_psi.ideal)
         sin_ideal = np.sin(ideal_angle)
-        re = ae / sin_ideal if sin_ideal >= UNDEFINED_RE_TOL else None
+        re = float(ae / sin_ideal) if sin_ideal >= UNDEFINED_RE_TOL else None
     return ClonerResult(
         set=set_, dims=dims, a_phi=a_phi, a_psi=a_psi,
         ae=ae, re=re, ideal_angle=ideal_angle,
@@ -240,10 +236,7 @@ def relative_error(r: ClonerResult) -> Optional[float]:
     """
     if r.a_phi.degenerate or r.a_psi.degenerate:
         raise ValueError("relative error needs non-degenerate ideals on both branches")
-    sin_ideal = np.sin(angle(r.a_phi.ideal, r.a_psi.ideal))
-    if sin_ideal < UNDEFINED_RE_TOL:
-        return None
-    return r.ae / float(sin_ideal)
+    return r.re
 
 
 def unitarity_residual(r: ClonerResult) -> float:
@@ -265,10 +258,9 @@ def inequality_chain(r: ClonerResult, tol: float = 1e-10):
     """
     if r.a_phi.degenerate or r.a_psi.degenerate:
         raise ValueError("inequality chain needs non-degenerate ideals")
-    ideal_angle = angle(r.a_phi.ideal, r.a_psi.ideal)
     out_angle = angle(r.a_phi.v, r.a_psi.v)
     report1 = InequalityReport.compare(
-        ideal_angle, r.a_phi.delta_s + r.a_psi.delta_s + out_angle, tol
+        r.ideal_angle, r.a_phi.delta_s + r.a_psi.delta_s + out_angle, tol
     )
     big = angle(tensor(r.set.phi, r.set.phi), tensor(r.set.psi, r.set.psi))
     report2 = InequalityReport.compare(

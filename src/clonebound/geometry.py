@@ -31,11 +31,14 @@ from .statespace import (
     check_unitary,
     measure_prob,
     operator_norm,
+    phase_fixed_q,
     random_states,
 )
 
 DEFAULT_SWEEP_TOL = 1e-10
 DEFAULT_DIMS = (2, 3, 4, 5, 6, 7, 8)
+# Largest perturbation size eta in the gate-approximation sweep.
+GATE_MAX_PERTURBATION = 0.3
 
 
 @dataclass(frozen=True)
@@ -200,14 +203,15 @@ def _batch_angle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.arccos(np.minimum(ov, 1.0))
 
 
-def _random_projector_probs(states: np.ndarray, ranks: np.ndarray,
-                            rng: np.random.Generator) -> np.ndarray:
+def _random_projector_probs(states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Per-trial outcome probabilities ||P s||^2 for random projectors.
 
     ``states`` has shape (n, k, dim): k states per trial sharing one
-    projector. Trials are grouped by rank so the QR factorizations batch.
+    projector of rank uniform in 1..dim-1 (rank 1 when dim = 2). Trials are
+    grouped by rank so the QR factorizations batch.
     """
     n, k, dim = states.shape
+    ranks = rng.integers(1, dim, size=n) if dim > 2 else np.ones(n, dtype=int)
     probs = np.empty((n, k))
     for rank in np.unique(ranks):
         idx = np.nonzero(ranks == rank)[0]
@@ -221,102 +225,81 @@ def _random_projector_probs(states: np.ndarray, ranks: np.ndarray,
     return probs
 
 
-def sweep_lemma1(trials: int, dims=DEFAULT_DIMS, seed: int = 0,
-                 tol: float = DEFAULT_SWEEP_TOL) -> SweepResult:
+def _sweep(name: str, slack, trials: int, dims, seed: int, tol: float) -> SweepResult:
+    """Run ``slack(n, dim, rng)`` (rhs - lhs per trial) over the split trials."""
     rng = np.random.default_rng(seed)
     min_slack, violations = np.inf, 0
     for dim, n in _split_trials(trials, dims):
         if n == 0:
             continue
+        s = slack(n, dim, rng)
+        min_slack = min(min_slack, float(s.min()))
+        violations += int(np.count_nonzero(s < -tol))
+    return SweepResult(name, trials, min_slack, violations, seed, tol)
+
+
+def sweep_lemma1(trials: int, dims=DEFAULT_DIMS, seed: int = 0,
+                 tol: float = DEFAULT_SWEEP_TOL) -> SweepResult:
+    def slack(n, dim, rng):
         t = random_states(3 * n, dim, rng).reshape(n, 3, dim)
         phi, ups, psi = t[:, 0], t[:, 1], t[:, 2]
-        slack = np.cos(_batch_angle(phi, ups) - _batch_angle(ups, psi)) - np.cos(
+        return np.cos(_batch_angle(phi, ups) - _batch_angle(ups, psi)) - np.cos(
             _batch_angle(phi, psi)
         )
-        min_slack = min(min_slack, float(slack.min()))
-        violations += int(np.count_nonzero(slack < -tol))
-    return SweepResult("lemma1", trials, min_slack, violations, seed, tol)
+    return _sweep("lemma1", slack, trials, dims, seed, tol)
 
 
 def sweep_lemma2(trials: int, dims=DEFAULT_DIMS, seed: int = 0,
                  tol: float = DEFAULT_SWEEP_TOL) -> SweepResult:
-    rng = np.random.default_rng(seed)
-    min_slack, violations = np.inf, 0
-    for dim, n in _split_trials(trials, dims):
-        if n == 0:
-            continue
+    def slack(n, dim, rng):
         t = random_states(3 * n, dim, rng).reshape(n, 3, dim)
         phi, ups, psi = t[:, 0], t[:, 1], t[:, 2]
-        slack = (
+        return (
             _batch_angle(phi, psi) + _batch_angle(ups, psi) - _batch_angle(phi, ups)
         )
-        min_slack = min(min_slack, float(slack.min()))
-        violations += int(np.count_nonzero(slack < -tol))
-    return SweepResult("lemma2", trials, min_slack, violations, seed, tol)
+    return _sweep("lemma2", slack, trials, dims, seed, tol)
 
 
 def sweep_lemma3(trials: int, dims=DEFAULT_DIMS, seed: int = 0,
                  tol: float = DEFAULT_SWEEP_TOL) -> SweepResult:
-    rng = np.random.default_rng(seed)
-    min_slack, violations = np.inf, 0
-    for dim, n in _split_trials(trials, dims):
-        if n == 0:
-            continue
+    def slack(n, dim, rng):
         t = random_states(3 * n, dim, rng).reshape(n, 3, dim)
         theta, phi, psi = t[:, 0], t[:, 1], t[:, 2]
         lhs = np.abs(
             np.abs(np.einsum("bi,bi->b", theta.conj(), phi)) ** 2
             - np.abs(np.einsum("bi,bi->b", theta.conj(), psi)) ** 2
         )
-        slack = np.sin(_batch_angle(phi, psi)) - lhs
-        min_slack = min(min_slack, float(slack.min()))
-        violations += int(np.count_nonzero(slack < -tol))
-    return SweepResult("lemma3", trials, min_slack, violations, seed, tol)
+        return np.sin(_batch_angle(phi, psi)) - lhs
+    return _sweep("lemma3", slack, trials, dims, seed, tol)
 
 
 def sweep_lemma4(trials: int, dims=DEFAULT_DIMS, seed: int = 0,
                  tol: float = DEFAULT_SWEEP_TOL) -> SweepResult:
-    rng = np.random.default_rng(seed)
-    min_slack, violations = np.inf, 0
-    for dim, n in _split_trials(trials, dims):
-        if n == 0:
-            continue
+    def slack(n, dim, rng):
         pair = random_states(2 * n, dim, rng).reshape(n, 2, dim)
-        ranks = rng.integers(1, dim, size=n) if dim > 2 else np.ones(n, dtype=int)
-        probs = _random_projector_probs(pair, ranks, rng)
+        probs = _random_projector_probs(pair, rng)
         lhs = np.abs(probs[:, 0] - probs[:, 1])
-        slack = np.sin(_batch_angle(pair[:, 0], pair[:, 1])) - lhs
-        min_slack = min(min_slack, float(slack.min()))
-        violations += int(np.count_nonzero(slack < -tol))
-    return SweepResult("lemma4", trials, min_slack, violations, seed, tol)
+        return np.sin(_batch_angle(pair[:, 0], pair[:, 1])) - lhs
+    return _sweep("lemma4", slack, trials, dims, seed, tol)
 
 
 def sweep_gate_approx(trials: int, dims=DEFAULT_DIMS, seed: int = 0,
-                      tol: float = DEFAULT_SWEEP_TOL,
-                      max_perturbation: float = 0.3) -> SweepResult:
+                      tol: float = DEFAULT_SWEEP_TOL) -> SweepResult:
     """Random (U, perturbed V, state, projector) trials of the gate bound.
 
     V is the QR re-orthonormalization of U + eta*G with the Gaussian
     direction G scaled to unit spectral norm and eta uniform in
-    [0, max_perturbation], which keeps eps = ||U - V|| well inside the
+    [0, GATE_MAX_PERTURBATION], which keeps eps = ||U - V|| well inside the
     bound's valid range eps <= sqrt(2).
     """
-    rng = np.random.default_rng(seed)
-    min_slack, violations = np.inf, 0
-    for dim, n in _split_trials(trials, dims):
-        if n == 0:
-            continue
+    def slack(n, dim, rng):
         gu = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
-        qu, ru = np.linalg.qr(gu)
-        du = np.einsum("bii->bi", ru).copy()
-        u = qu * (du / np.abs(du))[:, None, :]
+        u = phase_fixed_q(gu)
 
         g = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
         g /= np.linalg.svd(g, compute_uv=False)[:, 0][:, None, None]
-        eta = rng.uniform(0.0, max_perturbation, size=n)
-        qv, rv = np.linalg.qr(u + eta[:, None, None] * g)
-        dv = np.einsum("bii->bi", rv).copy()
-        v = qv * (dv / np.abs(dv))[:, None, :]
+        eta = rng.uniform(0.0, GATE_MAX_PERTURBATION, size=n)
+        v = phase_fixed_q(u + eta[:, None, None] * g)
 
         eps = np.minimum(np.linalg.svd(u - v, compute_uv=False)[:, 0], 2.0)
         rhs = eps * np.sqrt(1.0 - eps * eps / 4.0)
@@ -326,12 +309,9 @@ def sweep_gate_approx(trials: int, dims=DEFAULT_DIMS, seed: int = 0,
             [np.einsum("bij,bj->bi", u, sigma), np.einsum("bij,bj->bi", v, sigma)],
             axis=1,
         )
-        ranks = rng.integers(1, dim, size=n) if dim > 2 else np.ones(n, dtype=int)
-        probs = _random_projector_probs(out, ranks, rng)
-        slack = rhs - np.abs(probs[:, 0] - probs[:, 1])
-        min_slack = min(min_slack, float(slack.min()))
-        violations += int(np.count_nonzero(slack < -tol))
-    return SweepResult("gate_approx", trials, min_slack, violations, seed, tol)
+        probs = _random_projector_probs(out, rng)
+        return rhs - np.abs(probs[:, 0] - probs[:, 1])
+    return _sweep("gate_approx", slack, trials, dims, seed, tol)
 
 
 #: Sweeps driven by the command-line ``lemmas`` command, in print order.

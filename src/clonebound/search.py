@@ -24,20 +24,21 @@ Two entry points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .bounds import ae_lower_bound, re_lower_bound
-from .cloners import closed_form_re_s
-from .cloning import TwoStateSet
-from .statespace import gram_schmidt_residual, tensor
+from .cloners import closed_form_re_s, plane_frame
+from .cloning import DEGENERATE_TOL, TwoStateSet
 
 FLOOR_TOL = 1e-9
 CHAIN_TOL = 1e-10
-DEGENERATE_TOL = 1e-12
+# Nelder-Mead iteration cap per start, and its function-value tolerance.
+MAX_ITERS = 400
+OBJECTIVE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,6 @@ class SearchConfig:
     z: float
     subspace_dim: int = 4
     restarts: int = 20
-    max_iters: int = 400
-    objective_tol: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
@@ -94,8 +93,7 @@ class SearchFrame:
 
 def make_frame(set_: TwoStateSet, subspace_dim: int = 4, seed: int = 0) -> SearchFrame:
     """Build the search frame for a pair with z < 1."""
-    e1 = tensor(set_.phi, set_.phi)
-    e2 = gram_schmidt_residual(tensor(set_.psi, set_.psi), e1)
+    e1, e2 = plane_frame(set_)
     ambient = e1.shape[0]
     if not 2 <= subspace_dim <= ambient:
         raise ValueError(f"subspace_dim must be in 2..{ambient}, got {subspace_dim}")
@@ -236,12 +234,12 @@ def _objective_factory(objective: str, z: float, m: int,
     return fun
 
 
-def _run_minimize(fun, starts, max_iters: int, tol: float):
+def _run_minimize(fun, starts):
     best_f, best_x, evals = np.inf, None, 0
     for x0 in starts:
         res = minimize(
             fun, x0, method="Nelder-Mead",
-            options={"maxiter": max_iters, "xatol": 1e-10, "fatol": tol},
+            options={"maxiter": MAX_ITERS, "xatol": 1e-10, "fatol": OBJECTIVE_TOL},
         )
         evals += res.nfev
         if res.fun < best_f:
@@ -249,7 +247,7 @@ def _run_minimize(fun, starts, max_iters: int, tol: float):
     # Shrink-restart from the incumbent in case a run stagnated early.
     res = minimize(
         fun, best_x, method="Nelder-Mead",
-        options={"maxiter": max_iters, "xatol": 1e-12, "fatol": tol},
+        options={"maxiter": MAX_ITERS, "xatol": 1e-12, "fatol": OBJECTIVE_TOL},
     )
     evals += res.nfev
     if res.fun < best_f:
@@ -265,6 +263,37 @@ def _resolve_set(cfg: SearchConfig, set_: Optional[TwoStateSet]) -> TwoStateSet:
     return set_
 
 
+def _search(cfg: SearchConfig, warm: np.ndarray, fun, bound_re: float,
+            gap) -> SearchOutcome:
+    """Minimize ``fun`` from ``warm`` plus ``cfg.restarts`` seeded random starts.
+
+    ``gap(ae_gap, re_gap)`` turns the distances of the best point above the
+    AE floor and above ``bound_re`` into ``attained_within``.
+    """
+    m = cfg.subspace_dim
+    rng = np.random.default_rng(cfg.seed)
+    starts = [warm]
+    for _ in range(cfg.restarts):
+        starts.append(0.5 * rng.standard_normal(params_length(m)))
+
+    _, best_x, evals = _run_minimize(fun, starts)
+
+    v, v_psi, _ = _coords_from_params(best_x, cfg.z, m)
+    x_phi, x_psi, _, _ = _pair_errors(v, v_psi, cfg.z)
+    best_ae = x_phi + x_psi
+    best_re = best_ae / np.sqrt(1.0 - cfg.z ** 4)
+    bound_ae = float(ae_lower_bound(cfg.z))
+    return SearchOutcome(
+        best_ae=float(best_ae),
+        best_re=float(best_re),
+        bound_ae=bound_ae,
+        bound_re=bound_re,
+        attained_within=float(gap(best_ae - bound_ae, best_re - bound_re)),
+        best_params=best_x,
+        trials=evals,
+    )
+
+
 def minimize_objective(objective: str, cfg: SearchConfig,
                        set_: Optional[TwoStateSet] = None) -> SearchOutcome:
     """Minimize AE or RE over realizable pairs in the search subspace.
@@ -277,31 +306,11 @@ def minimize_objective(objective: str, cfg: SearchConfig,
         raise ValueError(f"objective must be 'ae' or 're', got {objective!r}")
     if cfg.z <= 0.0:
         raise ValueError("minimization needs 0 < z < 1")
-    set_ = _resolve_set(cfg, set_)
+    _resolve_set(cfg, set_)
     m = cfg.subspace_dim
-    rng = np.random.default_rng(cfg.seed)
-    starts = [warm_start_params(cfg.z, m)]
-    for _ in range(cfg.restarts):
-        starts.append(0.5 * rng.standard_normal(params_length(m)))
-
-    fun = _objective_factory(objective, cfg.z, m)
-    _, best_x, evals = _run_minimize(fun, starts, cfg.max_iters, cfg.objective_tol)
-
-    v, v_psi, _ = _coords_from_params(best_x, cfg.z, m)
-    x_phi, x_psi, _, _ = _pair_errors(v, v_psi, cfg.z)
-    best_ae = x_phi + x_psi
-    best_re = best_ae / np.sqrt(1.0 - cfg.z ** 4)
-    bound_ae = float(ae_lower_bound(cfg.z))
-    bound_re = float(re_lower_bound(cfg.z))
-    return SearchOutcome(
-        best_ae=float(best_ae),
-        best_re=float(best_re),
-        bound_ae=bound_ae,
-        bound_re=bound_re,
-        attained_within=float(max(best_ae - bound_ae, best_re - bound_re)),
-        best_params=best_x,
-        trials=evals,
-    )
+    return _search(cfg, warm_start_params(cfg.z, m),
+                   _objective_factory(objective, cfg.z, m),
+                   float(re_lower_bound(cfg.z)), max)
 
 
 def minimize_symmetric_re(cfg: SearchConfig,
@@ -317,7 +326,6 @@ def minimize_symmetric_re(cfg: SearchConfig,
         raise ValueError("minimization needs 0 < z < 1")
     set_ = _resolve_set(cfg, set_)
     m = cfg.subspace_dim
-    rng = np.random.default_rng(cfg.seed)
 
     # Warm start: the symmetric machine, in plane coordinates. Its V_psi
     # sits at plane angle big - theta, and W is the unit residual of
@@ -331,27 +339,9 @@ def minimize_symmetric_re(cfg: SearchConfig,
     w_dir = v_psi_sym - v_sym * np.vdot(v_sym, v_psi_sym)
     w_dir /= np.linalg.norm(w_dir)
 
-    starts = [encode_params(v_sym, w_dir)]
-    for _ in range(cfg.restarts):
-        starts.append(0.5 * rng.standard_normal(params_length(m)))
-
-    fun = _objective_factory("re", cfg.z, m, symmetric_penalty=1e8)
-    _, best_x, evals = _run_minimize(fun, starts, cfg.max_iters, cfg.objective_tol)
-
-    v, v_psi, _ = _coords_from_params(best_x, cfg.z, m)
-    x_phi, x_psi, _, _ = _pair_errors(v, v_psi, cfg.z)
-    best_ae = x_phi + x_psi
-    best_re = best_ae / np.sqrt(1.0 - cfg.z ** 4)
-    bound_re = closed_form_re_s(cfg.z)
-    return SearchOutcome(
-        best_ae=float(best_ae),
-        best_re=float(best_re),
-        bound_ae=float(ae_lower_bound(cfg.z)),
-        bound_re=bound_re,
-        attained_within=float(best_re - bound_re),
-        best_params=best_x,
-        trials=evals,
-    )
+    return _search(cfg, encode_params(v_sym, w_dir),
+                   _objective_factory("re", cfg.z, m, symmetric_penalty=1e8),
+                   closed_form_re_s(cfg.z), lambda ae_gap, re_gap: re_gap)
 
 
 @dataclass(frozen=True)
@@ -461,30 +451,21 @@ class VerifyRecord:
     sweep: SweepStats
 
     def as_dict(self) -> dict:
-        return {
-            "z": self.z,
-            "bound_ae": self.bound_ae,
-            "bound_re": self.bound_re,
-            "best_ae": self.best_ae,
-            "best_re": self.best_re,
-            "violations": self.violations,
-            "trials": self.trials,
-            "seed": self.seed,
-            "attainment_gap": self.attainment_gap,
-            "sweep": {
-                "trials": self.sweep.trials,
-                "ae_min": self.sweep.ae_min,
-                "ae_mean": self.sweep.ae_mean,
-                "ae_max": self.sweep.ae_max,
-                "re_min": self.sweep.re_min,
-                "re_mean": self.sweep.re_mean,
-                "re_max": self.sweep.re_max,
-                "floor_violations": self.sweep.floor_violations,
-                "chain_violations": self.sweep.chain1_violations
-                + self.sweep.chain2_violations,
-                "undefined_re": self.sweep.undefined_re,
-            },
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["sweep"] = {
+            "trials": self.sweep.trials,
+            "ae_min": self.sweep.ae_min,
+            "ae_mean": self.sweep.ae_mean,
+            "ae_max": self.sweep.ae_max,
+            "re_min": self.sweep.re_min,
+            "re_mean": self.sweep.re_mean,
+            "re_max": self.sweep.re_max,
+            "floor_violations": self.sweep.floor_violations,
+            "chain_violations": self.sweep.chain1_violations
+            + self.sweep.chain2_violations,
+            "undefined_re": self.sweep.undefined_re,
         }
+        return d
 
 
 def verify_point(z: float, restarts: int = 20, seed: int = 0,

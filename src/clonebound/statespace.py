@@ -47,9 +47,12 @@ def normalize(v) -> np.ndarray:
 
 
 def check_unit(v: np.ndarray, atol: float = ATOL_ALG) -> np.ndarray:
-    """Validate that ``v`` is a unit vector; returns ``v`` unchanged."""
+    """Validate that ``v`` is a unit vector; returns ``v`` unchanged.
+
+    A non-finite norm (NaN or infinite amplitudes) is rejected too.
+    """
     n = norm(v)
-    if abs(n - 1.0) > atol:
+    if not abs(n - 1.0) <= atol:
         raise ValueError(f"expected a unit vector, got norm {n!r}")
     return v
 
@@ -226,9 +229,18 @@ def random_states(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random unitary via QR orthonormalization of a Gaussian matrix."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return phase_fixed_q(g)
+
+
+def phase_fixed_q(g: np.ndarray) -> np.ndarray:
+    """Q factor of g = QR, for one matrix or a stack, with diag(R) made positive.
+
+    Fixing the column phases keeps the result independent of the QR
+    convention of the linear-algebra backend.
+    """
     q, r = np.linalg.qr(g)
-    # Fix column phases so the distribution does not depend on QR conventions.
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    d = np.einsum("...ii->...i", r)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_projector(dim: int, rank: int, rng: np.random.Generator) -> Projector:

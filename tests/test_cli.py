@@ -155,6 +155,25 @@ class TestCloner:
         code, _, err = run(capsys, "cloner", "asym", "--states", str(f))
         assert code == 1 and "psi" in err
 
+    @pytest.mark.parametrize("amplitude", ["NaN", "Infinity"])
+    def test_non_finite_state_file(self, tmp_path, capsys, amplitude):
+        f = tmp_path / "states.json"
+        f.write_text('{"phi": [[1, 0], [0, 0]], "psi": [[%s, 0], [1, 0]]}'
+                     % amplitude)
+        code, _, err = run(capsys, "cloner", "sym", "--states", str(f))
+        assert code == 1
+        assert "'psi' has a non-finite amplitude" in err
+        assert "Traceback" not in err
+
+    def test_dim_with_states_is_a_usage_error(self, tmp_path, capsys):
+        f = tmp_path / "states.json"
+        f.write_text(json.dumps({"phi": [[1, 0], [0, 0]],
+                                 "psi": [[0, 0], [1, 0]]}))
+        code, out, err = run(capsys, "cloner", "sym", "--states", str(f),
+                             "--dim", "5")
+        assert code == 1 and out == ""
+        assert "--dim applies only with --z" in err
+
     def test_report_to_file(self, tmp_path, capsys):
         out_file = tmp_path / "report.json"
         code, _, _ = run(capsys, "cloner", "asym", "--z", "0.3",
@@ -236,10 +255,56 @@ class TestSeedsAndDeterminism:
         assert (a / "fig1.csv").read_bytes() == (b / "fig1.csv").read_bytes()
         assert (a / "fig2.csv").read_bytes() == (b / "fig2.csv").read_bytes()
 
+    @pytest.mark.parametrize("argv, env, message", [
+        (("lemmas", "--trials", "5"), {"CLONEBOUND_SEED": "abc"},
+         "CLONEBOUND_SEED must be an integer >= 0, got 'abc'"),
+        (("lemmas", "--trials", "5", "--seed", "-1"), {},
+         "--seed must be an integer >= 0, got -1"),
+        (("verify", "--z", "0.5", "--seed", "-1"), {},
+         "--seed must be an integer >= 0, got -1"),
+        (("bounds", "--seed", "-1", "--out", "{tmp}"), {},
+         "--seed must be an integer >= 0, got -1"),
+        (("cloner", "sym", "--z", "0.5"), {"CLONEBOUND_SEED": "-3"},
+         "CLONEBOUND_SEED must be an integer >= 0, got '-3'"),
+        (("lemmas", "--trials", "5"), {"CLONEBOUND_TOL": "x"},
+         "CLONEBOUND_TOL must be a finite number >= 0, got 'x'"),
+        (("lemmas", "--trials", "5"), {"CLONEBOUND_TOL": "nan"},
+         "CLONEBOUND_TOL must be a finite number >= 0, got 'nan'"),
+        (("lemmas", "--trials", "5", "--tol", "nan"), {},
+         "--tol must be a finite number >= 0, got nan"),
+        (("lemmas", "--trials", "5", "--tol", "inf"), {},
+         "--tol must be a finite number >= 0, got inf"),
+        (("lemmas", "--trials", "5", "--tol", "-1"), {},
+         "--tol must be a finite number >= 0, got -1.0"),
+    ], ids=["env-seed-text", "seed-negative-lemmas", "seed-negative-verify",
+            "seed-negative-bounds", "env-seed-negative", "env-tol-text",
+            "env-tol-nan", "tol-nan", "tol-inf", "tol-negative"])
+    def test_bad_seed_or_tol_is_a_usage_error(self, tmp_path, capsys,
+                                               monkeypatch, argv, env, message):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        argv = [a.replace("{tmp}", str(tmp_path / "out")) for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_cloner_json_reproducible_modulo_timestamp(self, capsys):
         _, out1, _ = run(capsys, "cloner", "asym", "--z", "0.5", "--seed", "3")
         _, out2, _ = run(capsys, "cloner", "asym", "--z", "0.5", "--seed", "3")
         assert strip_timestamp(out1) == strip_timestamp(out2)
+
+
+@pytest.mark.parametrize("argv", [
+    ("cloner", "asym", "--z", "0.3"),
+    ("verify", "--z", "0.5", "--restarts", "1", "--sweep-trials", "10"),
+])
+def test_unwritable_report_is_an_io_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2 and out == ""
+    assert "cannot write" in err
 
 
 class TestUsage:

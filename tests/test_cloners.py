@@ -224,7 +224,7 @@ class TestClonerSpec:
         s = TwoStateSet.at_overlap(0.4)
         assert ClonerSpec.symmetric().build(s).ae == build_symmetric(s).ae
         assert ClonerSpec.asymmetric("psi").build(s).a_psi.x < 1e-12
-        assert ClonerSpec.wootters_zurek().ancilla_dim == 2
+        assert ClonerSpec.wootters_zurek().build(s).dims.danc == 2
 
     def test_favored_only_for_asymmetric(self):
         with pytest.raises(ValueError, match="favored"):

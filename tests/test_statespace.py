@@ -73,6 +73,11 @@ def test_angle_rejects_non_unit_input():
         angle([1, 1], [1, 0])
 
 
+def test_angle_rejects_nan_input():
+    with pytest.raises(ValueError, match="unit vector"):
+        angle([np.nan, 0], [1, 0])
+
+
 def test_tensor_basis_and_index_convention():
     a, b = basis_state(2, 1), basis_state(3, 2)
     out = tensor(a, b)
