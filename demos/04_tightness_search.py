@@ -27,7 +27,7 @@ from clonebound import (
 print(__doc__)
 
 z = 0.5
-cfg = SearchConfig(z=z, subspace_dim=4, restarts=10, seed=2026)
+cfg = SearchConfig(z=z, restarts=10, seed=2026)
 
 print(f"overlap z = {z}")
 for objective in ("ae", "re"):

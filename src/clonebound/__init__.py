@@ -32,7 +32,6 @@ from .statespace import (
     measure_prob,
     normalize,
     operator_norm,
-    overlap,
     random_projector,
     random_state,
     random_unitary,
@@ -69,7 +68,6 @@ from .cloning import (
     unitarity_residual,
 )
 from .cloners import (
-    ClonerSpec,
     build_asymmetric,
     build_symmetric,
     build_wootters_zurek,
@@ -89,7 +87,6 @@ from .bounds import (
 )
 from .search import (
     SearchConfig,
-    SearchFrame,
     SearchOutcome,
     SweepStats,
     VerifyRecord,

@@ -20,13 +20,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, cloners
 from .bounds import (
     ae_lower_bound,
     hb_bound,
@@ -34,7 +33,7 @@ from .bounds import (
     sample_curve,
     table_csv,
 )
-from .cloners import ClonerSpec, closed_form_re_s, closed_form_re_wz
+from .cloners import closed_form_re_s, closed_form_re_wz
 from .cloning import TwoStateSet, unitarity_residual
 from .geometry import ALL_SWEEPS
 from .search import verify_point
@@ -49,25 +48,11 @@ ATTAINMENT_TOL = 1e-5
 UNDEFINED_RE_TEXT = "undefined (identical ideal outputs)"
 
 
-@dataclass(frozen=True)
-class RunManifest:
+def _manifest(command: str, parameters: dict, seed: int) -> dict:
     """Provenance record embedded in or accompanying every artifact."""
-
-    command: str
-    parameters: dict
-    seed: int
-    tool_version: str
-    timestamp: str
-
-    @classmethod
-    def create(cls, command: str, parameters: dict, seed: int) -> "RunManifest":
-        return cls(
-            command=command,
-            parameters=parameters,
-            seed=seed,
-            tool_version=__version__,
-            timestamp=datetime.now(timezone.utc).isoformat(),
-        )
+    return {"command": command, "parameters": parameters, "seed": seed,
+            "tool_version": __version__,
+            "timestamp": datetime.now(timezone.utc).isoformat()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -176,19 +161,23 @@ def build_parser() -> _Parser:
 
 
 def cmd_bounds(args) -> int:
-    if not (0.0 <= args.z_min < args.z_max <= 1.0) or args.steps < 2:
+    # sample_curve rejects a bad range or step count, and BoundCurve a grid
+    # that is not strictly increasing (a range narrower than its steps).
+    try:
+        curve_re = sample_curve("re_lower_bound", re_lower_bound,
+                                args.z_min, args.z_max, args.steps)
+        curve_ae = sample_curve("ae_lower_bound", ae_lower_bound,
+                                args.z_min, args.z_max, args.steps)
+        curve_hb = sample_curve("hb_bound", hb_bound,
+                                args.z_min, args.z_max, args.steps)
+    except ValueError:
         print(
             f"clonebound bounds: invalid range [{args.z_min}, {args.z_max}] "
             f"with {args.steps} steps",
             file=sys.stderr,
         )
         return EXIT_USAGE
-    curve_re = sample_curve("re_lower_bound", re_lower_bound,
-                            args.z_min, args.z_max, args.steps)
-    curve_ae = sample_curve("ae_lower_bound", ae_lower_bound,
-                            args.z_min, args.z_max, args.steps)
-    curve_hb = sample_curve("hb_bound", hb_bound, args.z_min, args.z_max, args.steps)
-    manifest = RunManifest.create(
+    manifest = _manifest(
         "bounds",
         {
             "z_min": args.z_min,
@@ -214,19 +203,19 @@ def cmd_bounds(args) -> int:
                 out_dir / "run.manifest.json",
                 _dump_json(
                     {"artifacts": ["fig1.csv", "fig2.csv"],
-                     "manifest": asdict(manifest)}
+                     "manifest": manifest}
                 ),
             )
             written = ["fig1.csv", "fig2.csv", "run.manifest.json"]
         else:
             fig1 = curve_re.to_json_dict()
-            fig1["manifest"] = asdict(manifest)
+            fig1["manifest"] = manifest
             fig2 = {
                 "name": "fig2",
                 "z": [float(v) for v in curve_ae.grid],
                 "ae_bound": [float(v) for v in curve_ae.values],
                 "hb_bound": [float(v) for v in curve_hb.values],
-                "manifest": asdict(manifest),
+                "manifest": manifest,
             }
             _write_text(out_dir / "fig1.json", _dump_json(fig1))
             _write_text(out_dir / "fig2.json", _dump_json(fig2))
@@ -240,20 +229,38 @@ def cmd_bounds(args) -> int:
 
 def _load_state_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except RecursionError:
+            raise ValueError("state file is nested too deeply to parse") from None
+    if not isinstance(payload, dict):
+        raise ValueError("state file must hold a JSON object with keys 'phi' and 'psi'")
     states = {}
     for key in ("phi", "psi"):
         if key not in payload:
             raise ValueError(f"state file is missing key {key!r}")
-        pairs = np.asarray(payload[key], dtype=float)
+        not_pairs = ValueError(f"state {key!r} must be a list of [re, im] pairs")
+        try:
+            pairs = np.asarray(payload[key], dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise not_pairs from None
         if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 2:
-            raise ValueError(f"state {key!r} must be a list of [re, im] pairs")
+            raise not_pairs
         if not np.all(np.isfinite(pairs)):
             raise ValueError(f"state {key!r} has a non-finite amplitude")
         vec = pairs[:, 0] + 1j * pairs[:, 1]
-        n = np.linalg.norm(vec)
-        if n == 0.0:
+        if not np.any(vec):
             raise ValueError(f"state {key!r} is the zero vector")
+        with np.errstate(over="ignore"):
+            n = np.linalg.norm(vec)
+        # Below sqrt(smallest normal float) the squared norm is subnormal
+        # and has lost digits; above sqrt(largest float) it overflows.
+        if not math.sqrt(sys.float_info.min) <= n < math.inf:
+            raise ValueError(
+                f"state {key!r} cannot be normalized: the squared norm of its "
+                f"amplitudes {'overflows' if n == math.inf else 'underflows'} "
+                f"double precision"
+            )
         if abs(n - 1.0) > 1e-6:
             print(
                 f"clonebound cloner: warning: {key} renormalized "
@@ -288,12 +295,14 @@ def cmd_cloner(args) -> int:
               "relative error undefined", file=sys.stderr)
         return EXIT_USAGE
 
-    machine = {
-        "sym": ClonerSpec.symmetric(),
-        "asym": ClonerSpec.asymmetric(args.favored),
-        "wz": ClonerSpec.wootters_zurek(),
-    }[args.kind]
-    result = machine.build(set_)
+    # Builders are looked up on the module at call time, so a wrapper
+    # installed there (the tracer in bench/spans.py) sees every build.
+    if args.kind == "sym":
+        result = cloners.build_symmetric(set_)
+    elif args.kind == "asym":
+        result = cloners.build_asymmetric(set_, args.favored)
+    else:
+        result = cloners.build_wootters_zurek(set_)
 
     z = set_.z
     closed = {
@@ -303,7 +312,7 @@ def cmd_cloner(args) -> int:
         "re_sym": closed_form_re_s(z),
         "re_wz_quoted": closed_form_re_wz(z),
     }
-    manifest = RunManifest.create(
+    manifest = _manifest(
         "cloner",
         {"kind": args.kind, "z": z, "dim": set_.dim,
          "favored": args.favored if args.kind == "asym" else None,
@@ -327,7 +336,7 @@ def cmd_cloner(args) -> int:
         "re": result.re if result.re is not None else UNDEFINED_RE_TEXT,
         "closed_form": closed,
         "unitarity_residual": unitarity_residual(result),
-        "manifest": asdict(manifest),
+        "manifest": manifest,
     }
     return _emit("cloner", _dump_json(report), args.out)
 
@@ -388,7 +397,7 @@ def cmd_verify(args) -> int:
     ]
     total_violations = sum(r.violations for r in records)
     max_gap = max(r.attainment_gap for r in records)
-    manifest = RunManifest.create(
+    manifest = _manifest(
         "verify",
         {"z": z_values, "restarts": args.restarts,
          "sweep_trials": args.sweep_trials},
@@ -398,7 +407,7 @@ def cmd_verify(args) -> int:
         "points": [r.as_dict() for r in records],
         "violations": total_violations,
         "max_attainment_gap": max_gap,
-        "manifest": asdict(manifest),
+        "manifest": manifest,
     }
     code = _emit("verify", _dump_json(report), args.out)
     if code != EXIT_OK:

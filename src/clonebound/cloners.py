@@ -19,15 +19,10 @@ unitary, certified by <V(phi)|V(psi)> = <phi|psi>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .cloning import ClonerResult, FactorDims, TwoStateSet, analyze_pair
 from .statespace import basis_state, gram_schmidt_residual, tensor
-
-KINDS = ("symmetric", "asymmetric", "wootters_zurek")
 
 
 def _require_distinct(set_: TwoStateSet) -> None:
@@ -98,39 +93,6 @@ def build_wootters_zurek(set_: TwoStateSet) -> ClonerResult:
     )
     dims = FactorDims(set_.dim, set_.dim, 2)
     return analyze_pair(set_, v_phi, v_psi, dims)
-
-
-@dataclass(frozen=True)
-class ClonerSpec:
-    """Which machine to build, and the choices the construction leaves free."""
-
-    kind: str
-    favored: Optional[str] = None
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if (self.favored is not None) != (self.kind == "asymmetric"):
-            raise ValueError("favored is required for asymmetric machines only")
-
-    @classmethod
-    def symmetric(cls) -> "ClonerSpec":
-        return cls("symmetric")
-
-    @classmethod
-    def asymmetric(cls, favored: str = "phi") -> "ClonerSpec":
-        return cls("asymmetric", favored)
-
-    @classmethod
-    def wootters_zurek(cls) -> "ClonerSpec":
-        return cls("wootters_zurek")
-
-    def build(self, set_: TwoStateSet) -> ClonerResult:
-        if self.kind == "symmetric":
-            return build_symmetric(set_)
-        if self.kind == "asymmetric":
-            return build_asymmetric(set_, self.favored)
-        return build_wootters_zurek(set_)
 
 
 def closed_form_re_s(z: float) -> float:

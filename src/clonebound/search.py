@@ -24,8 +24,7 @@ Two entry points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Optional
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import minimize
@@ -33,12 +32,16 @@ from scipy.optimize import minimize
 from .bounds import ae_lower_bound, re_lower_bound
 from .cloners import closed_form_re_s, plane_frame
 from .cloning import DEGENERATE_TOL, TwoStateSet
+from .geometry import _batch_angle
 
 FLOOR_TOL = 1e-9
 CHAIN_TOL = 1e-10
 # Nelder-Mead iteration cap per start, and its function-value tolerance.
 MAX_ITERS = 400
 OBJECTIVE_TOL = 1e-12
+# Complex dimension of the search subspace: the whole product space of a
+# qubit pair, i.e. the product plane plus two orthogonal directions.
+SUBSPACE_DIM = 4
 
 
 @dataclass(frozen=True)
@@ -46,15 +49,12 @@ class SearchConfig:
     """Reproducible settings for one search or sweep."""
 
     z: float
-    subspace_dim: int = 4
     restarts: int = 20
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.z < 1.0:
             raise ValueError(f"overlap z must be in [0, 1), got {self.z!r}")
-        if self.subspace_dim < 2:
-            raise ValueError("subspace must contain the product plane (dim >= 2)")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
 
@@ -72,27 +72,14 @@ class SearchOutcome:
     trials: int
 
 
-@dataclass(frozen=True)
-class SearchFrame:
-    """Orthonormal ambient basis of the search subspace.
+def make_frame(set_: TwoStateSet, subspace_dim: int = SUBSPACE_DIM,
+               seed: int = 0) -> np.ndarray:
+    """Orthonormal ambient basis (rows) of the search subspace, for z < 1.
 
     Row 0 is phi x phi, row 1 the unit residual of psi x psi against it;
     further rows are seeded random directions orthogonal to the plane.
+    Subspace coordinates map to the ambient space as ``coords @ basis``.
     """
-
-    set: TwoStateSet
-    basis: np.ndarray = field(repr=False)
-
-    @property
-    def subspace_dim(self) -> int:
-        return self.basis.shape[0]
-
-    def to_ambient(self, coords: np.ndarray) -> np.ndarray:
-        return coords @ self.basis
-
-
-def make_frame(set_: TwoStateSet, subspace_dim: int = 4, seed: int = 0) -> SearchFrame:
-    """Build the search frame for a pair with z < 1."""
     e1, e2 = plane_frame(set_)
     ambient = e1.shape[0]
     if not 2 <= subspace_dim <= ambient:
@@ -108,7 +95,7 @@ def make_frame(set_: TwoStateSet, subspace_dim: int = 4, seed: int = 0) -> Searc
         n = np.linalg.norm(g)
         if n > 1e-8:
             rows.append(g / n)
-    return SearchFrame(set=set_, basis=np.stack(rows))
+    return np.stack(rows)
 
 
 def _complement_basis(v: np.ndarray) -> np.ndarray:
@@ -151,13 +138,14 @@ def _coords_from_params(params, z: float, m: int):
     return v, v_psi, w
 
 
-def parameterize_pair(params, z: float, frame: SearchFrame):
+def parameterize_pair(params, z: float, basis: np.ndarray):
     """Map raw parameters to an ambient realizable output pair.
 
-    By construction both outputs are unit and <V_phi|V_psi> = z exactly.
+    ``basis`` is a :func:`make_frame` basis. By construction both outputs
+    are unit and <V_phi|V_psi> = z exactly.
     """
-    v, v_psi, _ = _coords_from_params(params, z, frame.subspace_dim)
-    return frame.to_ambient(v), frame.to_ambient(v_psi)
+    v, v_psi, _ = _coords_from_params(params, z, basis.shape[0])
+    return v @ basis, v_psi @ basis
 
 
 def encode_params(v_target: np.ndarray, w_target: np.ndarray) -> np.ndarray:
@@ -255,12 +243,9 @@ def _run_minimize(fun, starts):
     return best_f, best_x, evals
 
 
-def _resolve_set(cfg: SearchConfig, set_: Optional[TwoStateSet]) -> TwoStateSet:
-    if set_ is None:
-        return TwoStateSet.at_overlap(cfg.z)
-    if abs(set_.z - cfg.z) > 1e-12:
-        raise ValueError(f"config z={cfg.z} does not match the set's z={set_.z}")
-    return set_
+def _angles(z: float):
+    """(d, D) = (arccos z, arccos z^2), as :class:`TwoStateSet` computes them."""
+    return float(np.arccos(z)), float(np.arccos(min(z * z, 1.0)))
 
 
 def _search(cfg: SearchConfig, warm: np.ndarray, fun, bound_re: float,
@@ -270,15 +255,14 @@ def _search(cfg: SearchConfig, warm: np.ndarray, fun, bound_re: float,
     ``gap(ae_gap, re_gap)`` turns the distances of the best point above the
     AE floor and above ``bound_re`` into ``attained_within``.
     """
-    m = cfg.subspace_dim
     rng = np.random.default_rng(cfg.seed)
     starts = [warm]
     for _ in range(cfg.restarts):
-        starts.append(0.5 * rng.standard_normal(params_length(m)))
+        starts.append(0.5 * rng.standard_normal(params_length(SUBSPACE_DIM)))
 
     _, best_x, evals = _run_minimize(fun, starts)
 
-    v, v_psi, _ = _coords_from_params(best_x, cfg.z, m)
+    v, v_psi, _ = _coords_from_params(best_x, cfg.z, SUBSPACE_DIM)
     x_phi, x_psi, _, _ = _pair_errors(v, v_psi, cfg.z)
     best_ae = x_phi + x_psi
     best_re = best_ae / np.sqrt(1.0 - cfg.z ** 4)
@@ -294,8 +278,7 @@ def _search(cfg: SearchConfig, warm: np.ndarray, fun, bound_re: float,
     )
 
 
-def minimize_objective(objective: str, cfg: SearchConfig,
-                       set_: Optional[TwoStateSet] = None) -> SearchOutcome:
+def minimize_objective(objective: str, cfg: SearchConfig) -> SearchOutcome:
     """Minimize AE or RE over realizable pairs in the search subspace.
 
     Runs ``cfg.restarts`` seeded random starts plus a warm start at the
@@ -306,15 +289,12 @@ def minimize_objective(objective: str, cfg: SearchConfig,
         raise ValueError(f"objective must be 'ae' or 're', got {objective!r}")
     if cfg.z <= 0.0:
         raise ValueError("minimization needs 0 < z < 1")
-    _resolve_set(cfg, set_)
-    m = cfg.subspace_dim
-    return _search(cfg, warm_start_params(cfg.z, m),
-                   _objective_factory(objective, cfg.z, m),
+    return _search(cfg, warm_start_params(cfg.z, SUBSPACE_DIM),
+                   _objective_factory(objective, cfg.z, SUBSPACE_DIM),
                    float(re_lower_bound(cfg.z)), max)
 
 
-def minimize_symmetric_re(cfg: SearchConfig,
-                          set_: Optional[TwoStateSet] = None) -> SearchOutcome:
+def minimize_symmetric_re(cfg: SearchConfig) -> SearchOutcome:
     """Minimize RE restricted to equal error angles on both branches.
 
     The restriction |q_phi| = |q_psi| is enforced by a stiff quadratic
@@ -324,13 +304,12 @@ def minimize_symmetric_re(cfg: SearchConfig,
     """
     if cfg.z <= 0.0:
         raise ValueError("minimization needs 0 < z < 1")
-    set_ = _resolve_set(cfg, set_)
-    m = cfg.subspace_dim
+    m = SUBSPACE_DIM
 
     # Warm start: the symmetric machine, in plane coordinates. Its V_psi
     # sits at plane angle big - theta, and W is the unit residual of
     # V_psi against V_phi.
-    big, small = set_.delta_product, set_.delta
+    small, big = _angles(cfg.z)
     theta = (big - small) / 2.0
     v_sym = np.zeros(m, dtype=np.complex128)
     v_sym[0], v_sym[1] = np.cos(theta), np.sin(theta)
@@ -369,8 +348,7 @@ class SweepStats:
         return self.floor_violations_ae + self.floor_violations_re
 
 
-def random_cloner_sweep(cfg: SearchConfig, set_: Optional[TwoStateSet] = None,
-                        n: int = 10_000) -> SweepStats:
+def random_cloner_sweep(cfg: SearchConfig, n: int = 10_000) -> SweepStats:
     """Sample ``n`` realizable pairs uniformly and check floors and chains.
 
     Sampling is Gaussian-then-normalize inside the subspace for V_phi and
@@ -379,8 +357,7 @@ def random_cloner_sweep(cfg: SearchConfig, set_: Optional[TwoStateSet] = None,
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    set_ = _resolve_set(cfg, set_)
-    z, m = cfg.z, cfg.subspace_dim
+    z, m = cfg.z, SUBSPACE_DIM
     rng = np.random.default_rng(cfg.seed)
 
     v = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
@@ -408,12 +385,9 @@ def random_cloner_sweep(cfg: SearchConfig, set_: Optional[TwoStateSet] = None,
     # Chain inequalities: angles from the actual sampled vectors.
     delta_phi = np.arccos(np.minimum(q_phi, 1.0))
     delta_psi = np.arccos(np.minimum(q_psi, 1.0))
-    out_angle = np.arccos(
-        np.minimum(np.abs(np.einsum("bi,bi->b", v.conj(), v_psi)), 1.0)
-    )
-    big = set_.delta_product
-    chain1 = delta_phi + delta_psi + out_angle - big
-    chain2 = delta_phi + delta_psi - (big - set_.delta)
+    small, big = _angles(z)
+    chain1 = delta_phi + delta_psi + _batch_angle(v, v_psi) - big
+    chain2 = delta_phi + delta_psi - (big - small)
 
     re_defined = re[defined]
     return SweepStats(
@@ -469,9 +443,9 @@ class VerifyRecord:
 
 
 def verify_point(z: float, restarts: int = 20, seed: int = 0,
-                 sweep_trials: int = 10_000, subspace_dim: int = 4) -> VerifyRecord:
+                 sweep_trials: int = 10_000) -> VerifyRecord:
     """Optimize both objectives and sweep at one overlap value."""
-    cfg = SearchConfig(z=z, subspace_dim=subspace_dim, restarts=restarts, seed=seed)
+    cfg = SearchConfig(z=z, restarts=restarts, seed=seed)
     out_ae = minimize_objective("ae", cfg)
     out_re = minimize_objective("re", cfg)
     sweep = random_cloner_sweep(cfg, n=sweep_trials)

@@ -12,7 +12,7 @@ All functions are pure and never mutate their inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,11 +68,6 @@ def inner(a, b) -> complex:
     b = as_state(b)
     _check_same_dim(a, b)
     return complex(np.vdot(a, b))
-
-
-def overlap(a, b) -> float:
-    """Overlap modulus |<a|b>|."""
-    return abs(inner(a, b))
 
 
 def angle(a, b, atol: float = ATOL_ALG) -> float:
@@ -131,12 +126,10 @@ class Projector:
     """
 
     basis: np.ndarray
-    ambient_dim: int = field(default=0)
 
     def __post_init__(self):
         b = np.atleast_2d(np.asarray(self.basis, dtype=np.complex128))
         object.__setattr__(self, "basis", b)
-        object.__setattr__(self, "ambient_dim", b.shape[1])
         gram = b @ b.conj().T
         if not np.allclose(gram, np.eye(b.shape[0]), atol=ATOL_ALG):
             raise ValueError("projector basis rows are not orthonormal")
@@ -144,6 +137,10 @@ class Projector:
     @property
     def rank(self) -> int:
         return self.basis.shape[0]
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[1]
 
     @classmethod
     def from_span(cls, vectors) -> "Projector":
@@ -162,10 +159,6 @@ class Projector:
         # Hermitian null space: vectors x with <b_k|x> = 0 for every row.
         _, _, vh = np.linalg.svd(self.basis.conj(), full_matrices=True)
         return Projector(vh[self.rank:].conj())
-
-    def matrix(self) -> np.ndarray:
-        """Dense matrix sum_k |b_k><b_k| (for cross-checks only)."""
-        return self.basis.T @ self.basis.conj()
 
 
 def apply_projector(p: Projector, v) -> np.ndarray:

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from clonebound.cli import main
@@ -62,6 +69,12 @@ class TestBounds:
         code, _, err = run(capsys, "bounds", "--z-min", "0", "--z-max", "0",
                            "--out", str(tmp_path))
         assert code == 1 and "invalid range" in err
+        # One ulp wide: too narrow for 5 distinct grid points.
+        code, _, err = run(capsys, "bounds", "--z-min", "0.5",
+                           "--z-max", "0.5000000000000001", "--steps", "5",
+                           "--out", str(tmp_path))
+        assert code == 1 and "invalid range" in err
+        assert "Traceback" not in err
 
     def test_too_few_steps_is_a_usage_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, "bounds", "--steps", "1", "--out", str(tmp_path))
@@ -154,6 +167,28 @@ class TestCloner:
         f.write_text(json.dumps({"phi": [[1, 0], [0, 0]]}))
         code, _, err = run(capsys, "cloner", "asym", "--states", str(f))
         assert code == 1 and "psi" in err
+        f.write_text(json.dumps("phi psi"))
+        code, _, err = run(capsys, "cloner", "asym", "--states", str(f))
+        assert code == 1 and "must hold a JSON object" in err
+        f.write_text(json.dumps({"phi": {"a": 1}, "psi": [[1, 0], [0, 0]]}))
+        code, _, err = run(capsys, "cloner", "asym", "--states", str(f))
+        assert code == 1 and "'phi' must be a list of [re, im] pairs" in err
+        f.write_text('{"phi": %s}' % ("[" * 100_000 + "]" * 100_000))
+        code, _, err = run(capsys, "cloner", "asym", "--states", str(f))
+        assert code == 1 and "nested too deeply" in err
+
+    @pytest.mark.parametrize("phi, message", [
+        ([[1e200, 0], [0, 0]], "squared norm of its amplitudes overflows"),
+        ([[0, 0], [1e-170, 0]], "squared norm of its amplitudes underflows"),
+        ([[0, 0], [1e-160, 0]], "squared norm of its amplitudes underflows"),
+        ([[0, 0], [0, 0]], "'phi' is the zero vector"),
+    ], ids=["overflow", "underflow", "subnormal", "zero"])
+    def test_unnormalizable_state_file(self, tmp_path, capsys, phi, message):
+        f = tmp_path / "states.json"
+        f.write_text(json.dumps({"phi": phi, "psi": [[1, 0], [1, 0]]}))
+        code, out, err = run(capsys, "cloner", "sym", "--states", str(f))
+        assert code == 1 and out == ""
+        assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("amplitude", ["NaN", "Infinity"])
     def test_non_finite_state_file(self, tmp_path, capsys, amplitude):
@@ -310,9 +345,78 @@ def test_unwritable_report_is_an_io_error(tmp_path, capsys, argv):
 class TestUsage:
     def test_unknown_command_exits_one(self, capsys):
         assert main(["fly"]) == 1
+        assert main(["cloner", "tripler", "--z", "0.5"]) == 1
 
     def test_no_command_exits_one(self, capsys):
         assert main([]) == 1
 
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0
+
+
+# Inputs at the edge of what the loaders and the range check accept.
+_EDGE_FLOATS = [0.0, -0.0, 0.5, 1.0, -1.0, 1e308, -1e308, 1e-320, 1e-170,
+                math.nan, math.inf, -math.inf]
+_AMPLITUDES = st.one_of(st.sampled_from(_EDGE_FLOATS + [10 ** 400]),
+                        st.floats(), st.integers(-3, 3))
+_STATES = st.one_of(
+    st.lists(st.lists(_AMPLITUDES, min_size=2, max_size=2), max_size=4),
+    st.lists(st.lists(_AMPLITUDES, max_size=3), max_size=4),     # ragged
+    st.dictionaries(st.text(max_size=3), _AMPLITUDES, max_size=2),
+    st.text(max_size=5),
+    _AMPLITUDES,
+)
+
+
+def _pairs(dim):
+    amplitude = st.one_of(st.floats(-2, 2), st.sampled_from([1e-8, 1e-170, 1e-320]))
+    return st.lists(st.lists(amplitude, min_size=2, max_size=2),
+                    min_size=dim, max_size=dim)
+
+
+_PAYLOADS = st.one_of(
+    st.integers(2, 4).flatmap(
+        lambda dim: st.fixed_dictionaries({"phi": _pairs(dim), "psi": _pairs(dim)})),
+    st.fixed_dictionaries({"phi": _STATES, "psi": _STATES}),
+    st.dictionaries(st.sampled_from(["phi", "psi", "x"]), _STATES, max_size=3),
+    st.text(max_size=8),
+    st.lists(_AMPLITUDES, max_size=3),
+    _AMPLITUDES,
+)
+_Z_ENDS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS + [math.nextafter(0.5, 1.0), math.nextafter(0.5, 0.0),
+                                    math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+                                    5e-324]),
+    st.floats(),
+)
+
+
+def _reject_non_finite(token):
+    """json.loads hook for NaN, Infinity and -Infinity, the only non-finite tokens."""
+    raise AssertionError(f"non-finite number {token} in the report")
+
+
+@given(st.one_of(
+    st.tuples(st.just("cloner"), st.sampled_from(["sym", "asym", "wz"]), _PAYLOADS),
+    st.tuples(st.just("bounds"), _Z_ENDS, _Z_ENDS, st.integers(-1, 50)),
+))
+@settings(max_examples=200, deadline=None)
+def test_input_boundary_fuzz(case):
+    """Any state file or bounds range exits 0 or 1, never with a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if case[0] == "cloner":
+            _, kind, payload = case
+            states = Path(tmp) / "states.json"
+            states.write_text(json.dumps(payload))
+            argv = ["cloner", kind, "--states", str(states)]
+        else:
+            _, z_min, z_max, steps = case
+            argv = ["bounds", f"--z-min={z_min!r}", f"--z-max={z_max!r}",
+                    f"--steps={steps}", "--out", tmp]
+        code = main(argv)
+    assert code in (0, 1), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if case[0] == "cloner" and code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_non_finite)

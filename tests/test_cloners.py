@@ -4,7 +4,6 @@ import pytest
 import oracles
 from clonebound.bounds import ae_lower_bound, re_lower_bound
 from clonebound.cloners import (
-    ClonerSpec,
     build_asymmetric,
     build_symmetric,
     build_wootters_zurek,
@@ -129,6 +128,7 @@ class TestWoottersZurek:
     def test_error_size_at_symmetric_point(self):
         r = build_wootters_zurek(TwoStateSet.at_overlap(1 / np.sqrt(2)))
         assert r.a_psi.x == pytest.approx(np.sqrt(3) / 2, abs=1e-12)
+        assert r.dims.danc == 2     # the two-dimensional machine mode
 
     def test_definition_faithful_re_differs_from_quoted_form(self):
         # The machine-flag ideals are less parallel than the bare products,
@@ -217,24 +217,6 @@ class TestRealizability:
         u = check_unitary(materialize_unitary(r))
         for vec, out in zip(machine_inputs(r), (r.a_phi.v, r.a_psi.v)):
             assert np.max(np.abs(u @ vec - out)) < 1e-9
-
-
-class TestClonerSpec:
-    def test_dispatch(self):
-        s = TwoStateSet.at_overlap(0.4)
-        assert ClonerSpec.symmetric().build(s).ae == build_symmetric(s).ae
-        assert ClonerSpec.asymmetric("psi").build(s).a_psi.x < 1e-12
-        assert ClonerSpec.wootters_zurek().build(s).dims.danc == 2
-
-    def test_favored_only_for_asymmetric(self):
-        with pytest.raises(ValueError, match="favored"):
-            ClonerSpec("symmetric", favored="phi")
-        with pytest.raises(ValueError, match="favored"):
-            ClonerSpec("asymmetric")
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            ClonerSpec("tripler")
 
 
 @pytest.mark.parametrize(

@@ -22,8 +22,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(z=1.0)
     with pytest.raises(ValueError):
-        SearchConfig(z=0.5, subspace_dim=1)
-    with pytest.raises(ValueError):
         SearchConfig(z=0.5, restarts=0)
 
 
@@ -77,8 +75,8 @@ class TestParameterization:
         z = 0.42
         frame = make_frame(TwoStateSet.at_overlap(z), m, seed=2)
         v_phi, v_psi = parameterize_pair(encode_params(v, w), z, frame)
-        expect_phi = frame.to_ambient(v)
-        expect_psi = frame.to_ambient(z * v + np.sqrt(1 - z * z) * w)
+        expect_phi = v @ frame
+        expect_psi = (z * v + np.sqrt(1 - z * z) * w) @ frame
         assert np.max(np.abs(v_phi - expect_phi)) < 1e-12
         assert np.max(np.abs(v_psi - expect_psi)) < 1e-12
 
@@ -87,8 +85,8 @@ class TestParameterization:
         set_ = TwoStateSet.at_overlap(z)
         frame = make_frame(set_, 4, seed=9)
         rng = np.random.default_rng(31)
-        cfg = SearchConfig(z=z, subspace_dim=4, seed=31)
-        stats = random_cloner_sweep(cfg, set_, n=1)
+        cfg = SearchConfig(z=z, seed=31)
+        stats = random_cloner_sweep(cfg, n=1)
         params = rng.standard_normal(params_length(4))
         v_phi, v_psi = parameterize_pair(params, z, frame)
         r = analyze_pair(set_, v_phi, v_psi, FactorDims(2, 2, 1))
@@ -134,12 +132,6 @@ class TestMinimize:
             minimize_objective("fidelity", SearchConfig(z=0.5))
         with pytest.raises(ValueError, match="0 < z"):
             minimize_objective("ae", SearchConfig(z=0.0))
-
-    def test_set_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="does not match"):
-            minimize_objective(
-                "ae", SearchConfig(z=0.5), TwoStateSet.at_overlap(0.6)
-            )
 
 
 class TestSymmetricRestriction:
