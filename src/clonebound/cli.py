@@ -240,12 +240,16 @@ def _load_state_file(path: str):
         if key not in payload:
             raise ValueError(f"state file is missing key {key!r}")
         not_pairs = ValueError(f"state {key!r} must be a list of [re, im] pairs")
-        try:
-            pairs = np.asarray(payload[key], dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise not_pairs from None
-        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 2:
+        rows = payload[key]
+        # JSON numbers only: np.asarray would parse "1" or true as 1.0.
+        if not (isinstance(rows, list) and len(rows) >= 2 and all(
+                isinstance(row, list) and len(row) == 2
+                and all(type(a) in (int, float) for a in row) for row in rows)):
             raise not_pairs
+        try:
+            pairs = np.asarray(rows, dtype=float)
+        except OverflowError:       # an integer too large for a float
+            raise not_pairs from None
         if not np.all(np.isfinite(pairs)):
             raise ValueError(f"state {key!r} has a non-finite amplitude")
         vec = pairs[:, 0] + 1j * pairs[:, 1]
@@ -342,13 +346,20 @@ def cmd_cloner(args) -> int:
 
 
 def _parse_dims(text: str):
+    """``lo-hi`` (both ends included) or ``d1,d2,...``; every dimension >= 2."""
     text = text.strip()
-    if "-" in text and "," not in text:
-        lo, hi = text.split("-", 1)
-        dims = tuple(range(int(lo), int(hi) + 1))
-    else:
-        dims = tuple(int(part) for part in text.split(","))
-    if not dims or any(d < 2 for d in dims):
+    try:
+        if "-" in text and "," not in text:
+            lo, hi = (int(part) for part in text.split("-", 1))
+            dims = tuple(range(lo, hi + 1))
+        else:
+            dims = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"--dims must be a range lo-hi or a list d1,d2,... of "
+                         f"integers, got {text!r}") from None
+    if not dims:
+        raise ValueError(f"--dims range {text!r} is empty: lo exceeds hi")
+    if any(d < 2 for d in dims):
         raise ValueError(f"dimensions must all be >= 2, got {text!r}")
     return dims
 

@@ -28,6 +28,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import minimize
+# scipy.optimize loads the LAPACK wrappers itself; importing them after it
+# keeps -X importtime charging all of scipy.linalg to scipy.optimize.
+from scipy.linalg.lapack import zgeqrf, zungqr
 
 from .bounds import ae_lower_bound, re_lower_bound
 from .cloners import closed_form_re_s, plane_frame
@@ -99,11 +102,24 @@ def make_frame(set_: TwoStateSet, subspace_dim: int = SUBSPACE_DIM,
 
 
 def _complement_basis(v: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the orthogonal complement of ``v``."""
+    """Orthonormal basis (columns) of the orthogonal complement of ``v``.
+
+    The reduced QR of ``[v | I]``, by the two LAPACK calls that
+    ``np.linalg.qr`` makes, without its per-call overhead. The C-order
+    copy matters: ``q @ c`` sums in a different order on a Fortran-order
+    ``q`` and would move the objective by an ulp.
+    """
     m = v.shape[0]
-    stacked = np.concatenate([v[:, None], np.eye(m, dtype=np.complex128)], axis=1)
-    q, _ = np.linalg.qr(stacked)
-    return q[:, 1:]
+    buf = np.eye(m, m + 1, k=1, dtype=np.complex128, order="F")
+    buf[:, 0] = v
+    qr, tau, _, _ = zgeqrf(buf, overwrite_a=1)
+    q, _, _ = zungqr(qr[:, :m], tau, overwrite_a=1)
+    return np.ascontiguousarray(q)[:, 1:]
+
+
+def _norm(x: np.ndarray):
+    """``np.linalg.norm`` of a complex vector, by its own arithmetic."""
+    return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def params_length(subspace_dim: int) -> int:
@@ -124,13 +140,13 @@ def _coords_from_params(params, z: float, m: int):
     v = np.empty(m, dtype=np.complex128)
     v[0] = 1.0
     v[1:] = pv[0::2] + 1j * pv[1::2]
-    v = v / np.linalg.norm(v)
+    v = v / _norm(v)
 
     # W: complex coefficients over the complement of V, then normalized.
     # W's own phase is physical (it moves V_psi), so it stays free.
     c = pw[0::2] + 1j * pw[1::2]
     w = _complement_basis(v) @ c
-    w_norm = np.linalg.norm(w)
+    w_norm = _norm(w)
     if w_norm < DEGENERATE_TOL:
         raise ValueError("degenerate parameters: zero orthogonal component")
     w = w / w_norm
@@ -191,10 +207,10 @@ def _pair_errors(v: np.ndarray, v_psi: np.ndarray, z: float):
     converges, and would let it dip below the analytic floor by ~1e-8.
     """
     q_phi = v[0]
-    x_phi = float(np.linalg.norm(v[1:]))
+    x_phi = float(_norm(v[1:]))
     u = _psi_axis(z, v.shape[0])
     q_psi = np.vdot(u, v_psi)
-    x_psi = float(np.linalg.norm(v_psi - u * q_psi))
+    x_psi = float(_norm(v_psi - u * q_psi))
     return x_phi, x_psi, abs(q_phi), abs(q_psi)
 
 

@@ -25,10 +25,13 @@ COLLINEAR_TOL = 1e-12
 
 
 def as_state(values) -> np.ndarray:
-    """Coerce a sequence of amplitudes to a 1-D complex128 array."""
+    """Coerce a sequence of finite amplitudes to a 1-D complex128 array."""
     v = np.asarray(values, dtype=np.complex128)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"state vector must be 1-D and non-empty, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("state vector has a non-finite amplitude, "
+                         "so it is not a unit vector")
     return v
 
 

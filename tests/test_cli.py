@@ -176,6 +176,17 @@ class TestCloner:
         f.write_text('{"phi": %s}' % ("[" * 100_000 + "]" * 100_000))
         code, _, err = run(capsys, "cloner", "asym", "--states", str(f))
         assert code == 1 and "nested too deeply" in err
+        # Strings and booleans are not numbers, though numpy would parse them.
+        f.write_text(json.dumps({"phi": [["1", "0"], ["0", "0"]],
+                                 "psi": [["0.6", "0"], ["0.8", "0"]]}))
+        code, out, err = run(capsys, "cloner", "asym", "--states", str(f))
+        assert code == 1 and out == ""
+        assert "'phi' must be a list of [re, im] pairs" in err
+        f.write_text(json.dumps({"phi": [[True, False], [False, False]],
+                                 "psi": [[0.6, 0], [0.8, 0]]}))
+        code, out, err = run(capsys, "cloner", "asym", "--states", str(f))
+        assert code == 1 and out == ""
+        assert "'phi' must be a list of [re, im] pairs" in err
 
     @pytest.mark.parametrize("phi, message", [
         ([[1e200, 0], [0, 0]], "squared norm of its amplitudes overflows"),
@@ -359,6 +370,11 @@ _EDGE_FLOATS = [0.0, -0.0, 0.5, 1.0, -1.0, 1e308, -1e308, 1e-320, 1e-170,
                 math.nan, math.inf, -math.inf]
 _AMPLITUDES = st.one_of(st.sampled_from(_EDGE_FLOATS + [10 ** 400]),
                         st.floats(), st.integers(-3, 3))
+# JSON strings and booleans: not numbers, though np.asarray(..., dtype=float)
+# reads "1" or true as 1.0.
+_NOT_NUMBERS = st.one_of(st.booleans(), st.sampled_from(["1", "0.6", "nan", ""]),
+                         st.text(max_size=3))
+_AMPLITUDES = st.one_of(_AMPLITUDES, _NOT_NUMBERS)
 _STATES = st.one_of(
     st.lists(st.lists(_AMPLITUDES, min_size=2, max_size=2), max_size=4),
     st.lists(st.lists(_AMPLITUDES, max_size=3), max_size=4),     # ragged
@@ -368,8 +384,8 @@ _STATES = st.one_of(
 )
 
 
-def _pairs(dim):
-    amplitude = st.one_of(st.floats(-2, 2), st.sampled_from([1e-8, 1e-170, 1e-320]))
+def _pairs(dim, amplitude=st.one_of(st.floats(-2, 2),
+                                    st.sampled_from([1e-8, 1e-170, 1e-320]))):
     return st.lists(st.lists(amplitude, min_size=2, max_size=2),
                     min_size=dim, max_size=dim)
 
@@ -377,6 +393,8 @@ def _pairs(dim):
 _PAYLOADS = st.one_of(
     st.integers(2, 4).flatmap(
         lambda dim: st.fixed_dictionaries({"phi": _pairs(dim), "psi": _pairs(dim)})),
+    st.integers(2, 4).flatmap(lambda dim: st.fixed_dictionaries({
+        "phi": _pairs(dim), "psi": _pairs(dim, st.one_of(st.floats(-2, 2), _NOT_NUMBERS))})),
     st.fixed_dictionaries({"phi": _STATES, "psi": _STATES}),
     st.dictionaries(st.sampled_from(["phi", "psi", "x"]), _STATES, max_size=3),
     st.text(max_size=8),
@@ -389,6 +407,16 @@ _Z_ENDS = st.one_of(
                                     5e-324]),
     st.floats(),
 )
+
+
+def _holds_non_number(payload) -> bool:
+    """True when a 'phi' or 'psi' row of the state file holds a non-number."""
+    if not isinstance(payload, dict):
+        return False
+    return any(type(a) not in (int, float)
+               for key in ("phi", "psi") if isinstance(payload.get(key), list)
+               for row in payload[key] if isinstance(row, list)
+               for a in row)
 
 
 def _reject_non_finite(token):
@@ -418,5 +446,41 @@ def test_input_boundary_fuzz(case):
         code = main(argv)
     assert code in (0, 1), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if case[0] == "cloner" and _holds_non_number(case[2]):
+        assert code == 1, (argv, out.getvalue())
     if case[0] == "cloner" and code == 0:
         json.loads(out.getvalue(), parse_constant=_reject_non_finite)
+
+
+def _dims_texts():
+    """``--dims`` values: small integers joined by ',' or '-', never free text."""
+    return st.lists(st.integers(-3, 12), min_size=1, max_size=4).flatmap(
+        lambda ds: st.lists(st.sampled_from([",", "-"]), min_size=len(ds) - 1,
+                            max_size=len(ds) - 1).map(
+            lambda seps: str(ds[0]) + "".join(s + str(d) for s, d in zip(seps, ds[1:]))))
+
+
+# Environment values: any text an environment variable can hold.
+_ENV_TEXT = st.one_of(
+    st.none(),
+    st.sampled_from(["0", "7", "-1", "1e-8", "nan", "inf", "1e400", " 3 ", "", "0x10"]),
+    st.text(st.characters(exclude_characters="\x00", exclude_categories=("Cs",)),
+            max_size=8),
+)
+
+
+@given(st.integers(1, 50), _dims_texts(), _ENV_TEXT, _ENV_TEXT)
+@settings(max_examples=100, deadline=None)
+def test_lemmas_and_environment_fuzz(trials, dims, seed_text, tol_text):
+    """Any lemmas run, --dims value or seed/tol environment exits 0 or 1."""
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        for name, text in (("CLONEBOUND_SEED", seed_text), ("CLONEBOUND_TOL", tol_text)):
+            if text is None:
+                mp.delenv(name, raising=False)
+            else:
+                mp.setenv(name, text)
+        code = main(["lemmas", "--trials", str(trials), f"--dims={dims}"])
+    assert code in (0, 1), (trials, dims, seed_text, tol_text, err.getvalue())
+    assert "Traceback" not in err.getvalue()

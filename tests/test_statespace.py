@@ -7,6 +7,7 @@ from clonebound.statespace import (
     Projector,
     angle,
     apply_projector,
+    as_state,
     basis_state,
     check_unitary,
     gram_schmidt_residual,
@@ -76,6 +77,14 @@ def test_angle_rejects_non_unit_input():
 def test_angle_rejects_nan_input():
     with pytest.raises(ValueError, match="unit vector"):
         angle([np.nan, 0], [1, 0])
+
+
+@pytest.mark.parametrize("values", [[np.nan, 0], [1, np.inf], [0, -np.inf],
+                                    [1, complex(0, np.nan)]])
+def test_as_state_rejects_non_finite_amplitudes(values):
+    with pytest.raises(ValueError, match="non-finite amplitude"):
+        as_state(values)
+    assert np.array_equal(as_state([1, 0.5j]), np.array([1, 0.5j]))
 
 
 def test_tensor_basis_and_index_convention():
