@@ -5,8 +5,9 @@ A candidate output pair is realizable by a unitary machine exactly when
 it preserves the inner product of the inputs. We parameterize all such
 pairs inside a 4-dimensional subspace around the product plane, then
 
-* minimize both errors with seeded Nelder-Mead restarts: the minima land
-  on the floors (which the fully asymmetric machine attains), and
+* minimize both errors with seeded L-BFGS-B restarts on angle
+  coordinates, using an analytic gradient: the minima land on the floors
+  (which the fully asymmetric machine attains), and
 * sample 100000 random realizable pairs: none ever dips below a floor,
   and every sample obeys the two chain inequalities.
 

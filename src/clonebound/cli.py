@@ -7,10 +7,11 @@ Four subcommands:
 * ``lemmas``  run the seeded random sweeps of the inequality suite,
 * ``verify``  optimize and sweep to confirm the bounds are tight floors.
 
-Exit codes: 0 success, 1 usage or domain error, 2 I/O error,
-3 invariant violation, 4 attainment failure. With a fixed ``--seed``
-every emitted data file is reproduced byte for byte; the run manifest
-carries the only volatile field (its timestamp) isolated on its own line.
+Exit codes: 0 success, 1 usage or domain error (an input too large for
+memory included), 2 I/O error, 3 invariant violation, 4 attainment
+failure. With a fixed ``--seed`` every emitted data file is reproduced
+byte for byte; the run manifest carries the only volatile field (its
+timestamp) isolated on its own line.
 """
 
 from __future__ import annotations
@@ -448,7 +449,14 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"clonebound {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError as exc:
+        # numpy raises a MemoryError subclass for an array it cannot
+        # allocate; its message names the size, on one line.
+        detail = f": {exc}" if str(exc) else ""
+        print(f"clonebound {args.command}: out of memory{detail}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

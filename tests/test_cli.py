@@ -353,6 +353,28 @@ def test_unwritable_report_is_an_io_error(tmp_path, capsys, argv):
     assert "cannot write" in err
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 43.7 TiB for an array with shape "
+                      "(6000000000000,) and data type float64")
+
+
+@pytest.mark.parametrize("argv, attr, fake", [
+    (("lemmas", "--trials", str(10 ** 12), "--dims", "2"), "ALL_SWEEPS",
+     (("lemma1", _out_of_memory),)),
+    (("verify", "--z", "0.5", "--sweep-trials", str(10 ** 12)), "verify_point",
+     _out_of_memory),
+    (("bounds", "--steps", str(10 ** 12)), "sample_curve", _out_of_memory),
+])
+def test_out_of_memory_exits_one(capsys, monkeypatch, argv, attr, fake):
+    # The sizes are never allocated: the call that would allocate them is
+    # replaced, and raises before anything is written.
+    monkeypatch.setattr(f"clonebound.cli.{attr}", fake)
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err == f"clonebound {argv[0]}: out of memory: Unable to allocate 43.7 TiB " \
+                  f"for an array with shape (6000000000000,) and data type float64\n"
+
+
 class TestUsage:
     def test_unknown_command_exits_one(self, capsys):
         assert main(["fly"]) == 1
@@ -483,4 +505,26 @@ def test_lemmas_and_environment_fuzz(trials, dims, seed_text, tol_text):
                 mp.setenv(name, text)
         code = main(["lemmas", "--trials", str(trials), f"--dims={dims}"])
     assert code in (0, 1), (trials, dims, seed_text, tol_text, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+# --z entries: edge values of the (0, 0.99] range check, any float, or text.
+_Z_ENTRY = st.one_of(
+    st.sampled_from(["0", "0.99", repr(math.nextafter(0.99, 1.0)), "5e-324", "1e-170",
+                     "1", "-0.5", "nan", "inf", "", " 0.5 ", "0x1"]),
+    st.floats(0.0, 1.0).map(repr),
+    st.text(max_size=4),
+)
+
+
+@given(st.lists(_Z_ENTRY, min_size=1, max_size=3).map(",".join),
+       st.integers(1, 3), st.integers(1, 200), st.integers(0, 2 ** 32))
+@settings(max_examples=100, deadline=None)
+def test_verify_fuzz(z_text, restarts, sweep_trials, seed):
+    """Any verify --z list, restart count and sweep size exits 0-4 cleanly."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["verify", f"--z={z_text}", "--restarts", str(restarts),
+                     "--sweep-trials", str(sweep_trials), "--seed", str(seed)])
+    assert code in (0, 1, 2, 3, 4), (z_text, restarts, sweep_trials, err.getvalue())
     assert "Traceback" not in err.getvalue()

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
+import oracles
 from clonebound.bounds import ae_lower_bound, re_lower_bound
 from clonebound.cloners import build_asymmetric, closed_form_re_s
-from clonebound.cloning import DEGENERATE_TOL, FactorDims, TwoStateSet, analyze_pair
+from clonebound.cloning import FactorDims, TwoStateSet, analyze_pair
 from clonebound.search import (
+    SUBSPACE_DIM,
     SearchConfig,
-    _complement_basis,
+    _coords_from_params,
+    _cold_starts,
     _objective_factory,
+    _pair_errors,
+    _run_minimize,
     encode_params,
     make_frame,
     minimize_objective,
@@ -29,8 +34,9 @@ def test_config_validation():
 
 class TestParameterization:
     def test_length(self):
-        assert params_length(4) == 12
-        assert params_length(2) == 4
+        # theta, a in C^(m-1), b in C^m
+        assert params_length(4) == 15
+        assert params_length(2) == 7
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_outputs_are_unit_with_exact_overlap(self, m):
@@ -55,10 +61,19 @@ class TestParameterization:
 
     def test_degenerate_parameters_rejected(self):
         frame = make_frame(TwoStateSet.at_overlap(0.5), 3, seed=0)
-        params = np.zeros(params_length(3))
-        params[: 2 * 3 - 2] = 0.3     # any V, but W coefficients all zero
+        m = 3
+        params = np.zeros(params_length(m))
+        params[0] = 0.4
+        params[1] = 1.0                 # a = (1, 0): V = (cos 0.4, sin 0.4, 0)
         with pytest.raises(ValueError, match="degenerate"):
-            parameterize_pair(params, 0.5, frame)
+            parameterize_pair(params, 0.5, frame)       # b = 0
+        params[2 * m - 1: 2 * m + 3: 2] = np.cos(0.4), np.sin(0.4)
+        with pytest.raises(ValueError, match="degenerate"):
+            parameterize_pair(params, 0.5, frame)       # b parallel to V
+        params[2 * m - 1:] = 1.0
+        params[1:2 * m - 1] = 0.0
+        with pytest.raises(ValueError, match="degenerate"):
+            parameterize_pair(params, 0.5, frame)       # a = 0
 
     def test_wrong_length_rejected(self):
         frame = make_frame(TwoStateSet.at_overlap(0.5), 3, seed=0)
@@ -69,7 +84,7 @@ class TestParameterization:
         rng = np.random.default_rng(77)
         m = 4
         v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        v[0] = abs(v[0])              # encodable gauge
+        v[0] = abs(v[0])              # the gauge the parameterization fixes
         v /= np.linalg.norm(v)
         w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         w -= v * np.vdot(v, w)
@@ -81,6 +96,11 @@ class TestParameterization:
         expect_psi = (z * v + np.sqrt(1 - z * z) * w) @ frame
         assert np.max(np.abs(v_phi - expect_phi)) < 1e-12
         assert np.max(np.abs(v_psi - expect_psi)) < 1e-12
+        # A common phase on both targets only rephases the decoded pair.
+        phase = np.exp(0.7j)
+        again = parameterize_pair(encode_params(phase * v, phase * w), z, frame)
+        assert np.max(np.abs(again[0] - v_phi)) < 1e-12
+        assert np.max(np.abs(again[1] - v_psi)) < 1e-12
 
     def test_agrees_with_the_full_analysis_pipeline(self):
         z = 0.61
@@ -93,68 +113,42 @@ class TestParameterization:
         v_phi, v_psi = parameterize_pair(params, z, frame)
         r = analyze_pair(set_, v_phi, v_psi, FactorDims(2, 2, 1))
         # the coordinate shortcut and the ambient analysis agree
-        from clonebound.search import _coords_from_params, _pair_errors
-
-        v, vp, _ = _coords_from_params(params, z, 4)
-        x_phi, x_psi, _, _ = _pair_errors(v, vp, z)
+        c = _coords_from_params(params, z, 4)
+        x_phi, x_psi, _, _ = _pair_errors(c.v, c.v_psi, z)
         assert r.a_phi.x == pytest.approx(x_phi, abs=1e-12)
         assert r.a_psi.x == pytest.approx(x_psi, abs=1e-12)
         assert stats.trials == 1
 
 
-def _reference_complement(v):
-    """Complement basis as ``np.linalg.qr`` of ``[v | I]`` gives it."""
-    m = v.shape[0]
-    q, _ = np.linalg.qr(np.concatenate([v[:, None], np.eye(m, dtype=np.complex128)], 1))
-    return q[:, 1:]
-
-
 def _reference_objective(objective, z, m):
-    """The search objective computed with ``np.linalg.qr`` and ``np.linalg.norm``."""
-    u = np.zeros(m, dtype=np.complex128)
+    """The search objective's value, computed with ``np.linalg.norm``."""
+    u = np.zeros(m)
     u[0], u[1] = z * z, np.sqrt(1.0 - z ** 4)
 
     def fun(params):
-        pv, pw = params[: 2 * m - 2], params[2 * m - 2:]
+        theta = params[0]
+        a = params[1:2 * m - 1:2] + 1j * params[2:2 * m - 1:2]
+        b = params[2 * m - 1::2] + 1j * params[2 * m::2]
         v = np.empty(m, dtype=np.complex128)
-        v[0] = 1.0
-        v[1:] = pv[0::2] + 1j * pv[1::2]
-        v = v / np.linalg.norm(v)
-        w = _reference_complement(v) @ (pw[0::2] + 1j * pw[1::2])
-        w_norm = np.linalg.norm(w)
-        if w_norm < DEGENERATE_TOL:
-            return np.inf
-        v_psi = z * v + np.sqrt(1.0 - z * z) * (w / w_norm)
-        q_psi = np.vdot(u, v_psi)
-        ae = float(np.linalg.norm(v[1:])) + float(np.linalg.norm(v_psi - u * q_psi))
-        if objective == "ae":
-            return ae
-        if min(abs(v[0]), abs(q_psi)) <= DEGENERATE_TOL:
-            return np.inf
-        return ae / np.sqrt(1.0 - z ** 4)
+        v[0] = np.cos(theta)
+        v[1:] = np.sin(theta) * (a / np.linalg.norm(a))
+        p = b - v * np.vdot(v, b)
+        v_psi = z * v + np.sqrt(1.0 - z * z) * (p / np.linalg.norm(p))
+        q_psi = u @ v_psi
+        ae = abs(np.sin(theta)) + np.linalg.norm(v_psi - u * q_psi)
+        gauge = (np.linalg.norm(a) ** 2 - 1) ** 2 + (np.linalg.norm(b) ** 2 - 1) ** 2
+        scale = 1.0 if objective == "ae" else 1.0 / np.sqrt(1.0 - z ** 4)
+        return float(scale * ae + 0.25 * gauge)
 
     return fun
 
 
 class TestBitIdentity:
-    """The search's LAPACK and norm shortcuts give numpy's bits exactly.
+    """The search's norm shortcut gives numpy's bits exactly.
 
     Seeded ``verify`` reports depend on every bit of the objective, and an
     ulp of difference can survive a few hashes unnoticed.
     """
-
-    @pytest.mark.parametrize("m", [2, 3, 4])
-    def test_complement_basis_products(self, m):
-        rng = np.random.default_rng(100 + m)
-        for i in range(500):
-            v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            if i % 3 == 0:      # near, or at, a basis vector
-                v = np.eye(m, dtype=np.complex128)[i % m] + rng.choice(
-                    [0.0, 1e-12, 1e-6, 1e-2]) * v
-            v = v / np.linalg.norm(v)
-            c = rng.standard_normal(m - 1) + 1j * rng.standard_normal(m - 1)
-            assert np.array_equal(_complement_basis(v) @ c,
-                                  _reference_complement(v) @ c), (v, c)
 
     @pytest.mark.parametrize("objective", ["ae", "re"])
     @pytest.mark.parametrize("z", [0.1, 0.5, 0.9])
@@ -165,7 +159,71 @@ class TestBitIdentity:
         warm = warm_start_params(z, 4)
         for scale in np.concatenate([np.logspace(-9, -2, 8).repeat(40), [0.5] * 200]):
             x = warm + scale * rng.standard_normal(params_length(4))
-            assert np.array_equal(fun(x), ref(x)), (x, fun(x), ref(x))
+            x[0] = abs(x[0])        # inside the box theta >= 0
+            assert np.array_equal(fun(x)[0], ref(x)), (x, fun(x)[0], ref(x))
+
+
+class TestGradient:
+    @pytest.mark.parametrize("penalty", [0.0, 10.0])
+    @pytest.mark.parametrize("objective", ["ae", "re"])
+    @pytest.mark.parametrize("z", [0.1, 0.5, 0.9])
+    def test_matches_central_differences(self, z, objective, penalty):
+        fun = _objective_factory(objective, z, 4, symmetric_penalty=penalty)
+        rng = np.random.default_rng(17)
+        h = 1e-6
+        for _ in range(20):
+            x = 0.5 * rng.standard_normal(params_length(4))
+            x[0] = rng.uniform(0.05, np.pi / 2 - 0.05)
+            _, grad = fun(x)
+            numeric = [(fun(x + h * e)[0] - fun(x - h * e)[0]) / (2 * h)
+                       for e in np.eye(x.shape[0])]
+            assert np.max(np.abs(grad - numeric)) < 1e-8
+
+
+class TestNonFiniteParameters:
+    # 1e150: the norms are finite but the gauge term overflows; 1e200: the
+    # squared norms overflow.
+    @pytest.mark.parametrize("value", [1e150, 1e200, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("objective", ["ae", "re"])
+    def test_objective_is_infinite(self, value, objective):
+        fun = _objective_factory(objective, 0.5, 4)
+        points = [np.full(params_length(4), value)]
+        for i in (0, 1, params_length(4) - 1):    # theta, a, b one at a time
+            if np.isfinite(value) and i == 0:
+                continue            # a huge but finite angle is a valid angle
+            points.append(warm_start_params(0.5, 4))
+            points[-1][i] = value
+        for x in points:
+            f, grad = fun(x)
+            # A finite gradient keeps L-BFGS-B's curvature pairs clean.
+            assert f == np.inf and np.all(np.isfinite(grad)), x
+
+    def test_zero_norms_are_infinite(self):
+        fun = _objective_factory("ae", 0.5, 4)
+        assert fun(np.zeros(params_length(4)))[0] == np.inf
+
+
+class TestColdStarts:
+    """Evidence that rests on converged runs, not on the warm start."""
+
+    @pytest.mark.parametrize("z", [0.1, 0.5, 0.9])
+    def test_cold_starts_alone_reach_the_ae_floor(self, z):
+        cfg = SearchConfig(z=z, restarts=20, seed=1)
+        best, _, _ = _run_minimize(_objective_factory("ae", z, SUBSPACE_DIM),
+                                   _cold_starts(cfg))
+        bound = float(ae_lower_bound(z))
+        assert bound - 1e-9 <= best < bound + 1e-5
+
+    @pytest.mark.parametrize("z", [0.1, 0.5, 0.9])
+    def test_best_point_is_the_vertex_witness(self, z):
+        # Chain 2 gives delta_phi + delta_psi >= D - d, and sin is concave on
+        # [0, pi/2], so sin(delta_phi) + sin(delta_psi) >= sin(D - d), with
+        # equality at the vertex x_phi = 0, x_psi = sin(D - d).
+        out = minimize_objective("ae", SearchConfig(z=z, restarts=20, seed=1))
+        c = _coords_from_params(out.best_params, z, SUBSPACE_DIM)
+        x_phi, x_psi, _, _ = _pair_errors(c.v, c.v_psi, z)
+        assert x_phi == 0.0
+        assert abs(x_psi - oracles.ae_bound(z)) < 1e-12
 
 
 class TestMinimize:
