@@ -8,10 +8,14 @@ Four subcommands:
 * ``verify``  optimize and sweep to confirm the bounds are tight floors.
 
 Exit codes: 0 success, 1 usage or domain error (an input too large for
-memory included), 2 I/O error, 3 invariant violation, 4 attainment
-failure. With a fixed ``--seed`` every emitted data file is reproduced
-byte for byte; the run manifest carries the only volatile field (its
-timestamp) isolated on its own line.
+memory included), 2 I/O error (a failed write to stdout included),
+3 invariant violation, 4 attainment failure. Commands raise ``ValueError``
+for a bad input and let an ``OSError`` from a write through; ``main``
+alone turns these into codes 1 and 2 with a one-line message, while
+``lemmas`` and ``verify`` return their verdicts 3 and 4. With a fixed
+``--seed`` every emitted data file is reproduced byte for byte; the run
+manifest carries the only volatile field (its timestamp) isolated on its
+own line.
 """
 
 from __future__ import annotations
@@ -98,20 +102,21 @@ def _dump_json(payload: dict) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        # A write or close that fails (a full disk) names no file; main
+        # would report that as a failed write to stdout.
+        exc.filename = exc.filename or str(path)
+        raise
 
 
-def _emit(command: str, text: str, out) -> int:
+def _emit(text: str, out) -> None:
     """Write a report to the file ``out``, or to stdout when it is None."""
     if out is None:
         sys.stdout.write(text)
-        return EXIT_OK
-    try:
+    else:
         _write_text(Path(out), text)
-    except OSError as exc:
-        print(f"clonebound {command}: cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
 
 
 def build_parser() -> _Parser:
@@ -165,65 +170,41 @@ def cmd_bounds(args) -> int:
     # sample_curve rejects a bad range or step count, and BoundCurve a grid
     # that is not strictly increasing (a range narrower than its steps).
     try:
-        curve_re = sample_curve("re_lower_bound", re_lower_bound,
-                                args.z_min, args.z_max, args.steps)
-        curve_ae = sample_curve("ae_lower_bound", ae_lower_bound,
-                                args.z_min, args.z_max, args.steps)
-        curve_hb = sample_curve("hb_bound", hb_bound,
-                                args.z_min, args.z_max, args.steps)
+        curve_re, curve_ae, curve_hb = [
+            sample_curve(f.__name__, f, args.z_min, args.z_max, args.steps)
+            for f in (re_lower_bound, ae_lower_bound, hb_bound)]
     except ValueError:
-        print(
-            f"clonebound bounds: invalid range [{args.z_min}, {args.z_max}] "
-            f"with {args.steps} steps",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise ValueError(f"invalid range [{args.z_min}, {args.z_max}] "
+                         f"with {args.steps} steps") from None
     manifest = _manifest(
         "bounds",
-        {
-            "z_min": args.z_min,
-            "z_max": args.z_max,
-            "steps": args.steps,
-            "format": args.format,
-        },
+        {"z_min": args.z_min, "z_max": args.z_max, "steps": args.steps,
+         "format": args.format},
         args.seed,
     )
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if args.format == "csv":
-            _write_text(out_dir / "fig1.csv", curve_re.to_csv())
-            _write_text(
-                out_dir / "fig2.csv",
-                table_csv(
-                    ("z", "ae_bound", "hb_bound"),
-                    (curve_ae.grid, curve_ae.values, curve_hb.values),
-                ),
-            )
-            _write_text(
-                out_dir / "run.manifest.json",
-                _dump_json(
-                    {"artifacts": ["fig1.csv", "fig2.csv"],
-                     "manifest": manifest}
-                ),
-            )
-            written = ["fig1.csv", "fig2.csv", "run.manifest.json"]
-        else:
-            fig1 = curve_re.to_json_dict()
-            fig1["manifest"] = manifest
-            fig2 = {
-                "name": "fig2",
-                "z": [float(v) for v in curve_ae.grid],
-                "ae_bound": [float(v) for v in curve_ae.values],
-                "hb_bound": [float(v) for v in curve_hb.values],
-                "manifest": manifest,
-            }
-            _write_text(out_dir / "fig1.json", _dump_json(fig1))
-            _write_text(out_dir / "fig2.json", _dump_json(fig2))
-            written = ["fig1.json", "fig2.json"]
-    except OSError as exc:
-        print(f"clonebound bounds: cannot write to {out_dir}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.format == "csv":
+        written = ["fig1.csv", "fig2.csv", "run.manifest.json"]
+        _write_text(out_dir / "fig1.csv", curve_re.to_csv())
+        _write_text(out_dir / "fig2.csv", table_csv(
+            ("z", "ae_bound", "hb_bound"),
+            (curve_ae.grid, curve_ae.values, curve_hb.values)))
+        _write_text(out_dir / "run.manifest.json",
+                    _dump_json({"artifacts": written[:2], "manifest": manifest}))
+    else:
+        fig1 = curve_re.to_json_dict()
+        fig1["manifest"] = manifest
+        fig2 = {
+            "name": "fig2",
+            "z": [float(v) for v in curve_ae.grid],
+            "ae_bound": [float(v) for v in curve_ae.values],
+            "hb_bound": [float(v) for v in curve_hb.values],
+            "manifest": manifest,
+        }
+        _write_text(out_dir / "fig1.json", _dump_json(fig1))
+        _write_text(out_dir / "fig2.json", _dump_json(fig2))
+        written = ["fig1.json", "fig2.json"]
     print(f"wrote {', '.join(written)} to {out_dir}")
     return EXIT_OK
 
@@ -280,28 +261,20 @@ def _load_state_file(path: str):
 
 def cmd_cloner(args) -> int:
     if (args.z is None) == (args.states is None):
-        print("clonebound cloner: provide exactly one of --z or --states",
-              file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.states is not None:
-            if args.dim is not None:
-                raise ValueError("--dim applies only with --z")
+        raise ValueError("provide exactly one of --z or --states")
+    if args.states is None:
+        set_ = TwoStateSet.at_overlap(args.z, 2 if args.dim is None else args.dim)
+    elif args.dim is not None:
+        raise ValueError("--dim applies only with --z")
+    else:
+        try:
             set_ = _load_state_file(args.states)
-        else:
-            if not 0.0 <= args.z <= 1.0:
-                raise ValueError(f"overlap z must be in [0, 1], got {args.z}")
-            set_ = TwoStateSet.at_overlap(args.z, 2 if args.dim is None else args.dim)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"clonebound cloner: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if set_.z >= 1.0 - 1e-12:
-        print("clonebound cloner: identical states clone ideally; "
-              "relative error undefined", file=sys.stderr)
-        return EXIT_USAGE
+        except OSError as exc:      # an unreadable --states is a usage error
+            raise ValueError(str(exc)) from None
 
     # Builders are looked up on the module at call time, so a wrapper
-    # installed there (the tracer in bench/spans.py) sees every build.
+    # installed there (the tracer in bench/spans.py) sees every build; each
+    # rejects a pair of identical states.
     if args.kind == "sym":
         result = cloners.build_symmetric(set_)
     elif args.kind == "asym":
@@ -343,7 +316,8 @@ def cmd_cloner(args) -> int:
         "unitarity_residual": unitarity_residual(result),
         "manifest": manifest,
     }
-    return _emit("cloner", _dump_json(report), args.out)
+    _emit(_dump_json(report), args.out)
+    return EXIT_OK
 
 
 def _parse_dims(text: str):
@@ -358,6 +332,8 @@ def _parse_dims(text: str):
     except ValueError:
         raise ValueError(f"--dims must be a range lo-hi or a list d1,d2,... of "
                          f"integers, got {text!r}") from None
+    except OverflowError:       # more entries than a tuple can hold
+        raise ValueError(f"--dims range {text!r} holds too many dimensions") from None
     if not dims:
         raise ValueError(f"--dims range {text!r} is empty: lo exceeds hi")
     if any(d < 2 for d in dims):
@@ -366,17 +342,13 @@ def _parse_dims(text: str):
 
 
 def cmd_lemmas(args) -> int:
+    tol = _resolve_tol(args)
     if args.trials < 1:
-        print("clonebound lemmas: --trials must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        dims = _parse_dims(args.dims)
-    except ValueError as exc:
-        print(f"clonebound lemmas: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--trials must be >= 1")
+    dims = _parse_dims(args.dims)
     total_violations = 0
     for name, sweep in ALL_SWEEPS:
-        r = sweep(args.trials, dims=dims, seed=args.seed, tol=args.tol)
+        r = sweep(args.trials, dims=dims, seed=args.seed, tol=tol)
         total_violations += r.violations
         print(
             f"{name}: trials={r.trials} min_slack={r.min_slack:.6e} "
@@ -393,15 +365,11 @@ def cmd_verify(args) -> int:
     try:
         z_values = [float(part) for part in args.z.split(",") if part.strip()]
     except ValueError:
-        print(f"clonebound verify: cannot parse --z {args.z!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"cannot parse --z {args.z!r}") from None
     if not z_values or any(not 0.0 < z <= 0.99 for z in z_values):
-        print("clonebound verify: every z must lie in (0, 0.99]", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("every z must lie in (0, 0.99]")
     if args.restarts < 1 or args.sweep_trials < 1:
-        print("clonebound verify: --restarts and --sweep-trials must be >= 1",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--restarts and --sweep-trials must be >= 1")
     records = [
         verify_point(z, restarts=args.restarts, seed=args.seed,
                      sweep_trials=args.sweep_trials)
@@ -421,9 +389,7 @@ def cmd_verify(args) -> int:
         "max_attainment_gap": max_gap,
         "manifest": manifest,
     }
-    code = _emit("verify", _dump_json(report), args.out)
-    if code != EXIT_OK:
-        return code
+    _emit(_dump_json(report), args.out)
     if total_violations:
         print(f"clonebound verify: {total_violations} floor violations",
               file=sys.stderr)
@@ -436,27 +402,35 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse raises for --help/--version (code 0) and usage errors.
         return int(exc.code or 0)
+    prefix = f"clonebound {args.command}:"
     try:
         args.seed = _resolve_seed(args)
-        if args.command == "lemmas":
-            args.tol = _resolve_tol(args)
+        code = args.func(args)
+        sys.stdout.flush()          # a failed write to stdout exits 2 too
+        return code
     except ValueError as exc:
-        print(f"clonebound {args.command}: {exc}", file=sys.stderr)
+        print(f"{prefix} {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        return args.func(args)
     except MemoryError as exc:
         # numpy raises a MemoryError subclass for an array it cannot
         # allocate; its message names the size, on one line.
         detail = f": {exc}" if str(exc) else ""
-        print(f"clonebound {args.command}: out of memory{detail}", file=sys.stderr)
+        print(f"{prefix} out of memory{detail}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        if exc.filename is None:
+            # stdout failed. Point it at the null device, so that the flush
+            # at interpreter exit does not fail again on what it still holds.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"{prefix} cannot write {exc.filename or 'stdout'}: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

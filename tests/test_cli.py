@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clonebound
 import oracles
 from clonebound.cli import main
 
@@ -247,6 +251,10 @@ class TestLemmas:
     def test_invalid_dims(self, capsys):
         code, _, err = run(capsys, "lemmas", "--trials", "10", "--dims", "1-3")
         assert code == 1 and ">= 2" in err
+        # More dimensions than a tuple can hold: an OverflowError, not a size.
+        code, _, err = run(capsys, "lemmas", "--trials", "5", "--dims", f"2-{10 ** 30}")
+        assert code == 1 and err == (f"clonebound lemmas: --dims range '2-{10 ** 30}' "
+                                     f"holds too many dimensions\n")
 
     def test_invalid_trials(self, capsys):
         code, _, _ = run(capsys, "lemmas", "--trials", "0")
@@ -353,6 +361,14 @@ def test_unwritable_report_is_an_io_error(tmp_path, capsys, argv):
     assert "cannot write" in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_report_file_is_named(capsys):
+    # The write fails only when the file is closed, with no file name attached.
+    code, out, err = run(capsys, "cloner", "asym", "--z", "0.3", "--out", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err.startswith("clonebound cloner: cannot write /dev/full: [Errno 28] ")
+
+
 def _out_of_memory(*args, **kwargs):
     raise MemoryError("Unable to allocate 43.7 TiB for an array with shape "
                       "(6000000000000,) and data type float64")
@@ -373,6 +389,43 @@ def test_out_of_memory_exits_one(capsys, monkeypatch, argv, attr, fake):
     assert code == 1
     assert err == f"clonebound {argv[0]}: out of memory: Unable to allocate 43.7 TiB " \
                   f"for an array with shape (6000000000000,) and data type float64\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("lemmas", "--trials", str(10 ** 30), "--dims", "2"),
+    ("lemmas", "--trials", "5", "--dims", str(10 ** 30)),
+    ("verify", "--z", "0.5", "--restarts", "1", "--sweep-trials", str(10 ** 30)),
+])
+def test_oversized_count_exits_one(capsys, argv):
+    # numpy cannot convert a size this large to an index, so it raises
+    # before it allocates anything.
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"clonebound {argv[0]}: Maximum allowed dimension exceeded\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--out", "{tmp}"),
+    ("cloner", "sym", "--z", "0.5"),
+    ("lemmas", "--trials", "10", "--dims", "2"),
+    ("verify", "--z", "0.5", "--restarts", "1", "--sweep-trials", "10"),
+])
+def test_full_stdout_is_an_io_error(tmp_path, argv):
+    # A fresh process with stdout on a full device. PYTHONUNBUFFERED is
+    # dropped so stdout buffers as usual: the interpreter's flush at exit
+    # must not then fail on the text main could not write.
+    env = {k: v for k, v in os.environ.items()
+           if k != "PYTHONUNBUFFERED" and not k.startswith("CLONEBOUND_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(clonebound.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    argv = [a.replace("{tmp}", str(tmp_path / "out")) for a in argv]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "clonebound.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, env=env,
+                              cwd=tmp_path, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (
+        2, f"clonebound {argv[0]}: cannot write stdout: [Errno 28] No space left on device\n")
 
 
 class TestUsage:
@@ -528,3 +581,62 @@ def test_verify_fuzz(z_text, restarts, sweep_trials, seed):
                      "--sweep-trials", str(sweep_trials), "--seed", str(seed)])
     assert code in (0, 1, 2, 3, 4), (z_text, restarts, sweep_trials, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# Free argv: the flags of each command with values of their type most of
+# the time. Sizes are small or too large for any array (never one that
+# really allocates); text holds no digit that int() would read.
+_INT = st.one_of(st.integers(-3, 50), st.integers(10 ** 30, 10 ** 40),
+                 st.just(int("1" * 400))).map(str)
+_FLOAT = st.sampled_from(_EDGE_FLOATS + [0.99, 0.37, 5e-324]).map(repr)
+_TEXT = st.text(st.characters(exclude_characters="\x00", exclude_categories=("Cs", "Nd")),
+                max_size=4).filter(lambda t: not t.startswith("-"))
+_VALUES = {
+    **dict.fromkeys(["--steps", "--seed", "--dim", "--trials", "--restarts",
+                     "--sweep-trials"], _INT),
+    **dict.fromkeys(["--z-min", "--z-max", "--z", "--tol"], _FLOAT),
+    "--out": _TEXT, "--states": _TEXT,
+    "--dims": st.one_of(_INT, st.sampled_from(["2-8", "2,3", "5-3", f"2-{10 ** 30}"])),
+    "--format": st.sampled_from(["csv", "json"]),
+    "--favored": st.sampled_from(["phi", "psi"]),
+}
+_ANY_VALUE = st.one_of(*_VALUES.values())
+_FLAGS = {
+    "bounds": ["--z-min", "--z-max", "--steps", "--out", "--format", "--seed"],
+    "cloner": ["--z", "--states", "--dim", "--favored", "--out", "--seed"],
+    "lemmas": ["--trials", "--dims", "--seed", "--tol"],
+    "verify": ["--z", "--restarts", "--sweep-trials", "--seed", "--out"],
+}
+# Runnable defaults that the drawn flags override, small so that runs are short.
+_BASE = {
+    "bounds": st.just(["bounds"]),
+    "cloner": st.sampled_from(["sym", "asym", "wz"]).map(lambda k: ["cloner", k, "--z", "0.5"]),
+    "lemmas": st.just(["lemmas", "--trials", "5", "--dims", "2"]),
+    "verify": st.just(["verify", "--z", "0.5", "--restarts", "1", "--sweep-trials", "10"]),
+}
+
+
+def _free_argv(command):
+    pair = st.sampled_from(_FLAGS[command]).flatmap(
+        lambda f: st.one_of(_VALUES[f], _VALUES[f], _ANY_VALUE).map(lambda v: [f, v]))
+    # One argv in four ends in a stray flag or value.
+    stray = st.one_of(st.sampled_from([*_VALUES, "--help", "--version"]), _ANY_VALUE)
+    tail = st.one_of(st.just([]), st.just([]), st.just([]), stray.map(lambda t: [t]))
+    return st.tuples(_BASE[command], st.lists(pair, max_size=4), tail).map(
+        lambda t: t[0] + sum(t[1], []) + t[2])
+
+
+@given(st.sampled_from(sorted(_FLAGS)).flatmap(_free_argv))
+@settings(max_examples=150, deadline=None)
+def test_free_argv_fuzz(argv):
+    """Any argv returns an exit code 0-4 and raises nothing out of main."""
+    for i in range(1, len(argv)):
+        # The search runs its restarts in a Python loop: cap them at 3.
+        if argv[i - 1] == "--restarts" and argv[i].lstrip("-").isdecimal():
+            argv[i] = str(min(int(argv[i]), 3))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        mp.chdir(tmp)
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4), (argv, err.getvalue())
