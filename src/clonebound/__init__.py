@@ -18,6 +18,15 @@ The package is organized bottom-up:
 * :mod:`clonebound.cli`         the ``clonebound`` command.
 """
 
+import os as _os
+
+# Every matrix here is 8x8 or smaller, too small for BLAS threads to pay
+# off, and an idle OpenBLAS worker spins and takes CPU from the main
+# thread. This must run before numpy first loads OpenBLAS; a thread count
+# the user set wins.
+if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & _os.environ.keys():
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 __version__ = "0.1.0"
 
 from .statespace import (

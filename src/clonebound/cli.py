@@ -402,15 +402,17 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
+    prefix = "clonebound:"
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse raises for --help/--version (code 0) and usage errors.
-        return int(exc.code or 0)
-    prefix = f"clonebound {args.command}:"
-    try:
-        args.seed = _resolve_seed(args)
-        code = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse raises for --help/--version (code 0) and usage errors.
+            code = int(exc.code or 0)
+        else:
+            prefix = f"clonebound {args.command}:"
+            args.seed = _resolve_seed(args)
+            code = args.func(args)
         sys.stdout.flush()          # a failed write to stdout exits 2 too
         return code
     except ValueError as exc:

@@ -33,6 +33,7 @@ from .statespace import (
     operator_norm,
     phase_fixed_q,
     random_states,
+    spectral_norms,
 )
 
 DEFAULT_SWEEP_TOL = 1e-10
@@ -188,9 +189,29 @@ def lemma4_saturation_witness(delta: float, dim: int = 2):
 
 
 # ---------------------------------------------------------------------------
-# Seeded random sweeps. Each sweep derives every draw from one master seed,
-# so a (seed, trials, dims) triple pins the result exactly.
+# Seeded random sweeps. Each dimension's share of the trials is drawn in
+# blocks of SWEEP_BLOCK trials, each block from its own generator (see
+# sweep_blocks). A sweep keeps only running summaries, so its memory is
+# bounded by one block for any trial count, and (seed, dim, block, index)
+# pins every sample exactly.
 # ---------------------------------------------------------------------------
+
+#: Trials drawn at once by every sweep.
+SWEEP_BLOCK = 4096
+
+
+def sweep_blocks(n: int, dim: int, seed: int):
+    """Yield (generator, size) for each block of ``n`` trials in dimension ``dim``.
+
+    Block b draws from ``SeedSequence(seed, spawn_key=(dim, b))``. A count
+    beyond the largest array index is rejected before any block.
+    """
+    if n > np.iinfo(np.intp).max:
+        raise ValueError("Maximum allowed dimension exceeded")
+    for block, start in enumerate(range(0, n, SWEEP_BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(dim, block)))
+        yield rng, min(SWEEP_BLOCK, n - start)
+
 
 def _split_trials(trials: int, dims) -> list[tuple[int, int]]:
     dims = tuple(dims)
@@ -226,61 +247,86 @@ def _random_projector_probs(states: np.ndarray, rng: np.random.Generator) -> np.
 
 
 def _sweep(name: str, slack, trials: int, dims, seed: int, tol: float) -> SweepResult:
-    """Run ``slack(n, dim, rng)`` (rhs - lhs per trial) over the split trials."""
-    rng = np.random.default_rng(seed)
+    """Run ``slack(n, dim, rng)`` (rhs - lhs per trial) block by block."""
     min_slack, violations = np.inf, 0
     for dim, n in _split_trials(trials, dims):
-        if n == 0:
-            continue
-        s = slack(n, dim, rng)
-        min_slack = min(min_slack, float(s.min()))
-        violations += int(np.count_nonzero(s < -tol))
+        for rng, size in sweep_blocks(n, dim, seed):
+            s = slack(size, dim, rng)
+            min_slack = min(min_slack, float(s.min()))
+            violations += int(np.count_nonzero(s < -tol))
     return SweepResult(name, trials, min_slack, violations, seed, tol)
+
+
+def _lemma1_slack(n, dim, rng):
+    t = random_states(3 * n, dim, rng).reshape(n, 3, dim)
+    phi, ups, psi = t[:, 0], t[:, 1], t[:, 2]
+    return np.cos(_batch_angle(phi, ups) - _batch_angle(ups, psi)) - np.cos(
+        _batch_angle(phi, psi)
+    )
+
+
+def _lemma2_slack(n, dim, rng):
+    t = random_states(3 * n, dim, rng).reshape(n, 3, dim)
+    phi, ups, psi = t[:, 0], t[:, 1], t[:, 2]
+    return _batch_angle(phi, psi) + _batch_angle(ups, psi) - _batch_angle(phi, ups)
+
+
+def _lemma3_slack(n, dim, rng):
+    t = random_states(3 * n, dim, rng).reshape(n, 3, dim)
+    theta, phi, psi = t[:, 0], t[:, 1], t[:, 2]
+    lhs = np.abs(
+        np.abs(np.einsum("bi,bi->b", theta.conj(), phi)) ** 2
+        - np.abs(np.einsum("bi,bi->b", theta.conj(), psi)) ** 2
+    )
+    return np.sin(_batch_angle(phi, psi)) - lhs
+
+
+def _lemma4_slack(n, dim, rng):
+    pair = random_states(2 * n, dim, rng).reshape(n, 2, dim)
+    probs = _random_projector_probs(pair, rng)
+    lhs = np.abs(probs[:, 0] - probs[:, 1])
+    return np.sin(_batch_angle(pair[:, 0], pair[:, 1])) - lhs
+
+
+def _gate_approx_slack(n, dim, rng):
+    gu = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    u = phase_fixed_q(gu)
+
+    g = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    g /= spectral_norms(g)[:, None, None]
+    eta = rng.uniform(0.0, GATE_MAX_PERTURBATION, size=n)
+    v = phase_fixed_q(u + eta[:, None, None] * g)
+
+    eps = np.minimum(spectral_norms(u - v), 2.0)
+    rhs = eps * np.sqrt(1.0 - eps * eps / 4.0)
+
+    sigma = random_states(n, dim, rng)
+    out = np.stack(
+        [np.einsum("bij,bj->bi", u, sigma), np.einsum("bij,bj->bi", v, sigma)],
+        axis=1,
+    )
+    probs = _random_projector_probs(out, rng)
+    return rhs - np.abs(probs[:, 0] - probs[:, 1])
 
 
 def sweep_lemma1(trials: int, dims=DEFAULT_DIMS, seed: int = 0,
                  tol: float = DEFAULT_SWEEP_TOL) -> SweepResult:
-    def slack(n, dim, rng):
-        t = random_states(3 * n, dim, rng).reshape(n, 3, dim)
-        phi, ups, psi = t[:, 0], t[:, 1], t[:, 2]
-        return np.cos(_batch_angle(phi, ups) - _batch_angle(ups, psi)) - np.cos(
-            _batch_angle(phi, psi)
-        )
-    return _sweep("lemma1", slack, trials, dims, seed, tol)
+    return _sweep("lemma1", _lemma1_slack, trials, dims, seed, tol)
 
 
 def sweep_lemma2(trials: int, dims=DEFAULT_DIMS, seed: int = 0,
                  tol: float = DEFAULT_SWEEP_TOL) -> SweepResult:
-    def slack(n, dim, rng):
-        t = random_states(3 * n, dim, rng).reshape(n, 3, dim)
-        phi, ups, psi = t[:, 0], t[:, 1], t[:, 2]
-        return (
-            _batch_angle(phi, psi) + _batch_angle(ups, psi) - _batch_angle(phi, ups)
-        )
-    return _sweep("lemma2", slack, trials, dims, seed, tol)
+    return _sweep("lemma2", _lemma2_slack, trials, dims, seed, tol)
 
 
 def sweep_lemma3(trials: int, dims=DEFAULT_DIMS, seed: int = 0,
                  tol: float = DEFAULT_SWEEP_TOL) -> SweepResult:
-    def slack(n, dim, rng):
-        t = random_states(3 * n, dim, rng).reshape(n, 3, dim)
-        theta, phi, psi = t[:, 0], t[:, 1], t[:, 2]
-        lhs = np.abs(
-            np.abs(np.einsum("bi,bi->b", theta.conj(), phi)) ** 2
-            - np.abs(np.einsum("bi,bi->b", theta.conj(), psi)) ** 2
-        )
-        return np.sin(_batch_angle(phi, psi)) - lhs
-    return _sweep("lemma3", slack, trials, dims, seed, tol)
+    return _sweep("lemma3", _lemma3_slack, trials, dims, seed, tol)
 
 
 def sweep_lemma4(trials: int, dims=DEFAULT_DIMS, seed: int = 0,
                  tol: float = DEFAULT_SWEEP_TOL) -> SweepResult:
-    def slack(n, dim, rng):
-        pair = random_states(2 * n, dim, rng).reshape(n, 2, dim)
-        probs = _random_projector_probs(pair, rng)
-        lhs = np.abs(probs[:, 0] - probs[:, 1])
-        return np.sin(_batch_angle(pair[:, 0], pair[:, 1])) - lhs
-    return _sweep("lemma4", slack, trials, dims, seed, tol)
+    return _sweep("lemma4", _lemma4_slack, trials, dims, seed, tol)
 
 
 def sweep_gate_approx(trials: int, dims=DEFAULT_DIMS, seed: int = 0,
@@ -292,26 +338,7 @@ def sweep_gate_approx(trials: int, dims=DEFAULT_DIMS, seed: int = 0,
     [0, GATE_MAX_PERTURBATION], which keeps eps = ||U - V|| well inside the
     bound's valid range eps <= sqrt(2).
     """
-    def slack(n, dim, rng):
-        gu = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
-        u = phase_fixed_q(gu)
-
-        g = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
-        g /= np.linalg.svd(g, compute_uv=False)[:, 0][:, None, None]
-        eta = rng.uniform(0.0, GATE_MAX_PERTURBATION, size=n)
-        v = phase_fixed_q(u + eta[:, None, None] * g)
-
-        eps = np.minimum(np.linalg.svd(u - v, compute_uv=False)[:, 0], 2.0)
-        rhs = eps * np.sqrt(1.0 - eps * eps / 4.0)
-
-        sigma = random_states(n, dim, rng)
-        out = np.stack(
-            [np.einsum("bij,bj->bi", u, sigma), np.einsum("bij,bj->bi", v, sigma)],
-            axis=1,
-        )
-        probs = _random_projector_probs(out, rng)
-        return rhs - np.abs(probs[:, 0] - probs[:, 1])
-    return _sweep("gate_approx", slack, trials, dims, seed, tol)
+    return _sweep("gate_approx", _gate_approx_slack, trials, dims, seed, tol)
 
 
 #: Sweeps driven by the command-line ``lemmas`` command, in print order.

@@ -37,7 +37,7 @@ from scipy.optimize import minimize
 from .bounds import ae_lower_bound, re_lower_bound
 from .cloners import closed_form_re_s, plane_frame
 from .cloning import DEGENERATE_TOL, TwoStateSet
-from .geometry import _batch_angle
+from .geometry import _batch_angle, sweep_blocks
 
 FLOOR_TOL = 1e-9
 CHAIN_TOL = 1e-10
@@ -415,18 +415,36 @@ class SweepStats:
         return self.floor_violations_ae + self.floor_violations_re
 
 
-def random_cloner_sweep(cfg: SearchConfig, n: int = 10_000) -> SweepStats:
-    """Sample ``n`` realizable pairs uniformly and check floors and chains.
+@dataclass
+class _Running:
+    """Running minimum, maximum, sum and count of the values added."""
 
-    Sampling is Gaussian-then-normalize inside the subspace for V_phi and
-    for the orthogonal direction W, so the constraint <V_phi|V_psi> = z
-    holds exactly on every sample.
+    lo: float = np.inf
+    hi: float = -np.inf
+    total: float = 0.0
+    count: int = 0
+
+    def add(self, x: np.ndarray) -> None:
+        if x.size:
+            self.lo = min(self.lo, float(x.min()))
+            self.hi = max(self.hi, float(x.max()))
+            self.total += float(x.sum())
+            self.count += x.size
+
+    def min_mean_max(self) -> tuple[float, float, float]:
+        """(min, mean, max), all NaN when nothing was added."""
+        if not self.count:
+            return np.nan, np.nan, np.nan
+        return self.lo, self.total / self.count, self.hi
+
+
+def _sample_block(rng: np.random.Generator, n: int, z: float):
+    """(ae, re, chain1, chain2) of ``n`` uniform realizable pairs at overlap z.
+
+    ``re`` holds only the pairs on which it is defined; ``chain1`` and
+    ``chain2`` are the slacks of the two chain inequalities.
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
-    z, m = cfg.z, SUBSPACE_DIM
-    rng = np.random.default_rng(cfg.seed)
-
+    m = SUBSPACE_DIM
     v = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     w = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
@@ -443,11 +461,7 @@ def random_cloner_sweep(cfg: SearchConfig, n: int = 10_000) -> SweepStats:
     ae = x_phi + x_psi
 
     defined = np.minimum(q_phi, q_psi) > DEGENERATE_TOL
-    sin_big = np.sqrt(1.0 - z ** 4)
-    re = np.where(defined, ae / sin_big, np.inf)
-
-    bound_ae = float(ae_lower_bound(z))
-    bound_re = float(re_lower_bound(z))
+    re = ae[defined] / np.sqrt(1.0 - z ** 4)
 
     # Chain inequalities: angles from the actual sampled vectors.
     delta_phi = np.arccos(np.minimum(q_phi, 1.0))
@@ -455,24 +469,53 @@ def random_cloner_sweep(cfg: SearchConfig, n: int = 10_000) -> SweepStats:
     small, big = _angles(z)
     chain1 = delta_phi + delta_psi + _batch_angle(v, v_psi) - big
     chain2 = delta_phi + delta_psi - (big - small)
+    return ae, re, chain1, chain2
 
-    re_defined = re[defined]
+
+def random_cloner_sweep(cfg: SearchConfig, n: int = 10_000) -> SweepStats:
+    """Sample ``n`` realizable pairs uniformly and check floors and chains.
+
+    Sampling is Gaussian-then-normalize inside the subspace for V_phi and
+    for the orthogonal direction W, so the constraint <V_phi|V_psi> = z
+    holds exactly on every sample. Pairs are drawn in blocks as the
+    geometry sweeps draw theirs, in dimension SUBSPACE_DIM, and only
+    running summaries are kept.
+    """
+    if n < 1:
+        raise ValueError("need at least one sample")
+    bound_ae = float(ae_lower_bound(cfg.z))
+    bound_re = float(re_lower_bound(cfg.z))
+    ae_run, re_run = _Running(), _Running()
+    min_chain_slack = np.inf
+    floor_ae = floor_re = chain1_bad = chain2_bad = 0
+    for rng, size in sweep_blocks(n, SUBSPACE_DIM, cfg.seed):
+        ae, re, chain1, chain2 = _sample_block(rng, size, cfg.z)
+        ae_run.add(ae)
+        re_run.add(re)
+        min_chain_slack = min(min_chain_slack, float(chain1.min()), float(chain2.min()))
+        floor_ae += int(np.count_nonzero(ae < bound_ae - FLOOR_TOL))
+        floor_re += int(np.count_nonzero(re < bound_re - FLOOR_TOL))
+        chain1_bad += int(np.count_nonzero(chain1 < -CHAIN_TOL))
+        chain2_bad += int(np.count_nonzero(chain2 < -CHAIN_TOL))
+
+    ae_min, ae_mean, ae_max = ae_run.min_mean_max()
+    re_min, re_mean, re_max = re_run.min_mean_max()
     return SweepStats(
-        z=z,
+        z=cfg.z,
         trials=n,
         seed=cfg.seed,
-        ae_min=float(ae.min()),
-        ae_mean=float(ae.mean()),
-        ae_max=float(ae.max()),
-        re_min=float(re_defined.min()) if re_defined.size else np.nan,
-        re_mean=float(re_defined.mean()) if re_defined.size else np.nan,
-        re_max=float(re_defined.max()) if re_defined.size else np.nan,
-        floor_violations_ae=int(np.count_nonzero(ae < bound_ae - FLOOR_TOL)),
-        floor_violations_re=int(np.count_nonzero(re_defined < bound_re - FLOOR_TOL)),
-        chain1_violations=int(np.count_nonzero(chain1 < -CHAIN_TOL)),
-        chain2_violations=int(np.count_nonzero(chain2 < -CHAIN_TOL)),
-        min_chain_slack=float(min(chain1.min(), chain2.min())),
-        undefined_re=int(np.count_nonzero(~defined)),
+        ae_min=ae_min,
+        ae_mean=ae_mean,
+        ae_max=ae_max,
+        re_min=re_min,
+        re_mean=re_mean,
+        re_max=re_max,
+        floor_violations_ae=floor_ae,
+        floor_violations_re=floor_re,
+        chain1_violations=chain1_bad,
+        chain2_violations=chain2_bad,
+        min_chain_slack=min_chain_slack,
+        undefined_re=n - re_run.count,
     )
 
 
@@ -518,8 +561,10 @@ def verify_point(z: float, restarts: int = 20, seed: int = 0,
     ``best_re`` are read from the same best point.
     """
     cfg = SearchConfig(z=z, restarts=restarts, seed=seed)
-    out = minimize_objective("ae", cfg)
+    # The sweep goes first: it rejects a count it cannot index before the
+    # search has run.
     sweep = random_cloner_sweep(cfg, n=sweep_trials)
+    out = minimize_objective("ae", cfg)
     violations = sweep.floor_violations
     if out.best_ae < out.bound_ae - FLOOR_TOL:
         violations += 1

@@ -197,6 +197,18 @@ def operator_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=np.complex128), 2))
 
 
+def spectral_norms(a: np.ndarray) -> np.ndarray:
+    """Spectral norm of each matrix in a stack of shape (n, rows, cols).
+
+    The square root of the largest eigenvalue of the Gram matrix a^H a,
+    from one batched Hermitian eigensolve, which is cheaper than an SVD.
+    The eigenvalue is clamped at 0 so that rounding can never hand the
+    square root a negative number.
+    """
+    gram = np.swapaxes(a.conj(), -1, -2) @ a
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+
+
 def basis_state(dim: int, index: int = 0) -> np.ndarray:
     """Standard basis vector e_index in dimension ``dim``."""
     if not 0 <= index < dim:

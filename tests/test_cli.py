@@ -410,6 +410,8 @@ def test_oversized_count_exits_one(capsys, argv):
     ("cloner", "sym", "--z", "0.5"),
     ("lemmas", "--trials", "10", "--dims", "2"),
     ("verify", "--z", "0.5", "--restarts", "1", "--sweep-trials", "10"),
+    ("lemmas", "--help"),
+    ("--version",),
 ])
 def test_full_stdout_is_an_io_error(tmp_path, argv):
     # A fresh process with stdout on a full device. PYTHONUNBUFFERED is
@@ -424,8 +426,27 @@ def test_full_stdout_is_an_io_error(tmp_path, argv):
         proc = subprocess.run([sys.executable, "-m", "clonebound.cli", *argv],
                               stdout=full, stderr=subprocess.PIPE, env=env,
                               cwd=tmp_path, text=True, timeout=300)
+    # Help and version print before any command is chosen to run.
+    prefix = "clonebound" if {"--help", "--version"} & set(argv) else f"clonebound {argv[0]}"
     assert (proc.returncode, proc.stderr) == (
-        2, f"clonebound {argv[0]}: cannot write stdout: [Errno 28] No space left on device\n")
+        2, f"{prefix}: cannot write stdout: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("set_env, threads", [
+    ({}, "1"),
+    ({"OPENBLAS_NUM_THREADS": "3"}, "3"),
+    ({"OMP_NUM_THREADS": "2"}, None),
+])
+def test_blas_threads_default_to_one_unless_set(set_env, threads):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(clonebound.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import clonebound, os; "
+         "print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+        env={**env, **set_env}, capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stdout) == (0, f"{threads}\n")
 
 
 class TestUsage:

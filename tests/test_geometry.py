@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clonebound import geometry
 from clonebound.geometry import (
     ALL_SWEEPS,
+    SWEEP_BLOCK,
     InequalityReport,
     coplanar_equality_witness,
     coplanar_state,
@@ -163,3 +167,41 @@ def test_sweeps_are_deterministic():
 def test_sweep_single_trial_runs():
     r = sweep_lemma1(1, seed=0)
     assert r.trials == 1 and r.violations == 0
+
+
+@pytest.mark.parametrize("name, sweep", ALL_SWEEPS)
+def test_sweep_blocks_rebuild_from_their_seeds(monkeypatch, name, sweep):
+    # Block b of dimension d is drawn from SeedSequence(seed, spawn_key=(d, b)).
+    slack = getattr(geometry, f"_{name}_slack")
+    drawn = []
+
+    def recording(n, dim, rng):
+        s = slack(n, dim, rng)
+        drawn.append((dim, n, s))
+        return s
+
+    monkeypatch.setattr(geometry, f"_{name}_slack", recording)
+    r = sweep(2 * (SWEEP_BLOCK + 5), dims=(2, 5), seed=9)
+    assert [(dim, n) for dim, n, _ in drawn] == [
+        (2, SWEEP_BLOCK), (2, 5), (5, SWEEP_BLOCK), (5, 5)]
+    for (dim, n, s), block in zip(drawn, (0, 1, 0, 1)):
+        rng = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(dim, block)))
+        np.testing.assert_array_equal(slack(n, dim, rng), s)
+    assert r.min_slack == min(s.min() for _, _, s in drawn)
+
+
+@pytest.mark.parametrize("name, sweep", ALL_SWEEPS)
+def test_sweep_memory_does_not_grow_with_trials(name, sweep):
+    def traced_peak(blocks):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        sweep(blocks * SWEEP_BLOCK, dims=(3,), seed=1)
+        return tracemalloc.get_traced_memory()[1] - before
+
+    tracemalloc.start()
+    try:
+        traced_peak(1)      # first-call allocations out of the way
+        small, large = traced_peak(2), traced_peak(16)
+    finally:
+        tracemalloc.stop()
+    assert large <= 1.1 * small

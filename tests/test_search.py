@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
+from clonebound import search
 from clonebound.bounds import ae_lower_bound, re_lower_bound
 from clonebound.cloners import build_asymmetric, closed_form_re_s
 from clonebound.cloning import FactorDims, TwoStateSet, analyze_pair
+from clonebound.geometry import SWEEP_BLOCK
 from clonebound.search import (
     SUBSPACE_DIM,
     SearchConfig,
@@ -13,6 +17,7 @@ from clonebound.search import (
     _objective_factory,
     _pair_errors,
     _run_minimize,
+    _sample_block,
     encode_params,
     make_frame,
     minimize_objective,
@@ -293,6 +298,47 @@ class TestRandomSweep:
         b = random_cloner_sweep(SearchConfig(z=0.3, seed=8), n=2_000)
         assert a == b
 
+    def test_blocks_rebuild_from_their_seeds(self, monkeypatch):
+        # Block b is drawn from SeedSequence(seed, spawn_key=(SUBSPACE_DIM, b)),
+        # and the summaries are those of all the blocks' values together.
+        drawn = []
+
+        def recording(rng, n, z):
+            values = _sample_block(rng, n, z)
+            drawn.append((n, values))
+            return values
+
+        monkeypatch.setattr(search, "_sample_block", recording)
+        stats = random_cloner_sweep(SearchConfig(z=0.4, seed=3), n=SWEEP_BLOCK + 7)
+        assert [n for n, _ in drawn] == [SWEEP_BLOCK, 7]
+        for block, (n, values) in enumerate(drawn):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(3, spawn_key=(SUBSPACE_DIM, block)))
+            rebuilt = _sample_block(rng, n, 0.4)
+            for got, want in zip(values, rebuilt):
+                np.testing.assert_array_equal(got, want)
+        ae, re, chain1, chain2 = (np.concatenate(v) for v in zip(*(v for _, v in drawn)))
+        assert (stats.ae_min, stats.ae_max) == (ae.min(), ae.max())
+        assert (stats.re_min, stats.re_max) == (re.min(), re.max())
+        assert stats.ae_mean == pytest.approx(ae.mean(), rel=1e-13)
+        assert stats.re_mean == pytest.approx(re.mean(), rel=1e-13)
+        assert stats.min_chain_slack == min(chain1.min(), chain2.min())
+
+    def test_memory_does_not_grow_with_samples(self):
+        def traced_peak(blocks):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            random_cloner_sweep(SearchConfig(z=0.3, seed=8), n=blocks * SWEEP_BLOCK)
+            return tracemalloc.get_traced_memory()[1] - before
+
+        tracemalloc.start()
+        try:
+            traced_peak(1)      # first-call allocations out of the way
+            small, large = traced_peak(2), traced_peak(16)
+        finally:
+            tracemalloc.stop()
+        assert large <= 1.1 * small
+
     def test_needs_at_least_one_sample(self):
         with pytest.raises(ValueError):
             random_cloner_sweep(SearchConfig(z=0.3, seed=8), n=0)
@@ -307,3 +353,12 @@ def test_verify_point_record():
                 "violations", "trials", "seed"):
         assert key in d
     assert d["sweep"]["floor_violations"] == 0
+
+
+def test_verify_point_rejects_an_unindexable_count_before_searching(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran before the sweep count was checked")
+
+    monkeypatch.setattr(search, "minimize_objective", no_search)
+    with pytest.raises(ValueError, match="Maximum allowed dimension exceeded"):
+        verify_point(0.5, restarts=1, sweep_trials=10 ** 30)

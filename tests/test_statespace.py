@@ -15,9 +15,11 @@ from clonebound.statespace import (
     measure_prob,
     normalize,
     operator_norm,
+    phase_fixed_q,
     random_projector,
     random_state,
     random_unitary,
+    spectral_norms,
     tensor,
 )
 
@@ -199,6 +201,20 @@ def test_operator_norm_matches_svd():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     assert operator_norm(a) == pytest.approx(np.linalg.svd(a, compute_uv=False)[0])
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_spectral_norms_match_svd(dim):
+    rng = np.random.default_rng(dim)
+    g = rng.standard_normal((500, dim, dim)) + 1j * rng.standard_normal((500, dim, dim))
+    u = np.stack([random_unitary(dim, rng) for _ in range(50)])
+    far = np.stack([random_unitary(dim, rng) for _ in range(50)])
+    # A nearby unitary, as the gate sweep perturbs U.
+    near = phase_fixed_q(u + 1e-6 * g[:50])
+    for a in (g, u - far, u - near):
+        want = np.linalg.svd(a, compute_uv=False)[:, 0]
+        np.testing.assert_allclose(spectral_norms(a), want, rtol=1e-13, atol=0)
+    assert np.all(spectral_norms(u - u) == 0.0)
 
 
 def test_basis_state_bounds():
