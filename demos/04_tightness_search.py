@@ -11,8 +11,11 @@ pairs inside a 4-dimensional subspace around the product plane, then
 * sample 100000 random realizable pairs: none ever dips below a floor,
   and every sample obeys the two chain inequalities.
 
-Restricting the search to machines with equal error angles raises the
-reachable floor to the symmetric machine's closed form.
+Machines with equal error angles are searched without a constraint: by
+chain 2, delta_phi + delta_psi >= D - d, the sum of squares
+x_phi^2 + x_psi^2 is least only when both angles are (D - d)/2. Seeded
+L-BFGS-B restarts minimize it with theta free and land on the symmetric
+machine, whose relative error is a higher floor than the general one.
 """
 
 import numpy as np

@@ -40,7 +40,6 @@ from .statespace import (
     inner,
     measure_prob,
     normalize,
-    operator_norm,
     random_projector,
     random_state,
     random_unitary,

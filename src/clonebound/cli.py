@@ -68,6 +68,11 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
+    def _print_message(self, message, file=None):
+        # argparse's own version swallows an OSError; let it reach main (exit 2).
+        if message:
+            (file or sys.stderr).write(message)
+
 
 def _resolve_seed(args) -> int:
     """``--seed``, else ``CLONEBOUND_SEED``, else 0; an integer >= 0."""

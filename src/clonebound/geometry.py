@@ -30,7 +30,6 @@ from .statespace import (
     check_unit,
     check_unitary,
     measure_prob,
-    operator_norm,
     phase_fixed_q,
     random_states,
     spectral_norms,
@@ -137,7 +136,7 @@ def gate_approx_check(u, v, sigma, p: Projector, tol: float = DEFAULT_SWEEP_TOL)
     sigma = check_unit(as_state(sigma))
     if u.shape != v.shape or u.shape[1] != sigma.shape[0]:
         raise ValueError("unitaries and state must share one dimension")
-    eps = operator_norm(u - v)
+    eps = float(spectral_norms((u - v)[None])[0])
     lhs = abs(measure_prob(p, u @ sigma) - measure_prob(p, v @ sigma))
     rhs = gate_bound(min(eps, 2.0))
     return InequalityReport.compare(lhs, rhs, tol)

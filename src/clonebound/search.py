@@ -13,7 +13,7 @@ subspace containing the product plane span{phi x phi, psi x psi}: the
 optimum lies inside the plane, and the extra directions exist to confirm
 that leaving it never helps.
 
-Two entry points:
+Three entry points:
 
 * :func:`minimize_objective` runs L-BFGS-B with an analytic gradient from
   seeded random starts (plus a warm start at the fully asymmetric machine)
@@ -22,6 +22,9 @@ Two entry points:
   sin theta a/|a|) with theta in [0, pi/2], so x_phi = sin theta is smooth
   and the optimum is the box face theta = 0 (Byrd, Lu, Nocedal & Zhu,
   SIAM J. Sci. Comput. 16 (1995) 1190).
+* :func:`minimize_symmetric_re` minimizes x_phi^2 + x_psi^2. Chain 2 gives
+  delta_phi + delta_psi >= D - d, and sin^2 a + sin^2 b = 1 - cos(a+b) cos(a-b),
+  so its only minimizer is delta_phi = delta_psi = (D - d)/2, the symmetric machine.
 * :func:`random_cloner_sweep` samples realizable pairs uniformly and
   checks the floors and the two chain inequalities on every sample.
 """
@@ -223,10 +226,10 @@ def _pair_errors(v: np.ndarray, v_psi: np.ndarray, z: float):
     return x_phi, x_psi, abs(q_phi), abs(q_psi)
 
 
-def _objective_factory(objective: str, z: float, m: int,
-                       symmetric_penalty: float = 0.0):
-    """``fun(params) -> (value, gradient)`` of AE or RE, with the gradient
-    by reverse-mode differentiation through :func:`_coords_from_params`.
+def _objective_factory(objective: str, z: float, m: int):
+    """``fun(params) -> (value, gradient)`` of AE, RE or, for ``"sym"``,
+    x_phi^2 + x_psi^2, with the gradient by reverse-mode differentiation
+    through :func:`_coords_from_params`.
 
     The value adds the gauge term GAUGE_WEIGHT ((|a|^2 - 1)^2 + (|b|^2 - 1)^2),
     which is zero on unit a and b. Without it the value is blind to the
@@ -249,15 +252,13 @@ def _objective_factory(objective: str, z: float, m: int,
         x_psi = _norm(r)
         if objective == "re" and min(abs(cos_t), abs(q)) <= DEGENERATE_TOL:
             raise ValueError("relative error undefined at this point")
-        value = scale * (abs(sin_t) + x_psi)
-        g_theta = scale * np.copysign(cos_t, sin_t)
-        g_psi = scale * r / x_psi if x_psi > 0 else np.zeros(m, dtype=np.complex128)
-        if symmetric_penalty > 0.0:
-            gap = abs(cos_t) - abs(q)
-            value += symmetric_penalty * gap * gap
-            g_theta -= 2 * symmetric_penalty * gap * np.copysign(sin_t, cos_t)
-            if abs(q) > 0:
-                g_psi = g_psi - 2 * symmetric_penalty * gap * (q / abs(q)) * u
+        if objective == "sym":
+            value = sin_t * sin_t + x_psi * x_psi
+            g_theta, g_psi = 2 * sin_t * cos_t, 2 * r
+        else:
+            value = scale * (abs(sin_t) + x_psi)
+            g_theta = scale * np.copysign(cos_t, sin_t)
+            g_psi = scale * r / x_psi if x_psi > 0 else np.zeros(m, dtype=np.complex128)
         # V_psi = z V + s W, W = p/|p|, p = b - V <V|b>.
         g_w = s * g_psi
         g_p = (g_w - c.w * np.vdot(c.w, g_w).real) / c.p_norm
@@ -286,14 +287,14 @@ def _objective_factory(objective: str, z: float, m: int,
     return fun
 
 
-def _run_minimize(fun, starts):
+def _run_minimize(fun, starts, theta_box):
     """L-BFGS-B from each start in turn: (best value, best point, evaluations).
 
-    The box holds theta to [0, pi/2] and leaves a and b free.
+    ``theta_box`` is the (low, high) bound on theta; a and b are free.
     """
     best_f, best_x, evals = np.inf, None, 0
     for x0 in starts:
-        bounds = [(0.0, np.pi / 2)] + [(None, None)] * (len(x0) - 1)
+        bounds = [theta_box] + [(None, None)] * (len(x0) - 1)
         res = minimize(fun, x0, method="L-BFGS-B", jac=True, bounds=bounds,
                        options={"ftol": OBJECTIVE_TOL, "gtol": GRADIENT_TOL})
         evals += res.nfev
@@ -321,15 +322,16 @@ def _cold_starts(cfg: SearchConfig) -> list[np.ndarray]:
     return starts
 
 
-def _search(cfg: SearchConfig, warm: np.ndarray, fun, bound_re: float,
-            gap) -> SearchOutcome:
-    """Minimize ``fun`` from ``warm`` plus ``cfg.restarts`` seeded random starts.
+def _search(cfg: SearchConfig, warm: np.ndarray, fun, theta_box,
+            bound_re: float, gap) -> SearchOutcome:
+    """Minimize ``fun`` from ``warm`` plus ``cfg.restarts`` seeded random starts,
+    with theta held to ``theta_box``.
 
     ``gap(ae_gap, re_gap)`` turns the distances of the best point above the
     AE floor and above ``bound_re`` into ``attained_within``.
     """
     starts = [warm] + _cold_starts(cfg)
-    _, best_x, evals = _run_minimize(fun, starts)
+    _, best_x, evals = _run_minimize(fun, starts, theta_box)
 
     c = _coords_from_params(best_x, cfg.z, SUBSPACE_DIM)
     x_phi, x_psi, _, _ = _pair_errors(c.v, c.v_psi, cfg.z)
@@ -360,16 +362,16 @@ def minimize_objective(objective: str, cfg: SearchConfig) -> SearchOutcome:
         raise ValueError("minimization needs 0 < z < 1")
     return _search(cfg, warm_start_params(cfg.z, SUBSPACE_DIM),
                    _objective_factory(objective, cfg.z, SUBSPACE_DIM),
-                   float(re_lower_bound(cfg.z)), max)
+                   (0.0, np.pi / 2), float(re_lower_bound(cfg.z)), max)
 
 
 def minimize_symmetric_re(cfg: SearchConfig) -> SearchOutcome:
-    """Minimize RE restricted to equal error angles on both branches.
+    """Find the least RE of a machine with equal error angles on both branches.
 
-    The restriction |q_phi| = |q_psi| is enforced by a stiff quadratic
-    penalty; the symmetric machine itself satisfies it exactly and serves
-    as the warm start. The relevant floor is the symmetric closed form,
-    reported in ``bound_re``.
+    Minimizes x_phi^2 + x_psi^2 over all realizable pairs with theta free:
+    by chain 2 its only minimizer is the symmetric machine, which also
+    serves as the warm start. ``best_re`` is read at the best point, and
+    the floor is the symmetric closed form, reported in ``bound_re``.
     """
     if cfg.z <= 0.0:
         raise ValueError("minimization needs 0 < z < 1")
@@ -386,7 +388,7 @@ def minimize_symmetric_re(cfg: SearchConfig) -> SearchOutcome:
     w_dir[0], w_dir[1] = -np.sin(theta), np.cos(theta)
 
     return _search(cfg, encode_params(v_sym, w_dir),
-                   _objective_factory("re", cfg.z, m, symmetric_penalty=1e8),
+                   _objective_factory("sym", cfg.z, m), (None, None),
                    closed_form_re_s(cfg.z), lambda ae_gap, re_gap: re_gap)
 
 

@@ -192,11 +192,6 @@ def check_unitary(u: np.ndarray, atol: float = ATOL_UNITARY) -> np.ndarray:
     return u
 
 
-def operator_norm(a: np.ndarray) -> float:
-    """Spectral norm (largest singular value), computed by full SVD."""
-    return float(np.linalg.norm(np.asarray(a, dtype=np.complex128), 2))
-
-
 def spectral_norms(a: np.ndarray) -> np.ndarray:
     """Spectral norm of each matrix in a stack of shape (n, rows, cols).
 

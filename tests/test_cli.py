@@ -404,8 +404,7 @@ def test_oversized_count_exits_one(capsys, argv):
     assert err == f"clonebound {argv[0]}: Maximum allowed dimension exceeded\n"
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", [
+FULL_STDOUT_ARGVS = pytest.mark.parametrize("argv", [
     ("bounds", "--out", "{tmp}"),
     ("cloner", "sym", "--z", "0.5"),
     ("lemmas", "--trials", "10", "--dims", "2"),
@@ -413,12 +412,14 @@ def test_oversized_count_exits_one(capsys, argv):
     ("lemmas", "--help"),
     ("--version",),
 ])
-def test_full_stdout_is_an_io_error(tmp_path, argv):
-    # A fresh process with stdout on a full device. PYTHONUNBUFFERED is
-    # dropped so stdout buffers as usual: the interpreter's flush at exit
-    # must not then fail on the text main could not write.
+
+
+def _assert_full_stdout_exits_two(tmp_path, argv, unbuffered):
+    """Run ``argv`` in a fresh process with stdout on a full device."""
     env = {k: v for k, v in os.environ.items()
            if k != "PYTHONUNBUFFERED" and not k.startswith("CLONEBOUND_")}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(clonebound.__file__).parents[1]), env.get("PYTHONPATH", "")])
     argv = [a.replace("{tmp}", str(tmp_path / "out")) for a in argv]
@@ -430,6 +431,22 @@ def test_full_stdout_is_an_io_error(tmp_path, argv):
     prefix = "clonebound" if {"--help", "--version"} & set(argv) else f"clonebound {argv[0]}"
     assert (proc.returncode, proc.stderr) == (
         2, f"{prefix}: cannot write stdout: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@FULL_STDOUT_ARGVS
+def test_full_stdout_is_an_io_error(tmp_path, argv):
+    # Buffered stdout: the interpreter's flush at exit must not then fail
+    # on the text main could not write.
+    _assert_full_stdout_exits_two(tmp_path, argv, unbuffered=False)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@FULL_STDOUT_ARGVS
+def test_full_unbuffered_stdout_is_an_io_error(tmp_path, argv):
+    # Unbuffered stdout: the write itself fails, for help and version inside
+    # argparse, which would swallow the error.
+    _assert_full_stdout_exits_two(tmp_path, argv, unbuffered=True)
 
 
 @pytest.mark.parametrize("set_env, threads", [

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import oracles
 from clonebound import search
@@ -169,11 +170,10 @@ class TestBitIdentity:
 
 
 class TestGradient:
-    @pytest.mark.parametrize("penalty", [0.0, 10.0])
-    @pytest.mark.parametrize("objective", ["ae", "re"])
+    @pytest.mark.parametrize("objective", ["ae", "re", "sym"])
     @pytest.mark.parametrize("z", [0.1, 0.5, 0.9])
-    def test_matches_central_differences(self, z, objective, penalty):
-        fun = _objective_factory(objective, z, 4, symmetric_penalty=penalty)
+    def test_matches_central_differences(self, z, objective):
+        fun = _objective_factory(objective, z, 4)
         rng = np.random.default_rng(17)
         h = 1e-6
         for _ in range(20):
@@ -189,7 +189,7 @@ class TestNonFiniteParameters:
     # 1e150: the norms are finite but the gauge term overflows; 1e200: the
     # squared norms overflow.
     @pytest.mark.parametrize("value", [1e150, 1e200, np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("objective", ["ae", "re"])
+    @pytest.mark.parametrize("objective", ["ae", "re", "sym"])
     def test_objective_is_infinite(self, value, objective):
         fun = _objective_factory(objective, 0.5, 4)
         points = [np.full(params_length(4), value)]
@@ -215,7 +215,7 @@ class TestColdStarts:
     def test_cold_starts_alone_reach_the_ae_floor(self, z):
         cfg = SearchConfig(z=z, restarts=20, seed=1)
         best, _, _ = _run_minimize(_objective_factory("ae", z, SUBSPACE_DIM),
-                                   _cold_starts(cfg))
+                                   _cold_starts(cfg), (0.0, np.pi / 2))
         bound = float(ae_lower_bound(z))
         assert bound - 1e-9 <= best < bound + 1e-5
 
@@ -229,6 +229,29 @@ class TestColdStarts:
         x_phi, x_psi, _, _ = _pair_errors(c.v, c.v_psi, z)
         assert x_phi == 0.0
         assert abs(x_psi - oracles.ae_bound(z)) < 1e-12
+
+    @pytest.mark.parametrize("z", [0.1, 0.5, 0.9])
+    def test_cold_starts_alone_reach_the_symmetric_machine(self, z, monkeypatch):
+        # Chain 2 and sin^2 a + sin^2 b = 1 - cos(a + b) cos(a - b): the only
+        # minimizer of x_phi^2 + x_psi^2 is x_phi = x_psi = sin((D - d)/2).
+        runs = []
+
+        def recording(*args, **kwargs):
+            runs.append(minimize(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(search, "minimize", recording)
+        cfg = SearchConfig(z=z, restarts=20, seed=1)
+        _run_minimize(_objective_factory("sym", z, SUBSPACE_DIM), _cold_starts(cfg),
+                      (None, None))
+        assert len(runs) == 20
+        for res in runs:
+            c = _coords_from_params(res.x, z, SUBSPACE_DIM)
+            x_phi, x_psi, _, _ = _pair_errors(c.v, c.v_psi, z)
+            re = (x_phi + x_psi) / np.sqrt(1.0 - z ** 4)
+            assert res.status == 0 and abs(re - closed_form_re_s(z)) < 1e-8, res
+            assert abs(x_phi - x_psi) < 1e-6
+            assert abs(x_phi - oracles.sym_ae(z) / 2) < 1e-6
 
 
 class TestMinimize:

@@ -14,7 +14,6 @@ from clonebound.statespace import (
     inner,
     measure_prob,
     normalize,
-    operator_norm,
     phase_fixed_q,
     random_projector,
     random_state,
@@ -195,12 +194,6 @@ def test_check_unitary():
     check_unitary(u)
     with pytest.raises(ValueError, match="not unitary"):
         check_unitary(1.001 * u)
-
-
-def test_operator_norm_matches_svd():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    assert operator_norm(a) == pytest.approx(np.linalg.svd(a, compute_uv=False)[0])
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
