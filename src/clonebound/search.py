@@ -257,7 +257,9 @@ def _objective_factory(objective: str, z: float, m: int):
             g_theta, g_psi = 2 * sin_t * cos_t, 2 * r
         else:
             value = scale * (abs(sin_t) + x_psi)
-            g_theta = scale * np.copysign(cos_t, sin_t)
+            # d|sin t|/dt = sign(sin t) cos t; copysign(cos_t, sin_t) would
+            # drop the sign of cos t, which is negative off [0, pi/2].
+            g_theta = scale * (np.copysign(1.0, sin_t) * cos_t)
             g_psi = scale * r / x_psi if x_psi > 0 else np.zeros(m, dtype=np.complex128)
         # V_psi = z V + s W, W = p/|p|, p = b - V <V|b>.
         g_w = s * g_psi

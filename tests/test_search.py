@@ -170,15 +170,19 @@ class TestBitIdentity:
 
 
 class TestGradient:
+    # Offset 10 puts theta in (10.05, 11.52), off the [0, pi/2] box: sin theta
+    # is negative there and cos theta takes both signs. The "sym" search
+    # leaves theta unbounded.
+    @pytest.mark.parametrize("theta_offset", [0.0, 10.0])
     @pytest.mark.parametrize("objective", ["ae", "re", "sym"])
     @pytest.mark.parametrize("z", [0.1, 0.5, 0.9])
-    def test_matches_central_differences(self, z, objective):
+    def test_matches_central_differences(self, z, objective, theta_offset):
         fun = _objective_factory(objective, z, 4)
         rng = np.random.default_rng(17)
         h = 1e-6
         for _ in range(20):
             x = 0.5 * rng.standard_normal(params_length(4))
-            x[0] = rng.uniform(0.05, np.pi / 2 - 0.05)
+            x[0] = theta_offset + rng.uniform(0.05, np.pi / 2 - 0.05)
             _, grad = fun(x)
             numeric = [(fun(x + h * e)[0] - fun(x - h * e)[0]) / (2 * h)
                        for e in np.eye(x.shape[0])]
