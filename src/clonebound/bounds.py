@@ -100,8 +100,8 @@ class BoundCurve:
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,
-            "z": [float(v) for v in self.grid],
-            "values": [float(v) for v in self.values],
+            "z": self.grid.tolist(),
+            "values": self.values.tolist(),
         }
 
 
@@ -117,13 +117,15 @@ def sample_curve(name: str, f: Callable, z_min: float, z_max: float,
 
 
 def table_csv(header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
-    """CSV text with a header row and 17-significant-digit numeric fields."""
+    """CSV text with a header row and 17-significant-digit numeric fields.
+
+    Byte-identical to formatting each field with ``f"{v:.17g}"`` row by row;
+    one ``%`` over all fields keeps that loop in C, about twice as fast."""
     if len(header) != len(columns):
         raise ValueError("one header entry per column required")
     lengths = {len(c) for c in columns}
     if len(lengths) != 1:
         raise ValueError("all columns must have equal length")
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    fields = tuple(np.column_stack(columns).ravel().tolist())
+    return ",".join(header) + "\n" + row * lengths.pop() % fields

@@ -103,7 +103,19 @@ def _resolve_tol(args) -> float:
 
 
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """Exactly ``json.dumps(payload, indent=2) + "\\n"``; keys must be strings.
+
+    ``indent`` selects json's pure-Python encoder, so top-level lists of
+    floats are written by the C encoder with indented separators instead."""
+    items = []
+    for key, value in payload.items():
+        if isinstance(value, list) and set(map(type, value)) == {float}:
+            body = json.dumps(value, separators=(",\n    ", ": "))
+            text = "[\n    " + body[1:-1] + "\n  ]"
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}\n" if items else "{}\n"
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -202,9 +214,9 @@ def cmd_bounds(args) -> int:
         fig1["manifest"] = manifest
         fig2 = {
             "name": "fig2",
-            "z": [float(v) for v in curve_ae.grid],
-            "ae_bound": [float(v) for v in curve_ae.values],
-            "hb_bound": [float(v) for v in curve_hb.values],
+            "z": curve_ae.grid.tolist(),
+            "ae_bound": curve_ae.values.tolist(),
+            "hb_bound": curve_hb.values.tolist(),
             "manifest": manifest,
         }
         _write_text(out_dir / "fig1.json", _dump_json(fig1))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from clonebound.bounds import (
@@ -159,6 +161,9 @@ class TestBoundCurve:
         c = sample_curve("f", re_lower_bound, 0.0, 0.5, 3)
         d = c.to_json_dict()
         assert d["name"] == "f" and len(d["z"]) == 3 == len(d["values"])
+        for key, array in (("z", c.grid), ("values", c.values)):
+            assert all(type(v) is float for v in d[key])
+            assert d[key] == list(array)
 
 
 def test_table_csv_validates_shapes():
@@ -166,3 +171,36 @@ def test_table_csv_validates_shapes():
         table_csv(("a",), (np.zeros(2), np.zeros(2)))
     with pytest.raises(ValueError, match="equal length"):
         table_csv(("a", "b"), (np.zeros(2), np.zeros(3)))
+
+
+def _table_csv_reference(header, columns):
+    """The per-row writer table_csv replaced; its bytes are the contract."""
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+_CSV_FIELD = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 2.225073858507201e-308, 1e16,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@st.composite
+def _tables(draw):
+    n_columns, n_rows = draw(st.integers(1, 4)), draw(st.integers(0, 50))
+    header = draw(st.lists(st.text("abz_", min_size=1, max_size=4),
+                           min_size=n_columns, max_size=n_columns))
+    columns = [np.array(draw(st.lists(_CSV_FIELD, min_size=n_rows,
+                                      max_size=n_rows)), dtype=float)
+               for _ in range(n_columns)]
+    return header, columns
+
+
+@given(_tables())
+@settings(max_examples=200, deadline=None)
+def test_table_csv_matches_the_per_row_writer(table):
+    header, columns = table
+    assert table_csv(header, columns) == _table_csv_reference(header, columns)

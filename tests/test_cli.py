@@ -11,12 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clonebound
 import oracles
-from clonebound.cli import main
+from clonebound.cli import _dump_json, main
 
 
 def run(capsys, *argv):
@@ -89,6 +89,51 @@ class TestBounds:
         blocker.write_text("x")
         code, _, err = run(capsys, "bounds", "--out", str(blocker / "sub"))
         assert code == 2 and "cannot write" in err
+
+    def test_artifacts_are_what_indent_2_and_17g_write(self, tmp_path, capsys):
+        for fmt in ("csv", "json"):
+            code, _, _ = run(capsys, "bounds", "--steps", "2001", "--seed", "3",
+                             "--format", fmt, "--out", str(tmp_path / fmt))
+            assert code == 0
+        # Floats round-trip exactly, so re-encoding the parsed file with
+        # indent=2 reproduces it only if indent=2 wrote it.
+        for name in ("json/fig1.json", "json/fig2.json", "csv/run.manifest.json"):
+            text = (tmp_path / name).read_text()
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        for name, width in (("fig1.csv", 2), ("fig2.csv", 3)):
+            lines = (tmp_path / "csv" / name).read_text().split("\n")
+            assert len(lines) == 2003 and lines[-1] == ""
+            for line in lines[1:-1]:
+                fields = line.split(",")
+                assert len(fields) == width
+                assert fields == [f"{float(f):.17g}" for f in fields]
+
+
+_JSON_FLOAT = st.one_of(st.floats(),
+                        st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+_JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(), _JSON_FLOAT,
+                       _JSON_FLOAT.map(np.float64), st.text(max_size=8))
+_JSON_VALUE = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12)
+_JSON_PAYLOAD = st.dictionaries(
+    st.text(max_size=6),
+    st.one_of(st.lists(_JSON_FLOAT, max_size=12), _JSON_VALUE),
+    max_size=5)
+
+
+@given(_JSON_PAYLOAD)
+@example({})
+@example({"a": [], "b": {}, "c": [1.0], "d": [[1.0]]})
+@example({"mixed": [1.0, 2], "bool": [True, 1.0], "np": [np.float64(0.1), 0.2]})
+@example({"nested": [1.0, [2.0, []], {"k": [3.0]}], "deep": {"a": {"b": [1.0]}}})
+@example({"special": [math.nan, math.inf, -math.inf, -0.0, 5e-324]})
+@example({"new\nline": "a\nb", "non-ascii \u00e9": ["\u2603", 1.0]})
+@settings(max_examples=300, deadline=None)
+def test_dump_json_matches_indent_2(payload):
+    assert _dump_json(payload) == json.dumps(payload, indent=2) + "\n"
 
 
 class TestCloner:
