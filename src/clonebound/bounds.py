@@ -120,7 +120,9 @@ def table_csv(header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
     """CSV text with a header row and 17-significant-digit numeric fields.
 
     Byte-identical to formatting each field with ``f"{v:.17g}"`` row by row;
-    one ``%`` over all fields keeps that loop in C, about twice as fast."""
+    one ``%`` over all fields keeps that loop in C, about twice as fast. The
+    whole text is held at once: ``bounds`` calls it on blocks of rows and
+    keeps the first block's header line only."""
     if len(header) != len(columns):
         raise ValueError("one header entry per column required")
     lengths = {len(c) for c in columns}

@@ -50,6 +50,9 @@ EXIT_VIOLATION = 3
 EXIT_ATTAINMENT = 4
 
 ATTAINMENT_TOL = 1e-5
+#: Rows (CSV) or list elements (JSON) per piece of a written file, so a
+#: ``bounds`` file is never held whole in memory.
+WRITE_BLOCK = 8192
 UNDEFINED_RE_TEXT = "undefined (identical ideal outputs)"
 
 
@@ -102,25 +105,50 @@ def _resolve_tol(args) -> float:
     return tol
 
 
-def _dump_json(payload: dict) -> str:
-    """Exactly ``json.dumps(payload, indent=2) + "\\n"``; keys must be strings.
+def _json_pieces(payload: dict):
+    """The text of ``json.dumps(payload, indent=2) + "\\n"`` in pieces.
 
-    ``indent`` selects json's pure-Python encoder, so top-level lists of
-    floats are written by the C encoder with indented separators instead."""
-    items = []
+    ``indent`` selects json's pure-Python encoder, so a top-level list made
+    only of floats is written by the C encoder with indented separators
+    instead, ``WRITE_BLOCK`` elements per piece. Keys must be strings."""
+    if not payload:
+        yield "{}\n"
+        return
+    opening = "{\n"
     for key, value in payload.items():
+        yield f"{opening}  {json.dumps(key)}: "
+        opening = ",\n"
         if isinstance(value, list) and set(map(type, value)) == {float}:
-            body = json.dumps(value, separators=(",\n    ", ": "))
-            text = "[\n    " + body[1:-1] + "\n  ]"
+            yield "[\n    "
+            for start in range(0, len(value), WRITE_BLOCK):
+                block = json.dumps(value[start:start + WRITE_BLOCK],
+                                   separators=(",\n    ", ": "))
+                yield (",\n    " if start else "") + block[1:-1]
+            yield "\n  ]"
         else:
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        items.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}\n" if items else "{}\n"
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+    yield "\n}\n"
 
 
-def _write_text(path: Path, text: str) -> None:
+def _dump_json(payload: dict) -> str:
+    """Exactly ``json.dumps(payload, indent=2) + "\\n"``: see ``_json_pieces``."""
+    return "".join(_json_pieces(payload))
+
+
+def _csv_pieces(header, columns):
+    """The text of ``table_csv(header, columns)``, ``WRITE_BLOCK`` rows per
+    piece: each block is one ``table_csv`` call, its header line dropped
+    after the first."""
+    for start in range(0, len(columns[0]), WRITE_BLOCK):
+        text = table_csv(header, [c[start:start + WRITE_BLOCK] for c in columns])
+        yield text[text.index("\n") + 1:] if start else text
+
+
+def _write_text(path: Path, pieces) -> None:
+    """Write an iterable of strings to ``path`` through one open file."""
     try:
-        path.write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
     except OSError as exc:
         # A write or close that fails (a full disk) names no file; main
         # would report that as a failed write to stdout.
@@ -133,7 +161,7 @@ def _emit(text: str, out) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        _write_text(Path(out), text)
+        _write_text(Path(out), [text])
 
 
 def build_parser() -> _Parser:
@@ -201,27 +229,32 @@ def cmd_bounds(args) -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # table_csv and to_json_dict are looked up at call time, so a wrapper
+    # installed on the module or class (the tracer in bench/spans.py) sees
+    # every call. fig1 is written before fig2's lists are built, so one
+    # figure's lists at most are alive.
     if args.format == "csv":
         written = ["fig1.csv", "fig2.csv", "run.manifest.json"]
-        _write_text(out_dir / "fig1.csv", curve_re.to_csv())
-        _write_text(out_dir / "fig2.csv", table_csv(
+        _write_text(out_dir / "fig1.csv", _csv_pieces(
+            ("z", "value"), (curve_re.grid, curve_re.values)))
+        _write_text(out_dir / "fig2.csv", _csv_pieces(
             ("z", "ae_bound", "hb_bound"),
             (curve_ae.grid, curve_ae.values, curve_hb.values)))
-        _write_text(out_dir / "run.manifest.json",
-                    _dump_json({"artifacts": written[:2], "manifest": manifest}))
+        _write_text(out_dir / "run.manifest.json", _json_pieces(
+            {"artifacts": written[:2], "manifest": manifest}))
     else:
+        written = ["fig1.json", "fig2.json"]
         fig1 = curve_re.to_json_dict()
         fig1["manifest"] = manifest
-        fig2 = {
+        _write_text(out_dir / "fig1.json", _json_pieces(fig1))
+        del fig1
+        _write_text(out_dir / "fig2.json", _json_pieces({
             "name": "fig2",
             "z": curve_ae.grid.tolist(),
             "ae_bound": curve_ae.values.tolist(),
             "hb_bound": curve_hb.values.tolist(),
             "manifest": manifest,
-        }
-        _write_text(out_dir / "fig1.json", _dump_json(fig1))
-        _write_text(out_dir / "fig2.json", _dump_json(fig2))
-        written = ["fig1.json", "fig2.json"]
+        }))
     print(f"wrote {', '.join(written)} to {out_dir}")
     return EXIT_OK
 

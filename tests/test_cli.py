@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 
 import clonebound
 import oracles
-from clonebound.cli import _dump_json, main
+from clonebound.bounds import ae_lower_bound, hb_bound, re_lower_bound, sample_curve
+from clonebound.cli import WRITE_BLOCK, _dump_json, main
+from test_bounds import _table_csv_reference
 
 
 def run(capsys, *argv):
@@ -28,6 +31,12 @@ def run(capsys, *argv):
 def strip_timestamp(text: str) -> str:
     """The manifest timestamp is the only volatile field in any artifact."""
     return re.sub(r'"timestamp": "[^"]*"', '"timestamp": "X"', text)
+
+
+def src_env(env):
+    """``env`` with this checkout's ``src`` first on ``PYTHONPATH``."""
+    return {**env, "PYTHONPATH": os.pathsep.join(
+        [str(Path(clonebound.__file__).parents[1]), env.get("PYTHONPATH", "")])}
 
 
 def read_csv(path):
@@ -134,6 +143,73 @@ _JSON_PAYLOAD = st.dictionaries(
 @settings(max_examples=300, deadline=None)
 def test_dump_json_matches_indent_2(payload):
     assert _dump_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+B = WRITE_BLOCK
+
+
+@pytest.mark.parametrize("tail", [[], [7]], ids=["floats", "int-last"])
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+def test_dump_json_float_lists_across_block_boundaries(n, tail):
+    # A float list is written WRITE_BLOCK elements at a time; one int at the
+    # end sends the whole list down the generic path instead.
+    rng = np.random.default_rng(n)
+    values = (rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)).tolist()
+    values[:4] = [math.nan, math.inf, -math.inf, -0.0][:n]
+    payload = {"name": "fig", "values": values + tail, "manifest": {"seed": n}}
+    assert _dump_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("steps", [B - 1, B, B + 1, 2 * B + 1])
+def test_bounds_files_across_block_boundaries(tmp_path, capsys, steps):
+    re_, ae, hb = (sample_curve(f.__name__, f, 0.0, 1.0, steps)
+                   for f in (re_lower_bound, ae_lower_bound, hb_bound))
+    for fmt in ("csv", "json"):
+        code, _, _ = run(capsys, "bounds", "--steps", str(steps), "--seed", "5",
+                         "--format", fmt, "--out", str(tmp_path / fmt))
+        assert code == 0
+    expected_csv = {
+        "fig1.csv": _table_csv_reference(("z", "value"), (re_.grid, re_.values)),
+        "fig2.csv": _table_csv_reference(("z", "ae_bound", "hb_bound"),
+                                         (ae.grid, ae.values, hb.values)),
+    }
+    for name, expected in expected_csv.items():
+        assert (tmp_path / "csv" / name).read_text(encoding="utf-8") == expected
+    expected_json = {
+        "fig1.json": re_.to_json_dict(),
+        "fig2.json": {"name": "fig2", "z": ae.grid.tolist(),
+                      "ae_bound": ae.values.tolist(),
+                      "hb_bound": hb.values.tolist()},
+    }
+    for name, body in expected_json.items():
+        text = (tmp_path / "json" / name).read_text(encoding="utf-8")
+        body["manifest"] = json.loads(text)["manifest"]
+        assert text == json.dumps(body, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt, ratio", [("csv", 1.0), ("json", 1.6)])
+def test_bounds_memory_stays_below_the_bytes_written(tmp_path, capsys, fmt, ratio):
+    # Written whole, the text of each file and its copies took 2.7 (CSV)
+    # and 3.9 (JSON) times the bytes written. In blocks of WRITE_BLOCK rows
+    # only the sampled curves and, for JSON, one figure's float lists
+    # remain: 0.72 and 1.38 times; with fig1's lists kept alive, JSON
+    # takes 1.95 times.
+    def traced_peak(steps, out):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(["bounds", "--steps", str(steps), "--format", fmt,
+                     "--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1] - before
+
+    tracemalloc.start()
+    try:
+        traced_peak(2, tmp_path / "warm")   # first-call allocations out of the way
+        peak = traced_peak(100_001, tmp_path / "big")
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    written = sum(f.stat().st_size for f in (tmp_path / "big").iterdir())
+    assert peak < ratio * written
 
 
 class TestCloner:
@@ -414,6 +490,25 @@ def test_full_report_file_is_named(capsys):
     assert err.startswith("clonebound cloner: cannot write /dev/full: [Errno 28] ")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_full_bounds_file_fails_mid_stream_with_one_line(tmp_path, fmt):
+    # fig1 spans many blocks, so a write fails while blocks are still to
+    # come, not at close as for a short report.
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / f"fig1.{fmt}"
+    target.symlink_to("/dev/full")
+    proc = subprocess.run(
+        [sys.executable, "-m", "clonebound.cli", "bounds", "--steps", "200001",
+         "--format", fmt, "--out", str(out)],
+        env=src_env(os.environ), capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(
+        f"clonebound bounds: cannot write {target}: [Errno 28] ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
 def _out_of_memory(*args, **kwargs):
     raise MemoryError("Unable to allocate 43.7 TiB for an array with shape "
                       "(6000000000000,) and data type float64")
@@ -461,12 +556,10 @@ FULL_STDOUT_ARGVS = pytest.mark.parametrize("argv", [
 
 def _assert_full_stdout_exits_two(tmp_path, argv, unbuffered):
     """Run ``argv`` in a fresh process with stdout on a full device."""
-    env = {k: v for k, v in os.environ.items()
-           if k != "PYTHONUNBUFFERED" and not k.startswith("CLONEBOUND_")}
+    env = src_env({k: v for k, v in os.environ.items()
+                   if k != "PYTHONUNBUFFERED" and not k.startswith("CLONEBOUND_")})
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(clonebound.__file__).parents[1]), env.get("PYTHONPATH", "")])
     argv = [a.replace("{tmp}", str(tmp_path / "out")) for a in argv]
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "clonebound.cli", *argv],
@@ -500,10 +593,8 @@ def test_full_unbuffered_stdout_is_an_io_error(tmp_path, argv):
     ({"OMP_NUM_THREADS": "2"}, None),
 ])
 def test_blas_threads_default_to_one_unless_set(set_env, threads):
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(clonebound.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    env = src_env({k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")})
     proc = subprocess.run(
         [sys.executable, "-c", "import clonebound, os; "
          "print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
