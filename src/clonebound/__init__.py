@@ -56,6 +56,7 @@ from .geometry import (
     lemma3_check,
     lemma4_check,
     lemma4_saturation_witness,
+    replay_sample,
     sweep_gate_approx,
     sweep_lemma1,
     sweep_lemma2,

@@ -19,6 +19,9 @@ most eps*sqrt(1 - eps^2/4) (see :func:`gate_bound`).
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +62,13 @@ class InequalityReport:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Summary of a randomized sweep of one inequality."""
+    """Summary of a randomized sweep of one inequality.
+
+    ``closest`` is the address (dim, block, size, index) of the sample with
+    the least slack, the earliest one on a tie, for :func:`replay_sample`;
+    ``None`` when the sweep drew no trial. A NaN slack counts as a
+    violation and is the least slack.
+    """
 
     name: str
     trials: int
@@ -67,6 +76,7 @@ class SweepResult:
     violations: int
     seed: int
     tol: float
+    closest: tuple[int, int, int, int] | None
 
     @property
     def passed(self) -> bool:
@@ -190,9 +200,14 @@ def lemma4_saturation_witness(delta: float, dim: int = 2):
 # ---------------------------------------------------------------------------
 # Seeded random sweeps. Each dimension's share of the trials is drawn in
 # blocks of SWEEP_BLOCK trials, each block from its own generator (see
-# sweep_blocks). A sweep keeps only running summaries, so its memory is
-# bounded by one block for any trial count, and (seed, dim, block, index)
-# pins every sample exactly.
+# sweep_blocks). Blocks run concurrently on a thread pool with one worker
+# per usable CPU, and no more workers than dimensions: the batched LAPACK
+# calls, einsum and the generator fills release the interpreter lock. A
+# block shares no state with another, and the sweep folds the blocks'
+# minima and counts in block order, so the result does not depend on which
+# block finishes first. A sweep keeps only running summaries and a bounded
+# window of blocks in flight, so its memory is bounded for any trial count,
+# and (seed, dim, block, index) pins every sample exactly.
 # ---------------------------------------------------------------------------
 
 #: Trials drawn at once by every sweep.
@@ -208,8 +223,11 @@ def sweep_blocks(n: int, dim: int, seed: int):
     if n > np.iinfo(np.intp).max:
         raise ValueError("Maximum allowed dimension exceeded")
     for block, start in enumerate(range(0, n, SWEEP_BLOCK)):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(dim, block)))
-        yield rng, min(SWEEP_BLOCK, n - start)
+        yield _block_rng(seed, dim, block), min(SWEEP_BLOCK, n - start)
+
+
+def _block_rng(seed: int, dim: int, block: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(dim, block)))
 
 
 def _split_trials(trials: int, dims) -> list[tuple[int, int]]:
@@ -245,15 +263,57 @@ def _random_projector_probs(states: np.ndarray, rng: np.random.Generator) -> np.
     return probs
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _in_order(fn, items, workers: int):
+    """Yield ``fn(*item)`` for each of ``items``, in order, from ``workers`` threads.
+
+    At most two items per worker are in flight, so ``items`` is read only
+    that far ahead. When a call raises, the calls not yet started are
+    cancelled and its exception propagates.
+    """
+    pool = ThreadPoolExecutor(workers)
+    pending = deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(fn, *item))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _sweep(name: str, slack, trials: int, dims, seed: int, tol: float) -> SweepResult:
-    """Run ``slack(n, dim, rng)`` (rhs - lhs per trial) block by block."""
-    min_slack, violations = np.inf, 0
-    for dim, n in _split_trials(trials, dims):
-        for rng, size in sweep_blocks(n, dim, seed):
-            s = slack(size, dim, rng)
-            min_slack = min(min_slack, float(s.min()))
-            violations += int(np.count_nonzero(s < -tol))
-    return SweepResult(name, trials, min_slack, violations, seed, tol)
+    """Run ``slack(n, dim, rng)`` (rhs - lhs per trial) over every block."""
+
+    def run(dim, block, rng, size):
+        s = slack(size, dim, rng)
+        index = int(np.argmin(s))  # the first NaN, if there is one
+        return float(s[index]), (dim, block, size, index), int(
+            np.count_nonzero(~(s >= -tol)))
+
+    splits = _split_trials(trials, dims)
+    blocks = ((dim, block, rng, size) for dim, n in splits
+              for block, (rng, size) in enumerate(sweep_blocks(n, dim, seed)))
+    # No more workers than dimensions: a sweep runs at most as many blocks
+    # at once as it has dimensions, so a one-dimension sweep runs its blocks
+    # one at a time and holds what the serial sweep held.
+    workers = min(_usable_cpus(), len(splits))
+    min_slack, closest, violations = np.inf, None, 0
+    for low, address, bad in _in_order(run, blocks, workers):
+        violations += bad
+        # Strictly lower, so the earliest block wins a tie; a NaN beats any number.
+        if closest is None or low < min_slack or np.isnan(low) > np.isnan(min_slack):
+            min_slack, closest = low, address
+    return SweepResult(name, trials, min_slack, violations, seed, tol, closest)
 
 
 def _lemma1_slack(n, dim, rng):
@@ -290,20 +350,25 @@ def _lemma4_slack(n, dim, rng):
 def _gate_approx_slack(n, dim, rng):
     gu = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
     u = phase_fixed_q(gu)
+    del gu
 
     g = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
     g /= spectral_norms(g)[:, None, None]
     eta = rng.uniform(0.0, GATE_MAX_PERTURBATION, size=n)
-    v = phase_fixed_q(u + eta[:, None, None] * g)
-
-    eps = np.minimum(spectral_norms(u - v), 2.0)
-    rhs = eps * np.sqrt(1.0 - eps * eps / 4.0)
+    g *= eta[:, None, None]
+    g += u
+    v = phase_fixed_q(g)  # of u + eta * g, built in place
+    del g
 
     sigma = random_states(n, dim, rng)
     out = np.stack(
         [np.einsum("bij,bj->bi", u, sigma), np.einsum("bij,bj->bi", v, sigma)],
         axis=1,
     )
+    u -= v  # only u - v is needed from here on
+    eps = np.minimum(spectral_norms(u), 2.0)
+    rhs = eps * np.sqrt(1.0 - eps * eps / 4.0)
+
     probs = _random_projector_probs(out, rng)
     return rhs - np.abs(probs[:, 0] - probs[:, 1])
 
@@ -348,3 +413,16 @@ ALL_SWEEPS = (
     ("lemma4", sweep_lemma4),
     ("gate_approx", sweep_gate_approx),
 )
+
+
+def replay_sample(name: str, seed: int, dim: int, block: int, size: int,
+                  index: int) -> float:
+    """Slack of one sample of the sweep ``name``, rebuilt from its address.
+
+    ``(dim, block, size, index)`` is a :attr:`SweepResult.closest`; the
+    result equals that sweep's ``min_slack`` bit for bit.
+    """
+    slack = {"lemma1": _lemma1_slack, "lemma2": _lemma2_slack,
+             "lemma3": _lemma3_slack, "lemma4": _lemma4_slack,
+             "gate_approx": _gate_approx_slack}[name]
+    return float(slack(size, dim, _block_rng(seed, dim, block))[index])

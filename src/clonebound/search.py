@@ -499,8 +499,8 @@ def random_cloner_sweep(cfg: SearchConfig, n: int = 10_000) -> SweepStats:
         min_chain_slack = min(min_chain_slack, float(chain1.min()), float(chain2.min()))
         floor_ae += int(np.count_nonzero(ae < bound_ae - FLOOR_TOL))
         floor_re += int(np.count_nonzero(re < bound_re - FLOOR_TOL))
-        chain1_bad += int(np.count_nonzero(chain1 < -CHAIN_TOL))
-        chain2_bad += int(np.count_nonzero(chain2 < -CHAIN_TOL))
+        chain1_bad += int(np.count_nonzero(~(chain1 >= -CHAIN_TOL)))  # NaN is bad
+        chain2_bad += int(np.count_nonzero(~(chain2 >= -CHAIN_TOL)))
 
     ae_min, ae_mean, ae_max = ae_run.min_mean_max()
     re_min, re_mean, re_max = re_run.min_mean_max()

@@ -22,6 +22,10 @@ ATOL_ALG = 1e-12
 ATOL_UNITARY = 1e-10
 # Overlap modulus at or above 1 - COLLINEAR_TOL counts as collinear.
 COLLINEAR_TOL = 1e-12
+# Matrices per batched LAPACK call in phase_fixed_q and spectral_norms.
+# Each matrix's result does not depend on the stack it comes in, so the
+# pieces only bound the working copies a call makes.
+STACK_PIECE = 1024
 
 
 def as_state(values) -> np.ndarray:
@@ -198,10 +202,16 @@ def spectral_norms(a: np.ndarray) -> np.ndarray:
     The square root of the largest eigenvalue of the Gram matrix a^H a,
     from one batched Hermitian eigensolve, which is cheaper than an SVD.
     The eigenvalue is clamped at 0 so that rounding can never hand the
-    square root a negative number.
+    square root a negative number. The stack is taken STACK_PIECE
+    matrices at a time, so the Gram matrices of one piece are all a call
+    holds besides its result.
     """
-    gram = np.swapaxes(a.conj(), -1, -2) @ a
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+    top = np.empty(len(a))
+    for start in range(0, len(a), STACK_PIECE):
+        piece = a[start:start + STACK_PIECE]
+        gram = np.swapaxes(piece.conj(), -1, -2) @ piece
+        top[start:start + STACK_PIECE] = np.linalg.eigvalsh(gram)[:, -1]
+    return np.sqrt(np.maximum(top, 0.0))
 
 
 def basis_state(dim: int, index: int = 0) -> np.ndarray:
@@ -239,11 +249,20 @@ def phase_fixed_q(g: np.ndarray) -> np.ndarray:
     """Q factor of g = QR, for one matrix or a stack, with diag(R) made positive.
 
     Fixing the column phases keeps the result independent of the QR
-    convention of the linear-algebra backend.
+    convention of the linear-algebra backend. A stack is factored
+    STACK_PIECE matrices at a time, so besides its result a call holds
+    only numpy's working copies of one piece.
     """
+    if g.ndim > 2 and len(g) > STACK_PIECE:
+        q = np.empty(g.shape, dtype=np.result_type(g, 1.0))
+        for start in range(0, len(g), STACK_PIECE):
+            q[start:start + STACK_PIECE] = phase_fixed_q(g[start:start + STACK_PIECE])
+        return q
     q, r = np.linalg.qr(g)
-    d = np.einsum("...ii->...i", r)
-    return q * (d / np.abs(d))[..., None, :]
+    d = np.einsum("...ii->...i", r).copy()
+    del r
+    q *= (d / np.abs(d))[..., None, :]
+    return q
 
 
 def random_projector(dim: int, rank: int, rng: np.random.Generator) -> Projector:

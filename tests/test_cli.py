@@ -381,6 +381,14 @@ class TestLemmas:
         code, _, _ = run(capsys, "lemmas", "--trials", "0")
         assert code == 1
 
+    def test_nan_slack_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr("clonebound.geometry._lemma1_slack",
+                            lambda n, dim, rng: np.full(n, np.nan))
+        code, out, err = run(capsys, "lemmas", "--trials", "100", "--dims", "2")
+        assert code == 3
+        assert "lemma1: trials=100 min_slack=nan violations=100\n" in out
+        assert err.startswith("clonebound lemmas: 100 violations")
+
 
 class TestVerify:
     def test_single_point(self, capsys):

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,6 +21,8 @@ from clonebound.geometry import (
     lemma3_check,
     lemma4_check,
     lemma4_saturation_witness,
+    replay_sample,
+    sweep_blocks,
     sweep_gate_approx,
     sweep_lemma1,
     sweep_lemma2,
@@ -172,22 +176,167 @@ def test_sweep_single_trial_runs():
 @pytest.mark.parametrize("name, sweep", ALL_SWEEPS)
 def test_sweep_blocks_rebuild_from_their_seeds(monkeypatch, name, sweep):
     # Block b of dimension d is drawn from SeedSequence(seed, spawn_key=(d, b)).
+    # Blocks run concurrently, so they are keyed by that spawn key, not by
+    # call order.
     slack = getattr(geometry, f"_{name}_slack")
-    drawn = []
+    drawn = {}
 
     def recording(n, dim, rng):
         s = slack(n, dim, rng)
-        drawn.append((dim, n, s))
+        drawn[rng.bit_generator.seed_seq.spawn_key] = (dim, n, s)
         return s
 
     monkeypatch.setattr(geometry, f"_{name}_slack", recording)
     r = sweep(2 * (SWEEP_BLOCK + 5), dims=(2, 5), seed=9)
-    assert [(dim, n) for dim, n, _ in drawn] == [
-        (2, SWEEP_BLOCK), (2, 5), (5, SWEEP_BLOCK), (5, 5)]
-    for (dim, n, s), block in zip(drawn, (0, 1, 0, 1)):
+    assert sorted((dim, n, key[1]) for key, (dim, n, _) in drawn.items()) == [
+        (2, 5, 1), (2, SWEEP_BLOCK, 0), (5, 5, 1), (5, SWEEP_BLOCK, 0)]
+    for (dim, block), (_, n, s) in drawn.items():
         rng = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(dim, block)))
         np.testing.assert_array_equal(slack(n, dim, rng), s)
-    assert r.min_slack == min(s.min() for _, _, s in drawn)
+    assert r.min_slack == min(s.min() for _, _, s in drawn.values())
+
+
+def _serial_reference(slack, trials, dims, seed, tol):
+    """(min_slack, violations, closest) of one sweep, block after block."""
+    slacks, addresses = [], []
+    for dim, n in geometry._split_trials(trials, dims):
+        for block, (rng, size) in enumerate(sweep_blocks(n, dim, seed)):
+            slacks.append(slack(size, dim, rng))
+            addresses += [(dim, block, size, i) for i in range(size)]
+    s = np.concatenate(slacks)
+    i = int(np.argmin(s))
+    return float(s[i]), int(np.count_nonzero(~(s >= -tol))), addresses[i]
+
+
+@pytest.mark.parametrize("name, sweep", ALL_SWEEPS)
+def test_threaded_sweep_equals_serial_loop(monkeypatch, name, sweep):
+    # More workers than cores and a short switch interval, so the blocks
+    # finish out of order; dims 2..8 each get one full and one partial block.
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 4)
+    trials, dims, tol = 7 * SWEEP_BLOCK + 10, range(2, 9), 1e-10
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        r = sweep(trials, dims=dims, seed=3, tol=tol)
+    finally:
+        sys.setswitchinterval(interval)
+    slack = getattr(geometry, f"_{name}_slack")
+    want = _serial_reference(slack, trials, dims, 3, tol)
+    assert (r.min_slack, r.violations, r.closest) == want
+    assert r.min_slack.hex() == want[0].hex()
+
+
+@pytest.mark.parametrize("name, sweep", ALL_SWEEPS)
+def test_closest_sample_replays_bit_for_bit(name, sweep):
+    r = sweep(3 * SWEEP_BLOCK + 11, dims=(2, 3, 7), seed=4)
+    dim, block, size, index = r.closest
+    assert dim in (2, 3, 7) and 0 <= index < size <= SWEEP_BLOCK
+    assert replay_sample(name, 4, *r.closest).hex() == r.min_slack.hex()
+
+
+def test_nan_slack_is_a_violation(monkeypatch):
+    # One NaN in every block: min(inf, nan) is inf and nan < -tol is False,
+    # so a running min and a "< -tol" count would both let it pass.
+    def nan_at_7(n, dim, rng):
+        s = np.ones(n)
+        s[7] = np.nan
+        return s
+
+    monkeypatch.setattr(geometry, "_lemma1_slack", nan_at_7)
+    r = sweep_lemma1(1000, seed=1)
+    assert r.violations == 7 and not r.passed
+    assert np.isnan(r.min_slack) and r.closest == (2, 0, 143, 7)
+
+
+def _stub_slack(n, dim, rng):
+    threading.Event().wait(0.001)
+    return np.zeros(n)
+
+
+@pytest.mark.parametrize("cpus, ndims", [(None, None), (4, 1), (3, 5)],
+                         ids=["every-cpu", "one-dim", "three-of-five"])
+def test_blocks_run_on_every_worker_and_no_more(monkeypatch, cpus, ndims):
+    # One worker per usable CPU, but no more workers than dimensions. The
+    # first `workers` calls meet at a barrier, which times out unless they
+    # all run at once; a counter catches any call beyond `workers`.
+    if cpus is None:
+        cpus = ndims = geometry._usable_cpus()
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: cpus)
+    workers = min(cpus, ndims)
+    barrier = threading.Barrier(workers, timeout=30)
+    lock = threading.Lock()
+    calls = active = peak = 0
+
+    def stub(n, dim, rng):
+        nonlocal calls, active, peak
+        with lock:
+            calls += 1
+            first = calls <= workers
+            active += 1
+            peak = max(peak, active)
+        if first:
+            barrier.wait()
+        s = _stub_slack(n, dim, rng)
+        with lock:
+            active -= 1
+        return s
+
+    monkeypatch.setattr(geometry, "_lemma1_slack", stub)
+    r = sweep_lemma1(3 * ndims * SWEEP_BLOCK, dims=range(2, 2 + ndims), seed=0)
+    assert calls == 3 * ndims and r.violations == 0
+    assert peak == workers
+
+
+def test_blocks_are_read_at_most_the_window_ahead(monkeypatch):
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 3)
+    window = 2 * 3
+    lock = threading.Lock()
+    finished = read = lead = 0
+    blocks = geometry.sweep_blocks
+
+    def counted(n, dim, seed):
+        nonlocal read, lead
+        for item in blocks(n, dim, seed):
+            with lock:
+                read += 1
+                lead = max(lead, read - finished)
+            yield item
+
+    def stub(n, dim, rng):
+        nonlocal finished
+        s = _stub_slack(n, dim, rng)
+        with lock:
+            finished += 1
+        return s
+
+    monkeypatch.setattr(geometry, "sweep_blocks", counted)
+    monkeypatch.setattr(geometry, "_lemma1_slack", stub)
+    sweep_lemma1(4 * 5 * SWEEP_BLOCK, dims=(2, 3, 4, 5), seed=0)
+    assert read == 20 and 0 < lead <= window
+
+
+def test_failing_block_propagates_and_stops_the_sweep(monkeypatch):
+    # Dimension 2 has blocks 0..9, read first; block 3 raises.
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
+    window, k = 2 * 2, 3
+    boom = RuntimeError("block 3 failed")
+    started = []
+
+    def stub(n, dim, rng):
+        started.append(rng.bit_generator.seed_seq.spawn_key)
+        if dim == 2 and rng.bit_generator.seed_seq.spawn_key[1] == k:
+            raise boom
+        return _stub_slack(n, dim, rng)
+
+    monkeypatch.setattr(geometry, "_lemma1_slack", stub)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as excinfo:
+        sweep_lemma1(2 * 10 * SWEEP_BLOCK, dims=(2, 3), seed=0)
+    assert excinfo.value is boom
+    assert (2, k) in started
+    assert all(dim == 2 and block < k + window for dim, block in started)
+    # The pool was shut down before the exception left the sweep.
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("name, sweep", ALL_SWEEPS)

@@ -351,6 +351,16 @@ class TestRandomSweep:
         assert stats.re_mean == pytest.approx(re.mean(), rel=1e-13)
         assert stats.min_chain_slack == min(chain1.min(), chain2.min())
 
+    def test_nan_chain_slack_is_a_violation(self, monkeypatch):
+        def nan_chains(rng, n, z):
+            ae, re, chain1, chain2 = _sample_block(rng, n, z)
+            chain1[5] = chain2[5] = chain2[6] = np.nan
+            return ae, re, chain1, chain2
+
+        monkeypatch.setattr(search, "_sample_block", nan_chains)
+        stats = random_cloner_sweep(SearchConfig(z=0.4, seed=3), n=SWEEP_BLOCK + 7)
+        assert (stats.chain1_violations, stats.chain2_violations) == (2, 4)
+
     def test_memory_does_not_grow_with_samples(self):
         def traced_peak(blocks):
             tracemalloc.reset_peak()

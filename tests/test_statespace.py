@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clonebound.statespace import (
+    STACK_PIECE,
     Projector,
     angle,
     apply_projector,
@@ -208,6 +209,20 @@ def test_spectral_norms_match_svd(dim):
         want = np.linalg.svd(a, compute_uv=False)[:, 0]
         np.testing.assert_allclose(spectral_norms(a), want, rtol=1e-13, atol=0)
     assert np.all(spectral_norms(u - u) == 0.0)
+
+
+def test_stacks_give_each_matrix_its_own_result():
+    # A stack longer than STACK_PIECE is taken in pieces; every matrix must
+    # come out as it does alone, bit for bit.
+    rng = np.random.default_rng(12)
+    g = rng.standard_normal((STACK_PIECE + 7, 3, 3)) + 1j * rng.standard_normal(
+        (STACK_PIECE + 7, 3, 3))
+    q = phase_fixed_q(g)
+    np.testing.assert_array_equal(q, np.stack([phase_fixed_q(m) for m in g]))
+    np.testing.assert_array_equal(
+        spectral_norms(g), np.concatenate([spectral_norms(m[None]) for m in g]))
+    d = np.einsum("...ii->...i", np.swapaxes(q.conj(), -1, -2) @ g)
+    assert np.all(d.real > 0) and np.allclose(d.imag, 0, atol=1e-12)
 
 
 def test_basis_state_bounds():
