@@ -99,10 +99,8 @@ from .search import (
     SearchOutcome,
     SweepStats,
     VerifyRecord,
-    make_frame,
     minimize_objective,
     minimize_symmetric_re,
-    parameterize_pair,
     random_cloner_sweep,
     verify_point,
     warm_start_params,

@@ -232,6 +232,10 @@ def _block_rng(seed: int, dim: int, block: int) -> np.random.Generator:
 
 def _split_trials(trials: int, dims) -> list[tuple[int, int]]:
     dims = tuple(dims)
+    # A dimension's blocks are seeded by (dim, block): a repeat would draw
+    # the same samples twice and count them as new trials.
+    if len(set(dims)) != len(dims):
+        raise ValueError(f"dimensions must be distinct, got {dims}")
     base, extra = divmod(trials, len(dims))
     return [(d, base + (1 if i < extra else 0)) for i, d in enumerate(dims)]
 

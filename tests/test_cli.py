@@ -372,6 +372,10 @@ class TestLemmas:
     def test_invalid_dims(self, capsys):
         code, _, err = run(capsys, "lemmas", "--trials", "10", "--dims", "1-3")
         assert code == 1 and ">= 2" in err
+        # A repeated dimension would draw its blocks twice; no sweep prints.
+        code, out, err = run(capsys, "lemmas", "--trials", "8", "--dims", "2,3,2")
+        assert (code, out) == (1, "")
+        assert err == "clonebound lemmas: dimensions must be distinct, got (2, 3, 2)\n"
         # More dimensions than a tuple can hold: an OverflowError, not a size.
         code, _, err = run(capsys, "lemmas", "--trials", "5", "--dims", f"2-{10 ** 30}")
         assert code == 1 and err == (f"clonebound lemmas: --dims range '2-{10 ** 30}' "

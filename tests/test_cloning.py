@@ -18,6 +18,7 @@ from clonebound.cloning import (
     relative_error,
     unitarity_residual,
 )
+from clonebound.search import N_PARAMS
 from clonebound.statespace import (
     basis_state,
     gram_schmidt_residual,
@@ -26,6 +27,7 @@ from clonebound.statespace import (
     random_state,
     tensor,
 )
+from test_search import ambient_pair
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 overlaps = st.floats(min_value=0.0, max_value=1.0)
@@ -176,14 +178,10 @@ class TestInequalityChain:
     @given(seeds)
     @settings(max_examples=50, deadline=None)
     def test_holds_for_random_realizable_pairs(self, seed):
-        from clonebound.search import make_frame, parameterize_pair, params_length
-
         rng = np.random.default_rng(seed)
         z = float(rng.uniform(0.05, 0.95))
         s = TwoStateSet.at_overlap(z)
-        frame = make_frame(s, 4, seed=seed)
-        params = rng.standard_normal(params_length(4))
-        v_phi, v_psi = parameterize_pair(params, z, frame)
+        v_phi, v_psi = ambient_pair(rng.standard_normal(N_PARAMS), z)
         r = analyze_pair(s, v_phi, v_psi, FactorDims(2, 2, 1))
         r1, r2 = inequality_chain(r)
         assert r1.holds and r2.holds

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from scipy.optimize import minimize
 import oracles
 from clonebound import search
 from clonebound.bounds import ae_lower_bound, re_lower_bound
-from clonebound.cloners import build_asymmetric, closed_form_re_s
+from clonebound.cloners import build_asymmetric, closed_form_re_s, plane_frame
 from clonebound.cloning import FactorDims, TwoStateSet, analyze_pair
 from clonebound.geometry import SWEEP_BLOCK
 from clonebound.search import (
+    N_PARAMS,
     SUBSPACE_DIM,
     SearchConfig,
     _coords_from_params,
@@ -20,15 +22,22 @@ from clonebound.search import (
     _run_minimize,
     _sample_block,
     encode_params,
-    make_frame,
     minimize_objective,
     minimize_symmetric_re,
-    parameterize_pair,
-    params_length,
     random_cloner_sweep,
     verify_point,
     warm_start_params,
 )
+from clonebound.statespace import Projector
+
+
+def ambient_pair(params, z):
+    """The pair ``params`` encodes, in the two-qubit output space: frame
+    axes 0 and 1 span the product plane, axes 2 and 3 its complement."""
+    e1, e2 = plane_frame(TwoStateSet.at_overlap(z))
+    frame = np.vstack([e1, e2, Projector.from_span([e1, e2]).complement().basis])
+    c = _coords_from_params(params, z)
+    return c.v @ frame, c.v_psi @ frame
 
 
 def test_config_validation():
@@ -40,55 +49,50 @@ def test_config_validation():
 
 class TestParameterization:
     def test_length(self):
-        # theta, a in C^(m-1), b in C^m
-        assert params_length(4) == 15
-        assert params_length(2) == 7
+        # theta, a in C^3, b in C^4
+        assert N_PARAMS == 15 == warm_start_params(0.0).shape[0]
 
-    @pytest.mark.parametrize("m", [2, 3, 4])
-    def test_outputs_are_unit_with_exact_overlap(self, m):
+    # The frame is orthonormal, so norms and overlaps in frame coordinates
+    # are those of the ambient vectors.
+    def test_outputs_are_unit_with_exact_overlap(self):
         z = 0.37
-        frame = make_frame(TwoStateSet.at_overlap(z), m, seed=5)
         rng = np.random.default_rng(123)
         for _ in range(50):
-            params = rng.standard_normal(params_length(m))
-            v_phi, v_psi = parameterize_pair(params, z, frame)
-            assert np.linalg.norm(v_phi) == pytest.approx(1.0, abs=1e-12)
-            assert np.linalg.norm(v_psi) == pytest.approx(1.0, abs=1e-12)
-            assert abs(np.vdot(v_phi, v_psi) - z) < 1e-12
+            c = _coords_from_params(rng.standard_normal(N_PARAMS), z)
+            assert np.linalg.norm(c.v) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(c.v_psi) == pytest.approx(1.0, abs=1e-12)
+            assert abs(np.vdot(c.v, c.v_psi) - z) < 1e-12
 
     def test_warm_start_reproduces_the_asymmetric_machine(self):
         z = 0.5
         set_ = TwoStateSet.at_overlap(z)
-        frame = make_frame(set_, 4, seed=1)
-        v_phi, v_psi = parameterize_pair(warm_start_params(z, 4), z, frame)
+        v_phi, v_psi = ambient_pair(warm_start_params(0.0), z)
         r = build_asymmetric(set_)
         assert np.max(np.abs(v_phi - r.a_phi.v)) < 1e-10
         assert np.max(np.abs(v_psi - r.a_psi.v)) < 1e-10
 
     def test_degenerate_parameters_rejected(self):
-        frame = make_frame(TwoStateSet.at_overlap(0.5), 3, seed=0)
-        m = 3
-        params = np.zeros(params_length(m))
+        m = SUBSPACE_DIM
+        params = np.zeros(N_PARAMS)
         params[0] = 0.4
-        params[1] = 1.0                 # a = (1, 0): V = (cos 0.4, sin 0.4, 0)
+        params[1] = 1.0                 # a = (1, 0, 0): V = (cos 0.4, sin 0.4, 0, 0)
         with pytest.raises(ValueError, match="degenerate"):
-            parameterize_pair(params, 0.5, frame)       # b = 0
+            _coords_from_params(params, 0.5)        # b = 0
         params[2 * m - 1: 2 * m + 3: 2] = np.cos(0.4), np.sin(0.4)
         with pytest.raises(ValueError, match="degenerate"):
-            parameterize_pair(params, 0.5, frame)       # b parallel to V
+            _coords_from_params(params, 0.5)        # b parallel to V
         params[2 * m - 1:] = 1.0
         params[1:2 * m - 1] = 0.0
         with pytest.raises(ValueError, match="degenerate"):
-            parameterize_pair(params, 0.5, frame)       # a = 0
+            _coords_from_params(params, 0.5)        # a = 0
 
     def test_wrong_length_rejected(self):
-        frame = make_frame(TwoStateSet.at_overlap(0.5), 3, seed=0)
         with pytest.raises(ValueError, match="parameters"):
-            parameterize_pair(np.zeros(5), 0.5, frame)
+            _coords_from_params(np.zeros(5), 0.5)
 
     def test_encode_decode_round_trip(self):
         rng = np.random.default_rng(77)
-        m = 4
+        m = SUBSPACE_DIM
         v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         v[0] = abs(v[0])              # the gauge the parameterization fixes
         v /= np.linalg.norm(v)
@@ -96,38 +100,35 @@ class TestParameterization:
         w -= v * np.vdot(v, w)
         w /= np.linalg.norm(w)
         z = 0.42
-        frame = make_frame(TwoStateSet.at_overlap(z), m, seed=2)
-        v_phi, v_psi = parameterize_pair(encode_params(v, w), z, frame)
-        expect_phi = v @ frame
-        expect_psi = (z * v + np.sqrt(1 - z * z) * w) @ frame
-        assert np.max(np.abs(v_phi - expect_phi)) < 1e-12
-        assert np.max(np.abs(v_psi - expect_psi)) < 1e-12
+        c = _coords_from_params(encode_params(v, w), z)
+        assert np.max(np.abs(c.v - v)) < 1e-12
+        assert np.max(np.abs(c.v_psi - (z * v + np.sqrt(1 - z * z) * w))) < 1e-12
         # A common phase on both targets only rephases the decoded pair.
         phase = np.exp(0.7j)
-        again = parameterize_pair(encode_params(phase * v, phase * w), z, frame)
-        assert np.max(np.abs(again[0] - v_phi)) < 1e-12
-        assert np.max(np.abs(again[1] - v_psi)) < 1e-12
+        again = _coords_from_params(encode_params(phase * v, phase * w), z)
+        assert np.max(np.abs(again.v - c.v)) < 1e-12
+        assert np.max(np.abs(again.v_psi - c.v_psi)) < 1e-12
 
     def test_agrees_with_the_full_analysis_pipeline(self):
         z = 0.61
         set_ = TwoStateSet.at_overlap(z)
-        frame = make_frame(set_, 4, seed=9)
         rng = np.random.default_rng(31)
         cfg = SearchConfig(z=z, seed=31)
         stats = random_cloner_sweep(cfg, n=1)
-        params = rng.standard_normal(params_length(4))
-        v_phi, v_psi = parameterize_pair(params, z, frame)
+        params = rng.standard_normal(N_PARAMS)
+        v_phi, v_psi = ambient_pair(params, z)
         r = analyze_pair(set_, v_phi, v_psi, FactorDims(2, 2, 1))
         # the coordinate shortcut and the ambient analysis agree
-        c = _coords_from_params(params, z, 4)
-        x_phi, x_psi, _, _ = _pair_errors(c.v, c.v_psi, z)
+        c = _coords_from_params(params, z)
+        x_phi, x_psi = _pair_errors(c.v, c.v_psi, z)
         assert r.a_phi.x == pytest.approx(x_phi, abs=1e-12)
         assert r.a_psi.x == pytest.approx(x_psi, abs=1e-12)
         assert stats.trials == 1
 
 
-def _reference_objective(objective, z, m):
+def _reference_objective(objective, z):
     """The search objective's value, computed with ``np.linalg.norm``."""
+    m = SUBSPACE_DIM
     u = np.zeros(m)
     u[0], u[1] = z * z, np.sqrt(1.0 - z ** 4)
 
@@ -141,10 +142,13 @@ def _reference_objective(objective, z, m):
         p = b - v * np.vdot(v, b)
         v_psi = z * v + np.sqrt(1.0 - z * z) * (p / np.linalg.norm(p))
         q_psi = u @ v_psi
-        ae = abs(np.sin(theta)) + np.linalg.norm(v_psi - u * q_psi)
+        x_psi = np.linalg.norm(v_psi - u * q_psi)
+        if objective == "sym":
+            value = np.sin(theta) * np.sin(theta) + x_psi * x_psi
+        else:
+            value = abs(np.sin(theta)) + x_psi
         gauge = (np.linalg.norm(a) ** 2 - 1) ** 2 + (np.linalg.norm(b) ** 2 - 1) ** 2
-        scale = 1.0 if objective == "ae" else 1.0 / np.sqrt(1.0 - z ** 4)
-        return float(scale * ae + 0.25 * gauge)
+        return float(value + 0.25 * gauge)
 
     return fun
 
@@ -156,15 +160,15 @@ class TestBitIdentity:
     ulp of difference can survive a few hashes unnoticed.
     """
 
-    @pytest.mark.parametrize("objective", ["ae", "re"])
+    @pytest.mark.parametrize("objective", ["ae", "sym"])
     @pytest.mark.parametrize("z", [0.1, 0.5, 0.9])
     def test_objective(self, objective, z):
-        fun = _objective_factory(objective, z, 4)
-        ref = _reference_objective(objective, z, 4)
+        fun = _objective_factory(objective, z)
+        ref = _reference_objective(objective, z)
         rng = np.random.default_rng(7)
-        warm = warm_start_params(z, 4)
+        warm = warm_start_params(0.0)
         for scale in np.concatenate([np.logspace(-9, -2, 8).repeat(40), [0.5] * 200]):
-            x = warm + scale * rng.standard_normal(params_length(4))
+            x = warm + scale * rng.standard_normal(N_PARAMS)
             x[0] = abs(x[0])        # inside the box theta >= 0
             assert np.array_equal(fun(x)[0], ref(x)), (x, fun(x)[0], ref(x))
 
@@ -174,14 +178,14 @@ class TestGradient:
     # is negative there and cos theta takes both signs. The "sym" search
     # leaves theta unbounded.
     @pytest.mark.parametrize("theta_offset", [0.0, 10.0])
-    @pytest.mark.parametrize("objective", ["ae", "re", "sym"])
+    @pytest.mark.parametrize("objective", ["ae", "sym"])
     @pytest.mark.parametrize("z", [0.1, 0.5, 0.9])
     def test_matches_central_differences(self, z, objective, theta_offset):
-        fun = _objective_factory(objective, z, 4)
+        fun = _objective_factory(objective, z)
         rng = np.random.default_rng(17)
         h = 1e-6
         for _ in range(20):
-            x = 0.5 * rng.standard_normal(params_length(4))
+            x = 0.5 * rng.standard_normal(N_PARAMS)
             x[0] = theta_offset + rng.uniform(0.05, np.pi / 2 - 0.05)
             _, grad = fun(x)
             numeric = [(fun(x + h * e)[0] - fun(x - h * e)[0]) / (2 * h)
@@ -193,14 +197,14 @@ class TestNonFiniteParameters:
     # 1e150: the norms are finite but the gauge term overflows; 1e200: the
     # squared norms overflow.
     @pytest.mark.parametrize("value", [1e150, 1e200, np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("objective", ["ae", "re", "sym"])
+    @pytest.mark.parametrize("objective", ["ae", "sym"])
     def test_objective_is_infinite(self, value, objective):
-        fun = _objective_factory(objective, 0.5, 4)
-        points = [np.full(params_length(4), value)]
-        for i in (0, 1, params_length(4) - 1):    # theta, a, b one at a time
+        fun = _objective_factory(objective, 0.5)
+        points = [np.full(N_PARAMS, value)]
+        for i in (0, 1, N_PARAMS - 1):      # theta, a, b one at a time
             if np.isfinite(value) and i == 0:
                 continue            # a huge but finite angle is a valid angle
-            points.append(warm_start_params(0.5, 4))
+            points.append(warm_start_params(0.0))
             points[-1][i] = value
         for x in points:
             f, grad = fun(x)
@@ -208,8 +212,8 @@ class TestNonFiniteParameters:
             assert f == np.inf and np.all(np.isfinite(grad)), x
 
     def test_zero_norms_are_infinite(self):
-        fun = _objective_factory("ae", 0.5, 4)
-        assert fun(np.zeros(params_length(4)))[0] == np.inf
+        fun = _objective_factory("ae", 0.5)
+        assert fun(np.zeros(N_PARAMS))[0] == np.inf
 
 
 class TestColdStarts:
@@ -218,7 +222,7 @@ class TestColdStarts:
     @pytest.mark.parametrize("z", [0.1, 0.5, 0.9])
     def test_cold_starts_alone_reach_the_ae_floor(self, z):
         cfg = SearchConfig(z=z, restarts=20, seed=1)
-        best, _, _ = _run_minimize(_objective_factory("ae", z, SUBSPACE_DIM),
+        best, _, _ = _run_minimize(_objective_factory("ae", z),
                                    _cold_starts(cfg), (0.0, np.pi / 2))
         bound = float(ae_lower_bound(z))
         assert bound - 1e-9 <= best < bound + 1e-5
@@ -229,8 +233,8 @@ class TestColdStarts:
         # [0, pi/2], so sin(delta_phi) + sin(delta_psi) >= sin(D - d), with
         # equality at the vertex x_phi = 0, x_psi = sin(D - d).
         out = minimize_objective("ae", SearchConfig(z=z, restarts=20, seed=1))
-        c = _coords_from_params(out.best_params, z, SUBSPACE_DIM)
-        x_phi, x_psi, _, _ = _pair_errors(c.v, c.v_psi, z)
+        c = _coords_from_params(out.best_params, z)
+        x_phi, x_psi = _pair_errors(c.v, c.v_psi, z)
         assert x_phi == 0.0
         assert abs(x_psi - oracles.ae_bound(z)) < 1e-12
 
@@ -246,12 +250,12 @@ class TestColdStarts:
 
         monkeypatch.setattr(search, "minimize", recording)
         cfg = SearchConfig(z=z, restarts=20, seed=1)
-        _run_minimize(_objective_factory("sym", z, SUBSPACE_DIM), _cold_starts(cfg),
+        _run_minimize(_objective_factory("sym", z), _cold_starts(cfg),
                       (None, None))
         assert len(runs) == 20
         for res in runs:
-            c = _coords_from_params(res.x, z, SUBSPACE_DIM)
-            x_phi, x_psi, _, _ = _pair_errors(c.v, c.v_psi, z)
+            c = _coords_from_params(res.x, z)
+            x_phi, x_psi = _pair_errors(c.v, c.v_psi, z)
             re = (x_phi + x_psi) / np.sqrt(1.0 - z ** 4)
             assert res.status == 0 and abs(re - closed_form_re_s(z)) < 1e-8, res
             assert abs(x_phi - x_psi) < 1e-6
@@ -272,10 +276,13 @@ class TestMinimize:
 
     def test_floors_hold_at_high_overlap(self):
         cfg = SearchConfig(z=0.9, restarts=20, seed=3)
-        for objective in ("ae", "re"):
-            out = minimize_objective(objective, cfg)
-            assert out.best_ae >= out.bound_ae - 1e-9
-            assert out.best_re >= out.bound_re - 1e-9
+        out = minimize_objective("ae", cfg)
+        assert out.best_ae >= out.bound_ae - 1e-9
+        assert out.best_re >= out.bound_re - 1e-9
+        # RE = AE / sin D with D fixed by z: both names run the one AE search.
+        same = minimize_objective("re", cfg)
+        for f in fields(out):
+            assert np.array_equal(getattr(same, f.name), getattr(out, f.name)), f.name
 
     def test_deterministic_given_the_seed(self):
         cfg = SearchConfig(z=0.4, restarts=3, seed=11)
@@ -354,12 +361,19 @@ class TestRandomSweep:
     def test_nan_chain_slack_is_a_violation(self, monkeypatch):
         def nan_chains(rng, n, z):
             ae, re, chain1, chain2 = _sample_block(rng, n, z)
+            ae[3] = re[4] = np.nan
             chain1[5] = chain2[5] = chain2[6] = np.nan
             return ae, re, chain1, chain2
 
         monkeypatch.setattr(search, "_sample_block", nan_chains)
         stats = random_cloner_sweep(SearchConfig(z=0.4, seed=3), n=SWEEP_BLOCK + 7)
         assert (stats.chain1_violations, stats.chain2_violations) == (2, 4)
+        # A NaN error is a floor violation, and no summary drops it.
+        assert (stats.floor_violations_ae, stats.floor_violations_re) == (2, 2)
+        assert np.all(np.isnan([stats.ae_min, stats.ae_mean, stats.ae_max,
+                                stats.re_min, stats.re_mean, stats.re_max,
+                                stats.min_chain_slack]))
+        assert verify_point(0.4, restarts=1, seed=3, sweep_trials=7).violations == 2
 
     def test_memory_does_not_grow_with_samples(self):
         def traced_peak(blocks):
