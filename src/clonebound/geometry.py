@@ -198,14 +198,15 @@ def lemma4_saturation_witness(delta: float, dim: int = 2):
 
 
 # ---------------------------------------------------------------------------
-# Seeded random sweeps. Each dimension's share of the trials is drawn in
-# blocks of SWEEP_BLOCK trials, each block from its own generator (see
-# sweep_blocks). Blocks run concurrently on a thread pool with one worker
-# per usable CPU, and no more workers than dimensions: the batched LAPACK
-# calls, einsum and the generator fills release the interpreter lock. A
-# block shares no state with another, and the sweep folds the blocks'
-# minima and counts in block order, so the result does not depend on which
-# block finishes first. A sweep keeps only running summaries and a bounded
+# Seeded random sweeps: the five below and search.random_cloner_sweep.
+# Each dimension's share of the trials is drawn in blocks of SWEEP_BLOCK
+# trials, each block from its own generator (see sweep_blocks). Blocks run
+# concurrently on a thread pool with one worker per usable CPU, and no more
+# workers than dimensions: the batched LAPACK calls, einsum and the
+# generator fills release the interpreter lock. A block shares no state
+# with another, and each sweep folds the blocks' summaries in block order
+# (see _block_summaries), so the result does not depend on which block
+# finishes first. A sweep keeps only running summaries and a bounded
 # window of blocks in flight, so its memory is bounded for any trial count,
 # and (seed, dim, block, index) pins every sample exactly.
 # ---------------------------------------------------------------------------
@@ -295,6 +296,22 @@ def _in_order(fn, items, workers: int):
         pool.shutdown(cancel_futures=True)
 
 
+def _block_summaries(summarize, trials: int, dims, seed: int):
+    """Yield ``summarize(dim, block, rng, size)`` for every block of ``trials``
+    split over ``dims``, in block order.
+
+    A bad split is rejected here; a count beyond the largest array index,
+    when the first summary is asked for.
+    """
+    splits = _split_trials(trials, dims)
+    blocks = ((dim, block, rng, size) for dim, n in splits
+              for block, (rng, size) in enumerate(sweep_blocks(n, dim, seed)))
+    # No more workers than dimensions: a sweep runs at most as many blocks
+    # at once as it has dimensions, so a one-dimension sweep runs its blocks
+    # one at a time and holds what a serial sweep holds.
+    return _in_order(summarize, blocks, min(_usable_cpus(), len(splits)))
+
+
 def _sweep(name: str, slack, trials: int, dims, seed: int, tol: float) -> SweepResult:
     """Run ``slack(n, dim, rng)`` (rhs - lhs per trial) over every block."""
 
@@ -304,15 +321,8 @@ def _sweep(name: str, slack, trials: int, dims, seed: int, tol: float) -> SweepR
         return float(s[index]), (dim, block, size, index), int(
             np.count_nonzero(~(s >= -tol)))
 
-    splits = _split_trials(trials, dims)
-    blocks = ((dim, block, rng, size) for dim, n in splits
-              for block, (rng, size) in enumerate(sweep_blocks(n, dim, seed)))
-    # No more workers than dimensions: a sweep runs at most as many blocks
-    # at once as it has dimensions, so a one-dimension sweep runs its blocks
-    # one at a time and holds what the serial sweep held.
-    workers = min(_usable_cpus(), len(splits))
     min_slack, closest, violations = np.inf, None, 0
-    for low, address, bad in _in_order(run, blocks, workers):
+    for low, address, bad in _block_summaries(run, trials, dims, seed):
         violations += bad
         # Strictly lower, so the earliest block wins a tie; a NaN beats any number.
         if closest is None or low < min_slack or np.isnan(low) > np.isnan(min_slack):

@@ -30,7 +30,9 @@ Three entry points:
   delta_phi + delta_psi >= D - d, and sin^2 a + sin^2 b = 1 - cos(a+b) cos(a-b),
   so its only minimizer is delta_phi = delta_psi = (D - d)/2, the symmetric machine.
 * :func:`random_cloner_sweep` samples realizable pairs uniformly and
-  checks the floors and the two chain inequalities on every sample.
+  checks the floors and the two chain inequalities on every sample. It
+  draws its blocks with the block engine the ``lemmas`` sweeps use in
+  :mod:`clonebound.geometry`, and folds their summaries in block order.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from scipy.optimize import minimize
 from .bounds import ae_lower_bound, re_lower_bound
 from .cloners import closed_form_re_s
 from .cloning import DEGENERATE_TOL
-from .geometry import _batch_angle, sweep_blocks
+from .geometry import _batch_angle, _block_summaries
 
 FLOOR_TOL = 1e-9
 CHAIN_TOL = 1e-10
@@ -365,30 +367,6 @@ class SweepStats:
         return self.floor_violations_ae + self.floor_violations_re
 
 
-@dataclass
-class _Running:
-    """Running minimum, maximum, sum and count of the values added."""
-
-    lo: float = np.inf
-    hi: float = -np.inf
-    total: float = 0.0
-    count: int = 0
-
-    def add(self, x: np.ndarray) -> None:
-        if x.size:
-            # np.minimum and np.maximum keep a NaN; min and max drop it.
-            self.lo = float(np.minimum(self.lo, x.min()))
-            self.hi = float(np.maximum(self.hi, x.max()))
-            self.total += float(x.sum())
-            self.count += x.size
-
-    def min_mean_max(self) -> tuple[float, float, float]:
-        """(min, mean, max), all NaN when nothing was added."""
-        if not self.count:
-            return np.nan, np.nan, np.nan
-        return self.lo, self.total / self.count, self.hi
-
-
 def _sample_block(rng: np.random.Generator, n: int, z: float):
     """(ae, re, chain1, chain2) of ``n`` uniform realizable pairs at overlap z.
 
@@ -428,46 +406,52 @@ def random_cloner_sweep(cfg: SearchConfig, n: int = 10_000) -> SweepStats:
 
     Sampling is Gaussian-then-normalize inside the subspace for V_phi and
     for the orthogonal direction W, so the constraint <V_phi|V_psi> = z
-    holds exactly on every sample. Pairs are drawn in blocks as the
-    geometry sweeps draw theirs, in dimension SUBSPACE_DIM, and only
-    running summaries are kept.
+    holds exactly on every sample. Pairs are drawn by the geometry sweeps'
+    block engine, in the one dimension SUBSPACE_DIM and so on one worker;
+    each block is reduced to its minima, maxima, sums and counts, and these
+    are folded in block order.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     bound_ae = float(ae_lower_bound(cfg.z))
     bound_re = float(re_lower_bound(cfg.z))
-    ae_run, re_run = _Running(), _Running()
-    min_chain_slack = np.inf
-    floor_ae = floor_re = chain1_bad = chain2_bad = 0
-    for rng, size in sweep_blocks(n, SUBSPACE_DIM, cfg.seed):
-        ae, re, chain1, chain2 = _sample_block(rng, size, cfg.z)
-        ae_run.add(ae)
-        re_run.add(re)
-        min_chain_slack = float(np.min([min_chain_slack, chain1.min(), chain2.min()]))
-        # A NaN error or slack fails its comparison and counts as a violation.
-        floor_ae += int(np.count_nonzero(~(ae >= bound_ae - FLOOR_TOL)))
-        floor_re += int(np.count_nonzero(~(re >= bound_re - FLOOR_TOL)))
-        chain1_bad += int(np.count_nonzero(~(chain1 >= -CHAIN_TOL)))
-        chain2_bad += int(np.count_nonzero(~(chain2 >= -CHAIN_TOL)))
 
-    ae_min, ae_mean, ae_max = ae_run.min_mean_max()
-    re_min, re_mean, re_max = re_run.min_mean_max()
+    def summarize(dim, block, rng, size):
+        ae, re, chain1, chain2 = _sample_block(rng, size, cfg.z)
+        # An empty re has extremes inf and -inf and sum 0.0: it changes no fold.
+        lo = [ae.min(), re.min(initial=np.inf), np.min([chain1.min(), chain2.min()])]
+        hi = [ae.max(), re.max(initial=-np.inf)]
+        # A NaN error or slack fails its comparison and counts as a violation.
+        bad = [np.count_nonzero(~(x >= least)) for x, least in (
+            (ae, bound_ae - FLOOR_TOL), (re, bound_re - FLOOR_TOL),
+            (chain1, -CHAIN_TOL), (chain2, -CHAIN_TOL))]
+        return lo, hi, [float(ae.sum()), float(re.sum())], [re.size] + bad
+
+    # np.minimum and np.maximum keep a NaN; min and max drop it.
+    lo, hi, total, count = np.inf, -np.inf, 0.0, 0
+    for b_lo, b_hi, b_total, b_count in _block_summaries(
+            summarize, n, (SUBSPACE_DIM,), cfg.seed):
+        lo, hi = np.minimum(lo, b_lo), np.maximum(hi, b_hi)
+        total, count = np.add(total, b_total), np.add(count, b_count)
+    ae_min, re_min, min_chain_slack = map(float, lo)
+    ae_max, re_max = map(float, hi)
+    defined, floor_ae, floor_re, chain1_bad, chain2_bad = map(int, count)
     return SweepStats(
         z=cfg.z,
         trials=n,
         seed=cfg.seed,
         ae_min=ae_min,
-        ae_mean=ae_mean,
+        ae_mean=float(total[0]) / n,
         ae_max=ae_max,
-        re_min=re_min,
-        re_mean=re_mean,
-        re_max=re_max,
+        re_min=re_min if defined else np.nan,
+        re_mean=float(total[1]) / defined if defined else np.nan,
+        re_max=re_max if defined else np.nan,
         floor_violations_ae=floor_ae,
         floor_violations_re=floor_re,
         chain1_violations=chain1_bad,
         chain2_violations=chain2_bad,
         min_chain_slack=min_chain_slack,
-        undefined_re=n - re_run.count,
+        undefined_re=n - defined,
     )
 
 
@@ -488,14 +472,12 @@ class VerifyRecord:
 
     def as_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["sweep"] = {
-            "trials": self.sweep.trials,
-            "ae_min": self.sweep.ae_min,
-            "ae_mean": self.sweep.ae_mean,
-            "ae_max": self.sweep.ae_max,
-            "re_min": self.sweep.re_min,
-            "re_mean": self.sweep.re_mean,
-            "re_max": self.sweep.re_max,
+        d["sweep"] = {"trials": self.sweep.trials}
+        for name in ("ae_min", "ae_mean", "ae_max", "re_min", "re_mean", "re_max"):
+            value = getattr(self.sweep, name)
+            # JSON has no NaN: a non-finite summary is written as null.
+            d["sweep"][name] = value if np.isfinite(value) else None
+        d["sweep"] |= {
             "floor_violations": self.sweep.floor_violations,
             "chain_violations": self.sweep.chain1_violations
             + self.sweep.chain2_violations,

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import clonebound
 import oracles
 from clonebound.bounds import ae_lower_bound, hb_bound, re_lower_bound, sample_curve
-from clonebound.cli import WRITE_BLOCK, _dump_json, main
+from clonebound import search
+from clonebound.cli import ATTAINMENT_TOL, WRITE_BLOCK, _dump_json, main
 from test_bounds import _table_csv_reference
 
 
@@ -422,6 +423,46 @@ class TestVerify:
     def test_unparsable_z(self, capsys):
         code, _, err = run(capsys, "verify", "--z", "0.5,oops")
         assert code == 1 and "parse" in err
+
+    def test_nan_sweep_exits_three_with_strict_json(self, tmp_path, capsys, monkeypatch):
+        sample = search._sample_block
+
+        def nan_ae(rng, n, z):
+            ae, re, chain1, chain2 = sample(rng, n, z)
+            ae[3] = np.nan
+            return ae, re, chain1, chain2
+
+        monkeypatch.setattr(search, "_sample_block", nan_ae)
+        out_file = tmp_path / "verify.json"
+        code, _, err = run(capsys, "verify", "--z", "0.4", "--restarts", "1",
+                           "--sweep-trials", "50", "--seed", "3", "--out", str(out_file))
+        assert code == 3 and err == "clonebound verify: 1 floor violations\n"
+        report = json.loads(out_file.read_text(), parse_constant=_reject_non_finite)
+        sweep = report["points"][0]["sweep"]
+        assert sweep["ae_min"] is sweep["ae_mean"] is sweep["ae_max"] is None
+        assert sweep["floor_violations"] == 1 and sweep["re_min"] is not None
+
+    # The two planted floor defects of the verdict table: a floor raised
+    # past what the search reaches is a violation (exit 3); one lowered far
+    # below it is an attainment failure (exit 4).
+    VERIFY_ARGS = ("verify", "--z", "0.1,0.5,0.9", "--restarts", "20", "--seed", "1")
+
+    def test_raised_ae_floor_exits_three(self, capsys, monkeypatch):
+        floor = search.ae_lower_bound
+        monkeypatch.setattr(search, "ae_lower_bound", lambda z: floor(z) + 1e-8)
+        code, out, err = run(capsys, *self.VERIFY_ARGS)
+        violations = json.loads(out)["violations"]
+        assert code == 3 and violations > 0
+        assert err == f"clonebound verify: {violations} floor violations\n"
+
+    def test_lowered_ae_floor_exits_four(self, capsys, monkeypatch):
+        floor = search.ae_lower_bound
+        monkeypatch.setattr(search, "ae_lower_bound", lambda z: floor(z) - 1e-4)
+        code, out, err = run(capsys, *self.VERIFY_ARGS)
+        report = json.loads(out)
+        assert code == 4 and report["violations"] == 0
+        assert err == (f"clonebound verify: attainment gap "
+                       f"{report['max_attainment_gap']:.3e} exceeds {ATTAINMENT_TOL}\n")
 
 
 class TestSeedsAndDeterminism:

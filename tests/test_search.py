@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 from dataclasses import fields
 
@@ -357,6 +358,26 @@ class TestRandomSweep:
         assert stats.ae_mean == pytest.approx(ae.mean(), rel=1e-13)
         assert stats.re_mean == pytest.approx(re.mean(), rel=1e-13)
         assert stats.min_chain_slack == min(chain1.min(), chain2.min())
+        # Bit for bit, the mean is the block sums added in block order.
+        for mean, k in ((stats.ae_mean, 0), (stats.re_mean, 1)):
+            blocks = [values[k] for _, values in drawn]
+            assert mean == sum(float(b.sum()) for b in blocks) / sum(b.size for b in blocks)
+
+    def test_failing_block_propagates_and_stops_the_sweep(self, monkeypatch):
+        boom = RuntimeError("block 1 failed")
+
+        def failing(rng, n, z):
+            if rng.bit_generator.seed_seq.spawn_key == (SUBSPACE_DIM, 1):
+                raise boom
+            return _sample_block(rng, n, z)
+
+        monkeypatch.setattr(search, "_sample_block", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as excinfo:
+            random_cloner_sweep(SearchConfig(z=0.4, seed=3), n=3 * SWEEP_BLOCK)
+        assert excinfo.value is boom
+        # The pool was shut down before the exception left the sweep.
+        assert threading.active_count() == threads
 
     def test_nan_chain_slack_is_a_violation(self, monkeypatch):
         def nan_chains(rng, n, z):
