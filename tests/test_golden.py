@@ -1,10 +1,12 @@
-"""Golden corpus: the stdout of seeded commands, pinned byte for byte.
+"""Golden corpus: the outputs of seeded commands, pinned byte for byte.
 
-Each text file in ``golden/`` is one command's stdout with the manifest
-timestamp blanked. ``golden/fingerprint.json`` records the numpy version
-and the SIMD targets numpy dispatches to on the host that wrote the
-corpus: numpy picks its ``arccos`` and ``sin`` kernels by CPU, and
-L-BFGS-B amplifies last-bit differences. Where the fingerprint matches,
+Each text file in ``golden/`` is one command's stdout, and each file in a
+subdirectory ``golden/<name>/`` one file that a command wrote to its
+``--out`` directory; the manifest timestamp is blanked in all of them.
+``golden/fingerprint.json`` records the numpy and OpenBLAS versions and
+the SIMD targets numpy dispatches to on the host that wrote the corpus:
+numpy picks its ``arccos`` and ``sin`` kernels by CPU, and L-BFGS-B
+amplifies last-bit differences. Where the fingerprint matches,
 the comparison is exact; elsewhere integers and text must match exactly
 and floats to a relative ``FLOAT_REL``.
 
@@ -19,6 +21,7 @@ import io
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +34,15 @@ GOLDEN = Path(__file__).with_name("golden")
 COMMANDS = {
     "verify.json": ["verify", "--z", "0.1,0.5,0.9", "--restarts", "20", "--seed", "1"],
     "lemmas.txt": ["lemmas", "--trials", "20000", "--seed", "3"],
+    **{f"cloner-{kind}.json": ["cloner", kind, "--z", "0.5", "--seed", "0"]
+       for kind in ("sym", "asym", "wz")},
+}
+#: Commands whose files in ``--out`` are pinned, each in ``golden/<name>/``.
+FILE_COMMANDS = {
+    "bounds-csv": ["bounds", "--steps", "201", "--seed", "0"],
+    "bounds-json": ["bounds", "--steps", "201", "--format", "json", "--seed", "0"],
+    "bounds-range": ["bounds", "--z-min", "0.2", "--z-max", "0.7", "--steps", "33",
+                     "--format", "json", "--seed", "0"],
 }
 FLOAT_REL = 1e-12
 # Split on numbers, kept: text sits at even indices, numbers at odd ones.
@@ -38,10 +50,13 @@ _NUMBERS = re.compile(r"(-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)")
 
 
 def fingerprint() -> dict:
-    """numpy's version and the SIMD targets it is built for and dispatches to."""
-    simd = np.show_config(mode="dicts")["SIMD Extensions"]
-    return {"numpy": np.__version__, "cpu_baseline": simd["baseline"],
-            "cpu_dispatch": simd["found"]}
+    """numpy's and its BLAS's versions, and the SIMD targets numpy is built
+    for and dispatches to."""
+    config = np.show_config(mode="dicts")
+    simd = config["SIMD Extensions"]
+    return {"numpy": np.__version__,
+            "blas": config["Build Dependencies"]["blas"]["version"],
+            "cpu_baseline": simd["baseline"], "cpu_dispatch": simd["found"]}
 
 
 def stdout_of(argv) -> str:
@@ -51,6 +66,15 @@ def stdout_of(argv) -> str:
         code = main(list(argv))
     assert code == 0, (argv, code)
     return strip_timestamp(out.getvalue())
+
+
+def files_of(argv) -> dict[str, str]:
+    """The files ``argv`` writes to a fresh ``--out`` directory, by name,
+    with the timestamp blanked; the command must exit 0."""
+    with tempfile.TemporaryDirectory() as out:
+        stdout_of([*argv, "--out", out])
+        return {p.name: strip_timestamp(p.read_text(encoding="utf-8"))
+                for p in sorted(Path(out).iterdir())}
 
 
 def tolerant_mismatches(want: str, got: str) -> list[str]:
@@ -69,10 +93,10 @@ def tolerant_mismatches(want: str, got: str) -> list[str]:
     return bad
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_output_matches_the_golden_corpus(name):
-    want = (GOLDEN / name).read_text()
-    got = stdout_of(COMMANDS[name])
+def assert_matches_golden(name: str, got: str) -> None:
+    """``got`` against ``golden/<name>``: exactly where the fingerprint
+    matches, else with ``tolerant_mismatches``."""
+    want = (GOLDEN / name).read_text(encoding="utf-8")
     recorded, here = json.loads((GOLDEN / "fingerprint.json").read_text()), fingerprint()
     if recorded == here:
         assert got == want, f"exact comparison (fingerprint {here} matches): {name}"
@@ -80,6 +104,19 @@ def test_output_matches_the_golden_corpus(name):
         bad = tolerant_mismatches(want, got)
         assert not bad, (f"tolerant comparison, floats to rel {FLOAT_REL} (fingerprint "
                          f"{here} differs from the corpus's {recorded}): {name}: {bad}")
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_output_matches_the_golden_corpus(name):
+    assert_matches_golden(name, stdout_of(COMMANDS[name]))
+
+
+@pytest.mark.parametrize("name", sorted(FILE_COMMANDS))
+def test_files_match_the_golden_corpus(name):
+    files = files_of(FILE_COMMANDS[name])
+    assert sorted(files) == sorted(p.name for p in (GOLDEN / name).iterdir())
+    for file, text in files.items():
+        assert_matches_golden(f"{name}/{file}", text)
 
 
 def test_tolerant_comparison_bounds_floats_only():
@@ -94,7 +131,11 @@ def regenerate() -> None:
     """Rewrite every golden file and the fingerprint from this checkout."""
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in COMMANDS.items():
-        (GOLDEN / name).write_text(stdout_of(argv))
+        (GOLDEN / name).write_text(stdout_of(argv), encoding="utf-8")
+    for name, argv in FILE_COMMANDS.items():
+        (GOLDEN / name).mkdir(exist_ok=True)
+        for file, text in files_of(argv).items():
+            (GOLDEN / name / file).write_text(text, encoding="utf-8")
     (GOLDEN / "fingerprint.json").write_text(json.dumps(fingerprint(), indent=2) + "\n")
 
 
