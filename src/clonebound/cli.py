@@ -106,11 +106,12 @@ def _resolve_tol(args) -> float:
 
 
 def _json_pieces(payload: dict):
-    """The text of ``json.dumps(payload, indent=2) + "\\n"`` in pieces.
+    """The text of ``json.dumps(payload, indent=2) + "\\n"`` in pieces, where
+    a top-level value may also be a 1-D numpy array, written as its list.
 
-    ``indent`` selects json's pure-Python encoder, so a top-level list made
-    only of floats is written by the C encoder with indented separators
-    instead, ``WRITE_BLOCK`` elements per piece. Keys must be strings."""
+    ``indent`` selects json's pure-Python encoder, so an array is written by
+    the C encoder with indented separators instead, from ``.tolist()`` of
+    ``WRITE_BLOCK`` elements per piece. Keys must be strings."""
     if not payload:
         yield "{}\n"
         return
@@ -118,21 +119,18 @@ def _json_pieces(payload: dict):
     for key, value in payload.items():
         yield f"{opening}  {json.dumps(key)}: "
         opening = ",\n"
-        if isinstance(value, list) and set(map(type, value)) == {float}:
+        if not isinstance(value, np.ndarray):
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+        elif not len(value):
+            yield "[]"
+        else:
             yield "[\n    "
             for start in range(0, len(value), WRITE_BLOCK):
-                block = json.dumps(value[start:start + WRITE_BLOCK],
+                block = json.dumps(value[start:start + WRITE_BLOCK].tolist(),
                                    separators=(",\n    ", ": "))
                 yield (",\n    " if start else "") + block[1:-1]
             yield "\n  ]"
-        else:
-            yield json.dumps(value, indent=2).replace("\n", "\n  ")
     yield "\n}\n"
-
-
-def _dump_json(payload: dict) -> str:
-    """Exactly ``json.dumps(payload, indent=2) + "\\n"``: see ``_json_pieces``."""
-    return "".join(_json_pieces(payload))
 
 
 def _csv_pieces(header, columns):
@@ -156,12 +154,13 @@ def _write_text(path: Path, pieces) -> None:
         raise
 
 
-def _emit(text: str, out) -> None:
-    """Write a report to the file ``out``, or to stdout when it is None."""
+def _emit(report: dict, out) -> None:
+    """Write ``report`` as JSON (``_json_pieces``) to the file ``out``, or to
+    stdout when it is None."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_json_pieces(report))
     else:
-        _write_text(Path(out), [text])
+        _write_text(Path(out), _json_pieces(report))
 
 
 def build_parser() -> _Parser:
@@ -229,10 +228,9 @@ def cmd_bounds(args) -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # table_csv and to_json_dict are looked up at call time, so a wrapper
-    # installed on the module or class (the tracer in bench/spans.py) sees
-    # every call. fig1 is written before fig2's lists are built, so one
-    # figure's lists at most are alive.
+    # table_csv is looked up at call time, so a wrapper installed on the
+    # module (the tracer in bench/spans.py) sees every call. Both formats
+    # stream from the sampled arrays, WRITE_BLOCK rows or elements at a time.
     if args.format == "csv":
         written = ["fig1.csv", "fig2.csv", "run.manifest.json"]
         _write_text(out_dir / "fig1.csv", _csv_pieces(
@@ -244,17 +242,12 @@ def cmd_bounds(args) -> int:
             {"artifacts": written[:2], "manifest": manifest}))
     else:
         written = ["fig1.json", "fig2.json"]
-        fig1 = curve_re.to_json_dict()
-        fig1["manifest"] = manifest
-        _write_text(out_dir / "fig1.json", _json_pieces(fig1))
-        del fig1
+        _write_text(out_dir / "fig1.json", _json_pieces({
+            "name": curve_re.name, "z": curve_re.grid,
+            "values": curve_re.values, "manifest": manifest}))
         _write_text(out_dir / "fig2.json", _json_pieces({
-            "name": "fig2",
-            "z": curve_ae.grid.tolist(),
-            "ae_bound": curve_ae.values.tolist(),
-            "hb_bound": curve_hb.values.tolist(),
-            "manifest": manifest,
-        }))
+            "name": "fig2", "z": curve_ae.grid, "ae_bound": curve_ae.values,
+            "hb_bound": curve_hb.values, "manifest": manifest}))
     print(f"wrote {', '.join(written)} to {out_dir}")
     return EXIT_OK
 
@@ -366,7 +359,7 @@ def cmd_cloner(args) -> int:
         "unitarity_residual": unitarity_residual(result),
         "manifest": manifest,
     }
-    _emit(_dump_json(report), args.out)
+    _emit(report, args.out)
     return EXIT_OK
 
 
@@ -439,7 +432,7 @@ def cmd_verify(args) -> int:
         "max_attainment_gap": max_gap,
         "manifest": manifest,
     }
-    _emit(_dump_json(report), args.out)
+    _emit(report, args.out)
     if total_violations:
         print(f"clonebound verify: {total_violations} floor violations",
               file=sys.stderr)
