@@ -15,6 +15,10 @@ that hammer every check over dimensions 2..8:
 A corollary of (4): if two unitaries satisfy ||U - V|| <= eps in spectral
 norm, any outcome probability after U differs from the one after V by at
 most eps*sqrt(1 - eps^2/4) (see :func:`gate_bound`).
+
+Each inequality is written once (``_lemma1`` .. ``_gate_approx``): a check
+evaluates it on a stack of one sample, a sweep on the stacks that its draw
+makes (``_SWEEPS``).
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import numpy as np
 
 from .statespace import (
     Projector,
-    angle,
     as_state,
     check_unit,
     check_unitary,
@@ -83,10 +86,54 @@ class SweepResult:
         return self.violations == 0
 
 
+# ---------------------------------------------------------------------------
+# The inequalities, each written once: a function of stacks of samples (one
+# trial per row; probs[:, j] is an outcome's probability in state j) that
+# returns the (lhs, rhs) arrays of lhs <= rhs. A check validates its sample
+# and evaluates its inequality on a stack of one.
+# ---------------------------------------------------------------------------
+
+def _batch_angle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    ov = np.abs(np.einsum("bi,bi->b", x.conj(), y))
+    return np.arccos(np.minimum(ov, 1.0))
+
+
+def _lemma1(phi, ups, psi):
+    return np.cos(_batch_angle(phi, psi)), np.cos(
+        _batch_angle(phi, ups) - _batch_angle(ups, psi))
+
+
+def _lemma2(phi, ups, psi):
+    return _batch_angle(phi, ups), _batch_angle(phi, psi) + _batch_angle(ups, psi)
+
+
+def _lemma3(theta, phi, psi):
+    lhs = np.abs(np.abs(np.einsum("bi,bi->b", theta.conj(), phi)) ** 2
+                 - np.abs(np.einsum("bi,bi->b", theta.conj(), psi)) ** 2)
+    return lhs, np.sin(_batch_angle(phi, psi))
+
+
+def _lemma4(phi, psi, probs):
+    return np.abs(probs[:, 0] - probs[:, 1]), np.sin(_batch_angle(phi, psi))
+
+
+def _gate_approx(diff, probs):  # diff = U - V; the states are U sigma, V sigma
+    eps = np.minimum(spectral_norms(diff), 2.0)
+    return np.abs(probs[:, 0] - probs[:, 1]), _gate_bound(eps)
+
+
+def _gate_bound(eps):
+    # No range check: a NaN eps in a sweep must stay a violation.
+    return eps * np.sqrt(1.0 - eps * eps / 4.0)
+
+
+def _report(inequality, tol: float, *sample) -> InequalityReport:
+    lhs, rhs = inequality(*(np.asarray(x)[None] for x in sample))
+    return InequalityReport.compare(float(lhs[0]), float(rhs[0]), tol)
+
+
 def _triple_angles(a, b, c):
-    a = check_unit(as_state(a))
-    b = check_unit(as_state(b))
-    c = check_unit(as_state(c))
+    a, b, c = (check_unit(as_state(x)) for x in (a, b, c))
     if not a.shape == b.shape == c.shape:
         raise ValueError("all three states must share one dimension")
     return a, b, c
@@ -94,33 +141,23 @@ def _triple_angles(a, b, c):
 
 def lemma1_check(phi, ups, psi, tol: float = DEFAULT_SWEEP_TOL) -> InequalityReport:
     """cos(angle(phi, psi)) <= cos(angle(phi, ups) - angle(ups, psi))."""
-    phi, ups, psi = _triple_angles(phi, ups, psi)
-    lhs = np.cos(angle(phi, psi))
-    rhs = np.cos(angle(phi, ups) - angle(ups, psi))
-    return InequalityReport.compare(float(lhs), float(rhs), tol)
+    return _report(_lemma1, tol, *_triple_angles(phi, ups, psi))
 
 
 def lemma2_defect(phi, ups, psi, tol: float = DEFAULT_SWEEP_TOL) -> InequalityReport:
     """Spherical triangle inequality: angle(phi, ups) <= angle(phi, psi) + angle(ups, psi)."""
-    phi, ups, psi = _triple_angles(phi, ups, psi)
-    lhs = angle(phi, ups)
-    rhs = angle(phi, psi) + angle(ups, psi)
-    return InequalityReport.compare(lhs, rhs, tol)
+    return _report(_lemma2, tol, *_triple_angles(phi, ups, psi))
 
 
 def lemma3_check(theta, phi, psi, tol: float = DEFAULT_SWEEP_TOL) -> InequalityReport:
     """| |<theta|phi>|^2 - |<theta|psi>|^2 | <= sin(angle(phi, psi))."""
-    theta, phi, psi = _triple_angles(theta, phi, psi)
-    lhs = abs(abs(np.vdot(theta, phi)) ** 2 - abs(np.vdot(theta, psi)) ** 2)
-    rhs = np.sin(angle(phi, psi))
-    return InequalityReport.compare(float(lhs), float(rhs), tol)
+    return _report(_lemma3, tol, *_triple_angles(theta, phi, psi))
 
 
 def lemma4_check(p: Projector, phi, psi, tol: float = DEFAULT_SWEEP_TOL) -> InequalityReport:
     """|<phi|P|phi> - <psi|P|psi>| <= sin(angle(phi, psi))."""
-    lhs = abs(measure_prob(p, phi) - measure_prob(p, psi))
-    rhs = np.sin(angle(phi, psi))
-    return InequalityReport.compare(float(lhs), float(rhs), tol)
+    probs = [measure_prob(p, phi), measure_prob(p, psi)]  # validates both states
+    return _report(_lemma4, tol, as_state(phi), as_state(psi), probs)
 
 
 def gate_bound(epsilon: float) -> float:
@@ -131,7 +168,7 @@ def gate_bound(epsilon: float) -> float:
     """
     if not 0.0 <= epsilon <= 2.0:
         raise ValueError(f"epsilon must be in [0, 2], got {epsilon!r}")
-    return float(epsilon * np.sqrt(1.0 - epsilon * epsilon / 4.0))
+    return float(_gate_bound(epsilon))
 
 
 def gate_approx_check(u, v, sigma, p: Projector, tol: float = DEFAULT_SWEEP_TOL) -> InequalityReport:
@@ -141,15 +178,12 @@ def gate_approx_check(u, v, sigma, p: Projector, tol: float = DEFAULT_SWEEP_TOL)
 
         |P(R | u sigma) - P(R | v sigma)| <= gate_bound(min(eps, 2)).
     """
-    u = check_unitary(u)
-    v = check_unitary(v)
+    u, v = check_unitary(u), check_unitary(v)
     sigma = check_unit(as_state(sigma))
     if u.shape != v.shape or u.shape[1] != sigma.shape[0]:
         raise ValueError("unitaries and state must share one dimension")
-    eps = float(spectral_norms((u - v)[None])[0])
-    lhs = abs(measure_prob(p, u @ sigma) - measure_prob(p, v @ sigma))
-    rhs = gate_bound(min(eps, 2.0))
-    return InequalityReport.compare(lhs, rhs, tol)
+    probs = [measure_prob(p, u @ sigma), measure_prob(p, v @ sigma)]
+    return _report(_gate_approx, tol, u - v, probs)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +232,7 @@ def lemma4_saturation_witness(delta: float, dim: int = 2):
 
 
 # ---------------------------------------------------------------------------
-# Seeded random sweeps: the five below and search.random_cloner_sweep.
+# Seeded random sweeps: the five of _SWEEPS and search.random_cloner_sweep.
 # Each dimension's share of the trials is drawn in blocks of SWEEP_BLOCK
 # trials, each block from its own generator (see sweep_blocks). Blocks run
 # concurrently on a thread pool with one worker per usable CPU, and no more
@@ -233,17 +267,16 @@ def _block_rng(seed: int, dim: int, block: int) -> np.random.Generator:
 
 def _split_trials(trials: int, dims) -> list[tuple[int, int]]:
     dims = tuple(dims)
+    if trials < 0:
+        raise ValueError(f"trial count must be >= 0, got {trials}")
+    if not dims or min(dims) < 2:
+        raise ValueError(f"need one or more dimensions, all >= 2, got {dims}")
     # A dimension's blocks are seeded by (dim, block): a repeat would draw
     # the same samples twice and count them as new trials.
     if len(set(dims)) != len(dims):
         raise ValueError(f"dimensions must be distinct, got {dims}")
     base, extra = divmod(trials, len(dims))
     return [(d, base + (1 if i < extra else 0)) for i, d in enumerate(dims)]
-
-
-def _batch_angle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    ov = np.abs(np.einsum("bi,bi->b", x.conj(), y))
-    return np.arccos(np.minimum(ov, 1.0))
 
 
 def _random_projector_probs(states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -312,11 +345,63 @@ def _block_summaries(summarize, trials: int, dims, seed: int):
     return _in_order(summarize, blocks, min(_usable_cpus(), len(splits)))
 
 
-def _sweep(name: str, slack, trials: int, dims, seed: int, tol: float) -> SweepResult:
-    """Run ``slack(n, dim, rng)`` (rhs - lhs per trial) over every block."""
+def _draw_triples(n, dim, rng):
+    t = random_states(3 * n, dim, rng).reshape(n, 3, dim)
+    return t[:, 0], t[:, 1], t[:, 2]
 
+
+def _draw_lemma4(n, dim, rng):
+    pair = random_states(2 * n, dim, rng).reshape(n, 2, dim)
+    return pair[:, 0], pair[:, 1], _random_projector_probs(pair, rng)
+
+
+def _draw_gate_approx(n, dim, rng):
+    """Random (U - V, outcome probabilities) trials of the gate bound.
+
+    V is the QR re-orthonormalization of U + eta*G with the Gaussian
+    direction G scaled to unit spectral norm and eta uniform in
+    [0, GATE_MAX_PERTURBATION], which keeps eps = ||U - V|| well inside the
+    bound's valid range eps <= sqrt(2).
+    """
+    gu = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    u = phase_fixed_q(gu)
+    del gu
+    g = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    g /= spectral_norms(g)[:, None, None]
+    eta = rng.uniform(0.0, GATE_MAX_PERTURBATION, size=n)
+    g *= eta[:, None, None]
+    g += u
+    v = phase_fixed_q(g)  # of u + eta * g, built in place
+    del g
+    sigma = random_states(n, dim, rng)
+    out = np.stack([np.einsum("bij,bj->bi", u, sigma),
+                    np.einsum("bij,bj->bi", v, sigma)], axis=1)
+    u -= v  # only u - v is needed from here on
+    del v
+    return u, _random_projector_probs(out, rng)
+
+
+#: name -> (draw, inequality) of each sweep, in ``lemmas`` print order. A
+#: draw ``(n, dim, rng)`` returns the ``n``-sample stacks its inequality takes.
+_SWEEPS = {
+    "lemma1": (_draw_triples, _lemma1),
+    "lemma2": (_draw_triples, _lemma2),
+    "lemma3": (_draw_triples, _lemma3),
+    "lemma4": (_draw_lemma4, _lemma4),
+    "gate_approx": (_draw_gate_approx, _gate_approx),
+}
+
+
+def _slack(name: str, n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """rhs - lhs of sweep ``name`` on ``n`` samples drawn from ``rng``."""
+    draw, inequality = _SWEEPS[name]
+    lhs, rhs = inequality(*draw(n, dim, rng))
+    return rhs - lhs
+
+
+def _sweep(name: str, trials: int, dims, seed: int, tol: float) -> SweepResult:
     def run(dim, block, rng, size):
-        s = slack(size, dim, rng)
+        s = _slack(name, size, dim, rng)
         index = int(np.argmin(s))  # the first NaN, if there is one
         return float(s[index]), (dim, block, size, index), int(
             np.count_nonzero(~(s >= -tol)))
@@ -330,103 +415,18 @@ def _sweep(name: str, slack, trials: int, dims, seed: int, tol: float) -> SweepR
     return SweepResult(name, trials, min_slack, violations, seed, tol, closest)
 
 
-def _lemma1_slack(n, dim, rng):
-    t = random_states(3 * n, dim, rng).reshape(n, 3, dim)
-    phi, ups, psi = t[:, 0], t[:, 1], t[:, 2]
-    return np.cos(_batch_angle(phi, ups) - _batch_angle(ups, psi)) - np.cos(
-        _batch_angle(phi, psi)
-    )
-
-
-def _lemma2_slack(n, dim, rng):
-    t = random_states(3 * n, dim, rng).reshape(n, 3, dim)
-    phi, ups, psi = t[:, 0], t[:, 1], t[:, 2]
-    return _batch_angle(phi, psi) + _batch_angle(ups, psi) - _batch_angle(phi, ups)
-
-
-def _lemma3_slack(n, dim, rng):
-    t = random_states(3 * n, dim, rng).reshape(n, 3, dim)
-    theta, phi, psi = t[:, 0], t[:, 1], t[:, 2]
-    lhs = np.abs(
-        np.abs(np.einsum("bi,bi->b", theta.conj(), phi)) ** 2
-        - np.abs(np.einsum("bi,bi->b", theta.conj(), psi)) ** 2
-    )
-    return np.sin(_batch_angle(phi, psi)) - lhs
-
-
-def _lemma4_slack(n, dim, rng):
-    pair = random_states(2 * n, dim, rng).reshape(n, 2, dim)
-    probs = _random_projector_probs(pair, rng)
-    lhs = np.abs(probs[:, 0] - probs[:, 1])
-    return np.sin(_batch_angle(pair[:, 0], pair[:, 1])) - lhs
-
-
-def _gate_approx_slack(n, dim, rng):
-    gu = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
-    u = phase_fixed_q(gu)
-    del gu
-
-    g = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
-    g /= spectral_norms(g)[:, None, None]
-    eta = rng.uniform(0.0, GATE_MAX_PERTURBATION, size=n)
-    g *= eta[:, None, None]
-    g += u
-    v = phase_fixed_q(g)  # of u + eta * g, built in place
-    del g
-
-    sigma = random_states(n, dim, rng)
-    out = np.stack(
-        [np.einsum("bij,bj->bi", u, sigma), np.einsum("bij,bj->bi", v, sigma)],
-        axis=1,
-    )
-    u -= v  # only u - v is needed from here on
-    eps = np.minimum(spectral_norms(u), 2.0)
-    rhs = eps * np.sqrt(1.0 - eps * eps / 4.0)
-
-    probs = _random_projector_probs(out, rng)
-    return rhs - np.abs(probs[:, 0] - probs[:, 1])
-
-
-def sweep_lemma1(trials: int, dims=DEFAULT_DIMS, seed: int = 0,
-                 tol: float = DEFAULT_SWEEP_TOL) -> SweepResult:
-    return _sweep("lemma1", _lemma1_slack, trials, dims, seed, tol)
-
-
-def sweep_lemma2(trials: int, dims=DEFAULT_DIMS, seed: int = 0,
-                 tol: float = DEFAULT_SWEEP_TOL) -> SweepResult:
-    return _sweep("lemma2", _lemma2_slack, trials, dims, seed, tol)
-
-
-def sweep_lemma3(trials: int, dims=DEFAULT_DIMS, seed: int = 0,
-                 tol: float = DEFAULT_SWEEP_TOL) -> SweepResult:
-    return _sweep("lemma3", _lemma3_slack, trials, dims, seed, tol)
-
-
-def sweep_lemma4(trials: int, dims=DEFAULT_DIMS, seed: int = 0,
-                 tol: float = DEFAULT_SWEEP_TOL) -> SweepResult:
-    return _sweep("lemma4", _lemma4_slack, trials, dims, seed, tol)
-
-
-def sweep_gate_approx(trials: int, dims=DEFAULT_DIMS, seed: int = 0,
-                      tol: float = DEFAULT_SWEEP_TOL) -> SweepResult:
-    """Random (U, perturbed V, state, projector) trials of the gate bound.
-
-    V is the QR re-orthonormalization of U + eta*G with the Gaussian
-    direction G scaled to unit spectral norm and eta uniform in
-    [0, GATE_MAX_PERTURBATION], which keeps eps = ||U - V|| well inside the
-    bound's valid range eps <= sqrt(2).
-    """
-    return _sweep("gate_approx", _gate_approx_slack, trials, dims, seed, tol)
+def _sweep_function(name: str):
+    def sweep(trials: int, dims=DEFAULT_DIMS, seed: int = 0,
+              tol: float = DEFAULT_SWEEP_TOL) -> SweepResult:
+        return _sweep(name, trials, dims, seed, tol)
+    sweep.__name__ = sweep.__qualname__ = f"sweep_{name}"
+    return sweep
 
 
 #: Sweeps driven by the command-line ``lemmas`` command, in print order.
-ALL_SWEEPS = (
-    ("lemma1", sweep_lemma1),
-    ("lemma2", sweep_lemma2),
-    ("lemma3", sweep_lemma3),
-    ("lemma4", sweep_lemma4),
-    ("gate_approx", sweep_gate_approx),
-)
+ALL_SWEEPS = tuple((name, _sweep_function(name)) for name in _SWEEPS)
+sweep_lemma1, sweep_lemma2, sweep_lemma3, sweep_lemma4, sweep_gate_approx = (
+    sweep for _, sweep in ALL_SWEEPS)
 
 
 def replay_sample(name: str, seed: int, dim: int, block: int, size: int,
@@ -436,7 +436,6 @@ def replay_sample(name: str, seed: int, dim: int, block: int, size: int,
     ``(dim, block, size, index)`` is a :attr:`SweepResult.closest`; the
     result equals that sweep's ``min_slack`` bit for bit.
     """
-    slack = {"lemma1": _lemma1_slack, "lemma2": _lemma2_slack,
-             "lemma3": _lemma3_slack, "lemma4": _lemma4_slack,
-             "gate_approx": _gate_approx_slack}[name]
-    return float(slack(size, dim, _block_rng(seed, dim, block))[index])
+    if name not in _SWEEPS:
+        raise ValueError(f"unknown sweep {name!r}; the sweeps are {', '.join(_SWEEPS)}")
+    return float(_slack(name, size, dim, _block_rng(seed, dim, block))[index])

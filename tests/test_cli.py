@@ -21,6 +21,7 @@ from clonebound.bounds import ae_lower_bound, hb_bound, re_lower_bound, sample_c
 from clonebound import search
 from clonebound.cli import ATTAINMENT_TOL, WRITE_BLOCK, _json_pieces, main
 from test_bounds import _table_csv_reference
+from test_geometry import patch_slack
 
 
 def run(capsys, *argv):
@@ -392,8 +393,7 @@ class TestLemmas:
         assert code == 1
 
     def test_nan_slack_exits_three(self, capsys, monkeypatch):
-        monkeypatch.setattr("clonebound.geometry._lemma1_slack",
-                            lambda n, dim, rng: np.full(n, np.nan))
+        patch_slack(monkeypatch, "lemma1", lambda n, dim, rng: np.full(n, np.nan))
         code, out, err = run(capsys, "lemmas", "--trials", "100", "--dims", "2")
         assert code == 3
         assert "lemma1: trials=100 min_slack=nan violations=100\n" in out

@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from clonebound import geometry
 from clonebound.geometry import (
     ALL_SWEEPS,
+    DEFAULT_DIMS,
     SWEEP_BLOCK,
     InequalityReport,
     coplanar_equality_witness,
@@ -39,6 +41,17 @@ from clonebound.statespace import (
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 dims = st.sampled_from([2, 3, 4, 6, 8])
+
+
+def patch_slack(monkeypatch, name, fn):
+    """Make ``fn(n, dim, rng)`` the slack of the sweep ``name``; the other
+    sweeps keep theirs."""
+    slack = geometry._slack
+
+    def patched(key, n, dim, rng):
+        return fn(n, dim, rng) if key == name else slack(key, n, dim, rng)
+
+    monkeypatch.setattr(geometry, "_slack", patched)
 
 
 def test_report_holds_iff_slack_above_minus_tol():
@@ -134,6 +147,10 @@ def test_gate_bound_values_and_monotonicity():
         gate_bound(2.5)
     with pytest.raises(ValueError):
         gate_bound(-0.1)
+    with pytest.raises(ValueError):
+        gate_bound(float("nan"))
+    # Inside a sweep a NaN eps gives a NaN bound, which counts as a violation.
+    assert np.isnan(geometry._gate_bound(np.array([np.nan]))).all()
 
 
 def test_gate_approx_identical_and_phase_cases():
@@ -148,6 +165,24 @@ def test_gate_approx_identical_and_phase_cases():
     assert r.lhs < 1e-12
     assert r.rhs == pytest.approx(gate_bound(abs(np.exp(0.05j) - 1)), abs=1e-10)
     assert r.holds
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_rotated_equality_witnesses_are_tight(dim):
+    # The checks evaluate the sweeps' formulas. A random unitary keeps each
+    # witness an equality case and spreads it over every coordinate.
+    rng = np.random.default_rng(dim)
+    for _ in range(50):
+        rot = random_unitary(dim, rng)
+        phi, ups, psi = (rot @ x for x in coplanar_equality_witness(dim))
+        p, f, g = lemma4_saturation_witness(rng.uniform(0.1, np.pi / 2), dim)
+        p, f, g = Projector(p.basis @ rot.T), rot @ f, rot @ g
+        u = random_unitary(dim, rng)
+        sigma, q = random_state(dim, rng), random_projector(dim, 1, rng)
+        reports = [lemma1_check(phi, ups, psi), lemma2_defect(phi, ups, psi),
+                   lemma3_check(p.basis[0], f, g), lemma4_check(p, f, g),
+                   gate_approx_check(u, u, sigma, q)]
+        assert [abs(r.slack) <= 1e-12 for r in reports] == [True] * 5
 
 
 @pytest.mark.parametrize(
@@ -173,12 +208,25 @@ def test_sweep_single_trial_runs():
     assert r.trials == 1 and r.violations == 0
 
 
+def test_sweep_of_no_trials_draws_nothing():
+    r = sweep_gate_approx(0)
+    assert (r.trials, r.min_slack, r.violations, r.closest) == (0, np.inf, 0, None)
+
+
+@pytest.mark.parametrize("trials, dims", [
+    (-5, DEFAULT_DIMS), (10, ()), (10, (0,)), (10, (1,)), (10, (3, 1))])
+def test_sweeps_reject_bad_counts_and_dimensions(trials, dims):
+    for _, sweep in ALL_SWEEPS:
+        with pytest.raises(ValueError):
+            sweep(trials, dims=dims)
+
+
 @pytest.mark.parametrize("name, sweep", ALL_SWEEPS)
 def test_sweep_blocks_rebuild_from_their_seeds(monkeypatch, name, sweep):
     # Block b of dimension d is drawn from SeedSequence(seed, spawn_key=(d, b)).
     # Blocks run concurrently, so they are keyed by that spawn key, not by
     # call order.
-    slack = getattr(geometry, f"_{name}_slack")
+    slack = partial(geometry._slack, name)
     drawn = {}
 
     def recording(n, dim, rng):
@@ -186,7 +234,7 @@ def test_sweep_blocks_rebuild_from_their_seeds(monkeypatch, name, sweep):
         drawn[rng.bit_generator.seed_seq.spawn_key] = (dim, n, s)
         return s
 
-    monkeypatch.setattr(geometry, f"_{name}_slack", recording)
+    patch_slack(monkeypatch, name, recording)
     r = sweep(2 * (SWEEP_BLOCK + 5), dims=(2, 5), seed=9)
     assert sorted((dim, n, key[1]) for key, (dim, n, _) in drawn.items()) == [
         (2, 5, 1), (2, SWEEP_BLOCK, 0), (5, 5, 1), (5, SWEEP_BLOCK, 0)]
@@ -220,7 +268,7 @@ def test_threaded_sweep_equals_serial_loop(monkeypatch, name, sweep):
         r = sweep(trials, dims=dims, seed=3, tol=tol)
     finally:
         sys.setswitchinterval(interval)
-    slack = getattr(geometry, f"_{name}_slack")
+    slack = partial(geometry._slack, name)
     want = _serial_reference(slack, trials, dims, 3, tol)
     assert (r.min_slack, r.violations, r.closest) == want
     assert r.min_slack.hex() == want[0].hex()
@@ -234,6 +282,11 @@ def test_closest_sample_replays_bit_for_bit(name, sweep):
     assert replay_sample(name, 4, *r.closest).hex() == r.min_slack.hex()
 
 
+def test_replay_of_an_unknown_sweep_names_the_sweeps():
+    with pytest.raises(ValueError, match="lemma1, lemma2, lemma3, lemma4, gate_approx"):
+        replay_sample("lemma5", 0, 2, 0, 1, 0)
+
+
 def test_nan_slack_is_a_violation(monkeypatch):
     # One NaN in every block: min(inf, nan) is inf and nan < -tol is False,
     # so a running min and a "< -tol" count would both let it pass.
@@ -242,7 +295,7 @@ def test_nan_slack_is_a_violation(monkeypatch):
         s[7] = np.nan
         return s
 
-    monkeypatch.setattr(geometry, "_lemma1_slack", nan_at_7)
+    patch_slack(monkeypatch, "lemma1", nan_at_7)
     r = sweep_lemma1(1000, seed=1)
     assert r.violations == 7 and not r.passed
     assert np.isnan(r.min_slack) and r.closest == (2, 0, 143, 7)
@@ -281,7 +334,7 @@ def test_blocks_run_on_every_worker_and_no_more(monkeypatch, cpus, ndims):
             active -= 1
         return s
 
-    monkeypatch.setattr(geometry, "_lemma1_slack", stub)
+    patch_slack(monkeypatch, "lemma1", stub)
     r = sweep_lemma1(3 * ndims * SWEEP_BLOCK, dims=range(2, 2 + ndims), seed=0)
     assert calls == 3 * ndims and r.violations == 0
     assert peak == workers
@@ -310,7 +363,7 @@ def test_blocks_are_read_at_most_the_window_ahead(monkeypatch):
         return s
 
     monkeypatch.setattr(geometry, "sweep_blocks", counted)
-    monkeypatch.setattr(geometry, "_lemma1_slack", stub)
+    patch_slack(monkeypatch, "lemma1", stub)
     sweep_lemma1(4 * 5 * SWEEP_BLOCK, dims=(2, 3, 4, 5), seed=0)
     assert read == 20 and 0 < lead <= window
 
@@ -328,7 +381,7 @@ def test_failing_block_propagates_and_stops_the_sweep(monkeypatch):
             raise boom
         return _stub_slack(n, dim, rng)
 
-    monkeypatch.setattr(geometry, "_lemma1_slack", stub)
+    patch_slack(monkeypatch, "lemma1", stub)
     threads = threading.active_count()
     with pytest.raises(RuntimeError) as excinfo:
         sweep_lemma1(2 * 10 * SWEEP_BLOCK, dims=(2, 3), seed=0)
