@@ -23,10 +23,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 
-def _check_range(z, lo: float = 0.0, hi: float = 1.0):
+def _check_range(z):
     z = np.asarray(z, dtype=float)
-    if np.any(z < lo) or np.any(z > hi):
-        raise ValueError(f"overlap z must be in [{lo}, {hi}]")
+    if np.any(z < 0.0) or np.any(z > 1.0):
+        raise ValueError("overlap z must be in [0.0, 1.0]")
     return z
 
 
@@ -93,9 +93,6 @@ class BoundCurve:
     def argmax_z(self) -> float:
         """Grid point with the largest value."""
         return float(self.grid[int(np.argmax(self.values))])
-
-    def to_csv(self) -> str:
-        return table_csv(("z", "value"), (self.grid, self.values))
 
     def to_json_dict(self) -> dict:
         return {

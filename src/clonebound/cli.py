@@ -40,7 +40,7 @@ from .bounds import (
 )
 from .cloners import closed_form_re_s, closed_form_re_wz
 from .cloning import TwoStateSet, unitarity_residual
-from .geometry import ALL_SWEEPS
+from .geometry import ALL_SWEEPS, DEFAULT_SWEEP_TOL
 from .search import verify_point
 
 EXIT_OK = 0
@@ -92,10 +92,10 @@ def _resolve_seed(args) -> int:
 
 
 def _resolve_tol(args) -> float:
-    """``--tol``, else ``CLONEBOUND_TOL``, else 1e-10; finite and >= 0."""
+    """``--tol``, else ``CLONEBOUND_TOL``, else DEFAULT_SWEEP_TOL; finite and >= 0."""
     name, text = "--tol", args.tol
     if text is None:
-        name, text = "CLONEBOUND_TOL", os.environ.get("CLONEBOUND_TOL", "1e-10")
+        name, text = "CLONEBOUND_TOL", os.environ.get("CLONEBOUND_TOL", str(DEFAULT_SWEEP_TOL))
     try:
         tol = float(text)
     except ValueError:

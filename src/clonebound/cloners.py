@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cloning import ClonerResult, FactorDims, TwoStateSet, analyze_pair
-from .statespace import basis_state, gram_schmidt_residual, tensor
+from .statespace import Projector, basis_state, gram_schmidt_residual, tensor
 
 
 def _require_distinct(set_: TwoStateSet) -> None:
@@ -159,11 +159,8 @@ def materialize_unitary(r: ClonerResult) -> np.ndarray:
     in_pair = [a1, p2 / np.linalg.norm(p2)]
     out_pair = [b1, q2 / np.linalg.norm(q2)]
 
-    # Orthonormal completions via the null spaces of the spanned planes.
-    def _complement(pair) -> np.ndarray:
-        _, _, vh = np.linalg.svd(np.stack(pair).conj(), full_matrices=True)
-        return vh[len(pair):].conj()
-
-    basis_in = np.stack(in_pair + list(_complement(in_pair)), axis=1)
-    basis_out = np.stack(out_pair + list(_complement(out_pair)), axis=1)
+    # Orthonormal completions via the complements of the spanned planes.
+    basis_in, basis_out = (
+        np.stack(pair + list(Projector(pair).complement().basis), axis=1)
+        for pair in (in_pair, out_pair))
     return basis_out @ basis_in.conj().T

@@ -37,8 +37,16 @@ from .statespace import (
 
 # ||q|| at or below this counts as a degenerate (direction-free) ideal.
 DEGENERATE_TOL = 1e-12
+# Slack of a chain inequality at or above -CHAIN_TOL counts as holding.
+CHAIN_TOL = 1e-10
 # sin(ideal angle) below this makes the relative error undefined.
 UNDEFINED_RE_TOL = 1e-12
+
+
+def _overlap_angles(z: float) -> tuple[float, float]:
+    """(d, D) = (arccos z, arccos z^2): the angle between phi and psi, and
+    the one between phi x phi and psi x psi, at overlap z."""
+    return float(np.arccos(z)), float(np.arccos(min(z * z, 1.0)))
 
 
 def canonical_phase(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -70,7 +78,7 @@ class TwoStateSet:
             raise ValueError("phi and psi must share one dimension")
         psi = canonical_phase(phi, psi)
         z = min(abs(np.vdot(phi, psi)), 1.0)
-        return cls(phi=phi, psi=psi, z=float(z), delta=float(np.arccos(z)))
+        return cls(phi=phi, psi=psi, z=float(z), delta=_overlap_angles(z)[0])
 
     @classmethod
     def at_overlap(cls, z: float, dim: int = 2) -> "TwoStateSet":
@@ -90,7 +98,7 @@ class TwoStateSet:
     @property
     def delta_product(self) -> float:
         """Angle between phi x phi and psi x psi, equal to arccos(z^2)."""
-        return float(np.arccos(min(self.z * self.z, 1.0)))
+        return _overlap_angles(self.z)[1]
 
 
 @dataclass(frozen=True)
@@ -244,7 +252,14 @@ def unitarity_residual(r: ClonerResult) -> float:
     return abs(inner(r.a_phi.v, r.a_psi.v) - inner(r.set.phi, r.set.psi))
 
 
-def inequality_chain(r: ClonerResult, tol: float = 1e-10):
+def _chains(delta_phi, delta_psi, out_angle, ideal_angle, d, big):
+    """(lhs, rhs) of chain 1, ideal_angle <= delta_phi + delta_psi + out_angle,
+    and of chain 2, big - d <= delta_phi + delta_psi; scalars or arrays."""
+    errors = delta_phi + delta_psi
+    return (ideal_angle, errors + out_angle), (big - d, errors)
+
+
+def inequality_chain(r: ClonerResult):
     """The two angle restrictions every unitary-produced output pair obeys.
 
     Report 1:  angle(Id(phi), Id(psi)) <= delta(phi) + delta(psi)
@@ -254,19 +269,15 @@ def inequality_chain(r: ClonerResult, tol: float = 1e-10):
 
     Both follow from the triangle inequality; the second is the key
     constraint behind the lower bounds, and the optimal machines meet it
-    with equality.
+    with equality. Each holds within CHAIN_TOL.
     """
     if r.a_phi.degenerate or r.a_psi.degenerate:
         raise ValueError("inequality chain needs non-degenerate ideals")
-    out_angle = angle(r.a_phi.v, r.a_psi.v)
-    report1 = InequalityReport.compare(
-        r.ideal_angle, r.a_phi.delta_s + r.a_psi.delta_s + out_angle, tol
-    )
-    big = angle(tensor(r.set.phi, r.set.phi), tensor(r.set.psi, r.set.psi))
-    report2 = InequalityReport.compare(
-        big - r.set.delta, r.a_phi.delta_s + r.a_psi.delta_s, tol
-    )
-    return report1, report2
+    chains = _chains(
+        r.a_phi.delta_s, r.a_psi.delta_s, angle(r.a_phi.v, r.a_psi.v),
+        r.ideal_angle, r.set.delta,
+        angle(tensor(r.set.phi, r.set.phi), tensor(r.set.psi, r.set.psi)))
+    return tuple(InequalityReport.compare(lhs, rhs, CHAIN_TOL) for lhs, rhs in chains)
 
 
 def lifted_prob(a: CloneAnalysis, p: Projector, mode: int) -> float:

@@ -49,18 +49,17 @@ GATE_MAX_PERTURBATION = 0.3
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """Outcome of a single inequality check: lhs <= rhs within tol."""
+    """Outcome of a single inequality check: lhs <= rhs within a tolerance."""
 
     lhs: float
     rhs: float
     slack: float
     holds: bool
-    tol: float
 
     @classmethod
     def compare(cls, lhs: float, rhs: float, tol: float) -> "InequalityReport":
         slack = rhs - lhs
-        return cls(lhs=lhs, rhs=rhs, slack=slack, holds=slack >= -tol, tol=tol)
+        return cls(lhs=lhs, rhs=rhs, slack=slack, holds=slack >= -tol)
 
 
 @dataclass(frozen=True)
@@ -77,8 +76,6 @@ class SweepResult:
     trials: int
     min_slack: float
     violations: int
-    seed: int
-    tol: float
     closest: tuple[int, int, int, int] | None
 
     @property
@@ -127,9 +124,9 @@ def _gate_bound(eps):
     return eps * np.sqrt(1.0 - eps * eps / 4.0)
 
 
-def _report(inequality, tol: float, *sample) -> InequalityReport:
+def _report(inequality, *sample) -> InequalityReport:
     lhs, rhs = inequality(*(np.asarray(x)[None] for x in sample))
-    return InequalityReport.compare(float(lhs[0]), float(rhs[0]), tol)
+    return InequalityReport.compare(float(lhs[0]), float(rhs[0]), DEFAULT_SWEEP_TOL)
 
 
 def _triple_angles(a, b, c):
@@ -139,25 +136,25 @@ def _triple_angles(a, b, c):
     return a, b, c
 
 
-def lemma1_check(phi, ups, psi, tol: float = DEFAULT_SWEEP_TOL) -> InequalityReport:
+def lemma1_check(phi, ups, psi) -> InequalityReport:
     """cos(angle(phi, psi)) <= cos(angle(phi, ups) - angle(ups, psi))."""
-    return _report(_lemma1, tol, *_triple_angles(phi, ups, psi))
+    return _report(_lemma1, *_triple_angles(phi, ups, psi))
 
 
-def lemma2_defect(phi, ups, psi, tol: float = DEFAULT_SWEEP_TOL) -> InequalityReport:
+def lemma2_defect(phi, ups, psi) -> InequalityReport:
     """Spherical triangle inequality: angle(phi, ups) <= angle(phi, psi) + angle(ups, psi)."""
-    return _report(_lemma2, tol, *_triple_angles(phi, ups, psi))
+    return _report(_lemma2, *_triple_angles(phi, ups, psi))
 
 
-def lemma3_check(theta, phi, psi, tol: float = DEFAULT_SWEEP_TOL) -> InequalityReport:
+def lemma3_check(theta, phi, psi) -> InequalityReport:
     """| |<theta|phi>|^2 - |<theta|psi>|^2 | <= sin(angle(phi, psi))."""
-    return _report(_lemma3, tol, *_triple_angles(theta, phi, psi))
+    return _report(_lemma3, *_triple_angles(theta, phi, psi))
 
 
-def lemma4_check(p: Projector, phi, psi, tol: float = DEFAULT_SWEEP_TOL) -> InequalityReport:
+def lemma4_check(p: Projector, phi, psi) -> InequalityReport:
     """|<phi|P|phi> - <psi|P|psi>| <= sin(angle(phi, psi))."""
     probs = [measure_prob(p, phi), measure_prob(p, psi)]  # validates both states
-    return _report(_lemma4, tol, as_state(phi), as_state(psi), probs)
+    return _report(_lemma4, as_state(phi), as_state(psi), probs)
 
 
 def gate_bound(epsilon: float) -> float:
@@ -171,7 +168,7 @@ def gate_bound(epsilon: float) -> float:
     return float(_gate_bound(epsilon))
 
 
-def gate_approx_check(u, v, sigma, p: Projector, tol: float = DEFAULT_SWEEP_TOL) -> InequalityReport:
+def gate_approx_check(u, v, sigma, p: Projector) -> InequalityReport:
     """Outcome-probability deviation between two close unitaries.
 
     Computes eps = ||u - v|| (largest singular value) and checks
@@ -183,7 +180,7 @@ def gate_approx_check(u, v, sigma, p: Projector, tol: float = DEFAULT_SWEEP_TOL)
     if u.shape != v.shape or u.shape[1] != sigma.shape[0]:
         raise ValueError("unitaries and state must share one dimension")
     probs = [measure_prob(p, u @ sigma), measure_prob(p, v @ sigma)]
-    return _report(_gate_approx, tol, u - v, probs)
+    return _report(_gate_approx, u - v, probs)
 
 
 # ---------------------------------------------------------------------------
@@ -198,22 +195,15 @@ def coplanar_state(theta: float, dim: int = 2) -> np.ndarray:
     return v
 
 
-def coplanar_equality_witness(dim: int = 2, outer: float = np.radians(50.0),
-                              middle: float = np.radians(20.0)):
+def coplanar_equality_witness(dim: int = 2):
     """Triplet (phi, ups, psi) achieving equality in checks 1 and 2.
 
-    phi, ups, psi sit in one real plane at axis angles 0, ``outer`` and
-    ``middle``; psi lies angularly between phi and ups, which is exactly
-    the degenerate great-circle configuration where the triangle
-    inequality is an equality.
+    phi, ups, psi sit in one real plane at axis angles 0, 50 and 20
+    degrees; psi lies angularly between phi and ups, which is exactly the
+    degenerate great-circle configuration where the triangle inequality is
+    an equality.
     """
-    if not 0.0 < middle < outer <= np.pi / 2:
-        raise ValueError("need 0 < middle < outer <= pi/2")
-    return (
-        coplanar_state(0.0, dim),
-        coplanar_state(outer, dim),
-        coplanar_state(middle, dim),
-    )
+    return tuple(coplanar_state(np.radians(deg), dim) for deg in (0.0, 50.0, 20.0))
 
 
 def lemma4_saturation_witness(delta: float, dim: int = 2):
@@ -287,7 +277,7 @@ def _random_projector_probs(states: np.ndarray, rng: np.random.Generator) -> np.
     grouped by rank so the QR factorizations batch.
     """
     n, k, dim = states.shape
-    ranks = rng.integers(1, dim, size=n) if dim > 2 else np.ones(n, dtype=int)
+    ranks = rng.integers(1, dim, size=n)
     probs = np.empty((n, k))
     for rank in np.unique(ranks):
         idx = np.nonzero(ranks == rank)[0]
@@ -412,7 +402,7 @@ def _sweep(name: str, trials: int, dims, seed: int, tol: float) -> SweepResult:
         # Strictly lower, so the earliest block wins a tie; a NaN beats any number.
         if closest is None or low < min_slack or np.isnan(low) > np.isnan(min_slack):
             min_slack, closest = low, address
-    return SweepResult(name, trials, min_slack, violations, seed, tol, closest)
+    return SweepResult(name, trials, min_slack, violations, closest)
 
 
 def _sweep_function(name: str):

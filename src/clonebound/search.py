@@ -45,11 +45,11 @@ from scipy.optimize import minimize
 
 from .bounds import ae_lower_bound, re_lower_bound
 from .cloners import closed_form_re_s
-from .cloning import DEGENERATE_TOL
+from .cloning import CHAIN_TOL, DEGENERATE_TOL, _chains, _overlap_angles
 from .geometry import _batch_angle, _block_summaries
+from .statespace import norm, random_states
 
 FLOOR_TOL = 1e-9
-CHAIN_TOL = 1e-10
 # L-BFGS-B stopping rules per start: relative decrease of the objective,
 # and largest projected-gradient component.
 OBJECTIVE_TOL = 1e-15
@@ -90,11 +90,6 @@ class SearchOutcome:
     trials: int
 
 
-def _norm(x: np.ndarray):
-    """``np.linalg.norm`` of a complex vector, by its own arithmetic."""
-    return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
-
-
 class _Coords(NamedTuple):
     """A decoded parameter vector, with the intermediates its gradient needs."""
 
@@ -124,7 +119,7 @@ def _coords_from_params(params, z: float) -> _Coords:
     if not np.isfinite(theta):
         raise ValueError("degenerate parameters: theta is not finite")
     a = params[1:2 * SUBSPACE_DIM - 1].view(np.complex128)
-    a_norm = float(_norm(a))
+    a_norm = norm(a)
     # A norm that is zero, NaN or overflows leaves no direction to follow.
     if not 0.0 < a_norm < np.inf:
         raise ValueError("degenerate parameters: the direction a has no finite, "
@@ -136,7 +131,7 @@ def _coords_from_params(params, z: float) -> _Coords:
     b = params[2 * SUBSPACE_DIM - 1:].view(np.complex128)
     alpha = np.vdot(v, b)
     p = b - v * alpha
-    p_norm = float(_norm(p))
+    p_norm = norm(p)
     if not DEGENERATE_TOL <= p_norm < np.inf:
         raise ValueError("degenerate parameters: zero orthogonal component")
     w = p / p_norm
@@ -153,7 +148,7 @@ def encode_params(v_target: np.ndarray, w_target: np.ndarray) -> np.ndarray:
     """
     phase = v_target[0] / abs(v_target[0]) if v_target[0] != 0 else 1.0
     v, w = v_target / phase, w_target / phase
-    tail = _norm(v[1:])
+    tail = norm(v[1:])
     # At theta = 0 the direction a is arbitrary; take the first axis.
     a = v[1:] / tail if tail > 0 else np.eye(v.shape[0] - 1, 1)[:, 0]
     return np.concatenate([[np.arctan2(tail, v[0].real)],
@@ -187,7 +182,7 @@ def _pair_errors(v: np.ndarray, v_psi: np.ndarray, z: float):
     converges, and would let it dip below the analytic floor by ~1e-8.
     """
     u = _psi_axis(z)
-    return float(_norm(v[1:])), float(_norm(v_psi - u * np.vdot(u, v_psi)))
+    return norm(v[1:]), norm(v_psi - u * np.vdot(u, v_psi))
 
 
 def _objective_factory(objective: str, z: float):
@@ -212,7 +207,7 @@ def _objective_factory(objective: str, z: float):
         sin_t, cos_t = np.sin(c.theta), np.cos(c.theta)
         q = u @ c.v_psi
         r = c.v_psi - u * q
-        x_psi = _norm(r)
+        x_psi = norm(r)
         if objective == "sym":
             value = sin_t * sin_t + x_psi * x_psi
             g_theta, g_psi = 2 * sin_t * cos_t, 2 * r
@@ -231,7 +226,7 @@ def _objective_factory(objective: str, z: float):
         g_theta += -sin_t * g_v[0].real + cos_t * np.vdot(c.a_hat, g_v[1:]).real
         g_ahat = sin_t * g_v[1:]
         g_a = (g_ahat - c.a_hat * np.vdot(c.a_hat, g_ahat).real) / c.a_norm
-        ga, gb = c.a_norm ** 2 - 1.0, _norm(c.b) ** 2 - 1.0
+        ga, gb = c.a_norm ** 2 - 1.0, norm(c.b) ** 2 - 1.0
         value += GAUGE_WEIGHT * (ga * ga + gb * gb)
         g_a = g_a + 4 * GAUGE_WEIGHT * ga * c.a_norm * c.a_hat
         g_b = g_b + 4 * GAUGE_WEIGHT * gb * c.b
@@ -264,11 +259,6 @@ def _run_minimize(fun, starts, theta_box):
         if res.fun < best_f:
             best_f, best_x = res.fun, res.x
     return best_f, best_x, evals
-
-
-def _angles(z: float):
-    """(d, D) = (arccos z, arccos z^2), as :class:`TwoStateSet` computes them."""
-    return float(np.arccos(z)), float(np.arccos(min(z * z, 1.0)))
 
 
 def _cold_starts(cfg: SearchConfig) -> list[np.ndarray]:
@@ -336,7 +326,7 @@ def minimize_symmetric_re(cfg: SearchConfig) -> SearchOutcome:
     """
     if cfg.z <= 0.0:
         raise ValueError("minimization needs 0 < z < 1")
-    small, big = _angles(cfg.z)
+    small, big = _overlap_angles(cfg.z)
     return _search(cfg, warm_start_params((big - small) / 2.0),
                    _objective_factory("sym", cfg.z), (None, None),
                    closed_form_re_s(cfg.z))
@@ -374,8 +364,7 @@ def _sample_block(rng: np.random.Generator, n: int, z: float):
     ``chain2`` are the slacks of the two chain inequalities.
     """
     m = SUBSPACE_DIM
-    v = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v = random_states(n, m, rng)
     w = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     w -= v * np.einsum("bi,bi->b", v.conj(), w)[:, None]
     w /= np.linalg.norm(w, axis=1, keepdims=True)
@@ -392,13 +381,14 @@ def _sample_block(rng: np.random.Generator, n: int, z: float):
     defined = np.minimum(q_phi, q_psi) > DEGENERATE_TOL
     re = ae[defined] / np.sqrt(1.0 - z ** 4)
 
-    # Chain inequalities: angles from the actual sampled vectors.
+    # Chain inequalities: angles from the actual sampled vectors. With no
+    # machine mode the ideal outputs are phi x phi and psi x psi, at angle D.
     delta_phi = np.arccos(np.minimum(q_phi, 1.0))
     delta_psi = np.arccos(np.minimum(q_psi, 1.0))
-    small, big = _angles(z)
-    chain1 = delta_phi + delta_psi + _batch_angle(v, v_psi) - big
-    chain2 = delta_phi + delta_psi - (big - small)
-    return ae, re, chain1, chain2
+    small, big = _overlap_angles(z)
+    (lhs1, rhs1), (lhs2, rhs2) = _chains(
+        delta_phi, delta_psi, _batch_angle(v, v_psi), big, small, big)
+    return ae, re, rhs1 - lhs1, rhs2 - lhs2
 
 
 def random_cloner_sweep(cfg: SearchConfig, n: int = 10_000) -> SweepStats:

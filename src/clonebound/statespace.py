@@ -7,6 +7,7 @@ Gram-Schmidt residuals, rank-k orthogonal projectors, and the angle metric
     angle(a, b) = arccos(|<a|b>|)  in  [0, pi/2],
 
 which is zero exactly when the two states coincide up to a global phase.
+It is evaluated in a form that keeps its digits near overlap 1 (see :func:`angle`).
 All functions are pure and never mutate their inputs.
 """
 
@@ -40,8 +41,10 @@ def as_state(values) -> np.ndarray:
 
 
 def norm(v: np.ndarray) -> float:
-    """Euclidean norm sqrt(<v|v>)."""
-    return float(np.linalg.norm(v))
+    """Euclidean norm of a 1-D array: ``np.linalg.norm``'s arithmetic and
+    bits, without its dispatch on ``ord`` and ``axis``."""
+    v = v.ravel(order="K")
+    return float(np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)))
 
 
 def normalize(v) -> np.ndarray:
@@ -53,13 +56,13 @@ def normalize(v) -> np.ndarray:
     return v / n
 
 
-def check_unit(v: np.ndarray, atol: float = ATOL_ALG) -> np.ndarray:
-    """Validate that ``v`` is a unit vector; returns ``v`` unchanged.
+def check_unit(v: np.ndarray) -> np.ndarray:
+    """Validate that ``v`` is a unit vector within ATOL_ALG; returns ``v``.
 
     A non-finite norm (NaN or infinite amplitudes) is rejected too.
     """
     n = norm(v)
-    if not abs(n - 1.0) <= atol:
+    if not abs(n - 1.0) <= ATOL_ALG:
         raise ValueError(f"expected a unit vector, got norm {n!r}")
     return v
 
@@ -77,21 +80,27 @@ def inner(a, b) -> complex:
     return complex(np.vdot(a, b))
 
 
-def angle(a, b, atol: float = ATOL_ALG) -> float:
+def angle(a, b) -> float:
     """Angle arccos(|<a|b>|) between two unit vectors, in [0, pi/2].
 
-    The arccos argument is clamped to [0, 1] so that an overlap of
-    1 +/- one ulp cannot produce a NaN.
+    Computed as 2 atan2(|a' - b'|, |a' + b'|), a' = a h, b' = b conj(h),
+    h = sqrt(<a|b>/|<a|b>|), which keeps the digits that arccos(|<a|b>|)
+    loses near overlap 1. Swapping a and b conjugates h and so only negates
+    a' - b': the result is symmetric bit for bit.
 
     Raises
     ------
     ValueError
         If dimensions differ or either input is not a unit vector.
     """
-    a = check_unit(as_state(a), atol)
-    b = check_unit(as_state(b), atol)
+    a = check_unit(as_state(a))
+    b = check_unit(as_state(b))
     _check_same_dim(a, b)
-    return float(np.arccos(min(abs(np.vdot(a, b)), 1.0)))
+    ov = np.vdot(a, b)
+    h = np.sqrt(ov / abs(ov)) if ov != 0 else 1.0
+    a, b = a * h, b * np.conj(h)
+    # Rounding may put orthogonal states an ulp past pi/2.
+    return min(2.0 * float(np.arctan2(norm(a - b), norm(a + b))), np.pi / 2)
 
 
 def tensor(a, b) -> np.ndarray:
@@ -149,16 +158,6 @@ class Projector:
     def ambient_dim(self) -> int:
         return self.basis.shape[1]
 
-    @classmethod
-    def from_span(cls, vectors) -> "Projector":
-        """Projector onto the span of the given (independent) vectors."""
-        m = np.atleast_2d(np.asarray(vectors, dtype=np.complex128))
-        q, r = np.linalg.qr(m.T)
-        keep = np.abs(np.diag(r)) > 1e-10
-        if not np.all(keep):
-            raise ValueError("spanning vectors are linearly dependent")
-        return cls(q.T)
-
     def complement(self) -> "Projector":
         """Projector onto the orthogonal complement of the range."""
         if self.rank == self.ambient_dim:
@@ -185,13 +184,14 @@ def measure_prob(p: Projector, s) -> float:
     return min(max(prob, 0.0), 1.0)
 
 
-def check_unitary(u: np.ndarray, atol: float = ATOL_UNITARY) -> np.ndarray:
-    """Validate U^H U = I within ``atol`` (max-abs entry); returns ``u``."""
+def check_unitary(u: np.ndarray) -> np.ndarray:
+    """Validate U^H U = I within ATOL_UNITARY (max-abs entry); returns ``u``.
+    A matrix with a NaN or infinite entry is rejected too."""
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
     dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if dev > atol:
+    if not dev <= ATOL_UNITARY:
         raise ValueError(f"matrix is not unitary (max deviation {dev:.3e})")
     return u
 

@@ -150,7 +150,7 @@ class TestBoundCurve:
 
     def test_csv_round_trip_is_exact(self):
         c = sample_curve("f", re_lower_bound, 0.0, 1.0, 11)
-        text = c.to_csv()
+        text = table_csv(("z", "value"), (c.grid, c.values))
         lines = text.strip().split("\n")
         assert lines[0] == "z,value"
         parsed = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])

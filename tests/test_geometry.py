@@ -167,6 +167,16 @@ def test_gate_approx_identical_and_phase_cases():
     assert r.holds
 
 
+def test_gate_approx_rejects_a_nan_unitary():
+    # NaN fails every comparison, so a NaN matrix must not pass as unitary
+    # and reach the probabilities as a state with a NaN norm.
+    rng = np.random.default_rng(9)
+    u = random_unitary(4, rng)
+    with pytest.raises(ValueError, match="not unitary"):
+        gate_approx_check(np.full((4, 4), np.nan), u, random_state(4, rng),
+                          random_projector(4, 2, rng))
+
+
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_rotated_equality_witnesses_are_tight(dim):
     # The checks evaluate the sweeps' formulas. A random unitary keeps each

@@ -36,7 +36,7 @@ def ambient_pair(params, z):
     """The pair ``params`` encodes, in the two-qubit output space: frame
     axes 0 and 1 span the product plane, axes 2 and 3 its complement."""
     e1, e2 = plane_frame(TwoStateSet.at_overlap(z))
-    frame = np.vstack([e1, e2, Projector.from_span([e1, e2]).complement().basis])
+    frame = np.vstack([e1, e2, Projector([e1, e2]).complement().basis])
     c = _coords_from_params(params, z)
     return c.v @ frame, c.v_psi @ frame
 

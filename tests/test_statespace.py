@@ -1,7 +1,9 @@
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from clonebound.statespace import (
     STACK_PIECE,
@@ -14,6 +16,7 @@ from clonebound.statespace import (
     gram_schmidt_residual,
     inner,
     measure_prob,
+    norm,
     normalize,
     phase_fixed_q,
     random_projector,
@@ -54,6 +57,7 @@ def test_angle_examples():
 
 @given(seeds, dims, st.floats(0, 2 * np.pi))
 @settings(max_examples=50, deadline=None)
+@example(seed=34171048, dim=2, theta=2.0)   # overlap 0.9999988
 def test_angle_global_phase_invariance(seed, dim, theta):
     rng = np.random.default_rng(seed)
     v = random_state(dim, rng)
@@ -69,6 +73,22 @@ def test_angle_symmetric_and_in_range(seed, dim):
     v, w = random_state(dim, rng), random_state(dim, rng)
     assert angle(v, w) == angle(w, v)
     assert 0.0 <= angle(v, w) <= np.pi / 2
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_angle_keeps_its_digits_near_overlap_one(dim):
+    # arccos(|<a|b>|) is off by up to ~1e-8 at these angles; the reference
+    # is the exact angle between the stored vectors, normalized in mpmath.
+    rng = np.random.default_rng(dim)
+    for t in [0.1, 1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 0.0]:
+        a, x = random_state(dim, rng), random_state(dim, rng)
+        x = normalize(x - a * np.vdot(a, x))
+        b = (np.cos(t) * a + np.sin(t) * x) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        with mp.workdps(40):
+            va, vb = ([mp.mpc(complex(c)) for c in v] for v in (a, b))
+            ov = abs(mp.fsum(mp.conj(p) * q for p, q in zip(va, vb)))
+            na, nb = (mp.sqrt(mp.fsum(abs(c) ** 2 for c in v)) for v in (va, vb))
+            assert abs(angle(a, b) - mp.acos(ov / (na * nb))) < 1e-15, t
 
 
 def test_angle_rejects_non_unit_input():
@@ -184,17 +204,41 @@ def test_projector_completeness(seed, dim):
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def test_projector_from_span_rejects_dependent_vectors():
-    with pytest.raises(ValueError, match="dependent"):
-        Projector.from_span([basis_state(3, 0), basis_state(3, 0)])
-
-
 def test_check_unitary():
     rng = np.random.default_rng(11)
     u = random_unitary(5, rng)
     check_unitary(u)
     with pytest.raises(ValueError, match="not unitary"):
         check_unitary(1.001 * u)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_unitary_rejects_non_finite_entries(bad):
+    u = random_unitary(3, np.random.default_rng(11))
+    for m in (np.full((3, 3), bad), np.where(np.eye(3) == 1, bad, u)):
+        with pytest.raises(ValueError, match="not unitary"), np.errstate(invalid="ignore"):
+            check_unitary(m)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True,
+                   min_value=-1e200, max_value=1e200)
+edge = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e200, -1e200])
+parts = st.one_of(finite, edge)
+
+
+# fill=st.nothing() draws every element; a fill value would repeat one.
+@given(st.one_of(
+    hnp.arrays(np.float64, st.integers(0, 16), elements=parts, fill=st.nothing()),
+    hnp.arrays(np.complex128, st.integers(0, 16),
+               elements=st.builds(complex, parts, parts), fill=st.nothing())))
+@example(np.random.default_rng(3).standard_normal(16))  # v[::2] sums differently
+@settings(max_examples=300, deadline=None)
+def test_norm_is_numpys_bit_for_bit(v):
+    # The search objective's bit identity and every check_unit rest on this.
+    # Strided views go through numpy's copy to contiguous memory too.
+    with np.errstate(over="ignore"):    # 1e200 squared is inf for both
+        for x in (v, v[::-1], v[::2]):
+            assert np.array_equal(norm(x), np.linalg.norm(x))
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
