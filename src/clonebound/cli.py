@@ -433,9 +433,11 @@ def cmd_verify(args) -> int:
         "manifest": manifest,
     }
     _emit(report, args.out)
-    if total_violations:
-        print(f"clonebound verify: {total_violations} floor violations",
-              file=sys.stderr)
+    chain_violations = sum(p["sweep"]["chain_violations"] for p in report["points"])
+    for count, kind in ((total_violations, "floor"), (chain_violations, "chain")):
+        if count:
+            print(f"clonebound verify: {count} {kind} violations", file=sys.stderr)
+    if total_violations or chain_violations:
         return EXIT_VIOLATION
     if max_gap >= ATTAINMENT_TOL:
         print(f"clonebound verify: attainment gap {max_gap:.3e} "

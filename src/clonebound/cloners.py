@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cloning import ClonerResult, FactorDims, TwoStateSet, analyze_pair
-from .statespace import Projector, basis_state, gram_schmidt_residual, tensor
+from .statespace import ATOL_ALG, Projector, basis_state, gram_schmidt_residual, tensor
 
 
 def _require_distinct(set_: TwoStateSet) -> None:
@@ -131,24 +131,12 @@ def materialize_unitary(r: ClonerResult) -> np.ndarray:
     machine satisfies; the remaining directions are completed arbitrarily
     but deterministically.
     """
-    dims = r.dims
-    blank = basis_state(dims.d2, 0)
-    inputs = []
-    for s in (r.set.phi, r.set.psi):
-        vec = tensor(s, blank)
-        if dims.danc > 1:
-            vec = tensor(vec, basis_state(dims.danc, 0))
-        inputs.append(vec)
-    a1, a2 = inputs
+    # Without a machine mode (danc = 1) start is [1], which tensor leaves out.
+    blank, start = basis_state(r.dims.d2, 0), basis_state(r.dims.danc, 0)
+    a1, a2 = (tensor(tensor(s, blank), start) for s in (r.set.phi, r.set.psi))
     b1, b2 = r.a_phi.v, r.a_psi.v
 
     g_in = np.vdot(a1, a2)
-    g_out = np.vdot(b1, b2)
-    if abs(g_in - g_out) > 1e-10:
-        raise ValueError(
-            f"no unitary maps these inputs to these outputs: "
-            f"<in|in> = {g_in:.12g} but <out|out> = {g_out:.12g}"
-        )
     s01 = np.sqrt(1.0 - abs(g_in) ** 2)
     if s01 < 1e-8:
         raise ValueError("inputs are collinear; extension is underdetermined")
@@ -158,6 +146,11 @@ def materialize_unitary(r: ClonerResult) -> np.ndarray:
     q2 = (b2 - b1 * g_in) / s01
     in_pair = [a1, p2 / np.linalg.norm(p2)]
     out_pair = [b1, q2 / np.linalg.norm(q2)]
+    # The completion needs an orthonormal output pair, to ATOL_ALG as
+    # Projector checks it; <b1|q2> = (<b1|b2> - <a1|a2>)/s01.
+    if abs(np.vdot(*out_pair)) > ATOL_ALG:
+        raise ValueError(f"no unitary maps these inputs to these outputs: <in|in> = "
+                         f"{g_in:.15g} but <out|out> = {np.vdot(b1, b2):.15g}")
 
     # Orthonormal completions via the complements of the spanned planes.
     basis_in, basis_out = (

@@ -9,7 +9,8 @@ the composite space of dimension d1*d2*danc. The output splits as
 where q(s) collects the amplitudes along the perfectly-copied subspace and
 perp(s) is orthogonal to it. The error size of the copy is
 x(s) = ||perp(s)|| = sin(angle between V(s) and the nearest ideal product
-state Id(s) = s x s x k(s)), with k(s) = q(s)/||q(s)||.
+state Id(s) = s x s x k(s)), with k(s) = q(s)/||q(s)||. ||q(s)|| is that
+angle's cosine, so the error angle is delta_s = atan2(x(s), ||q(s)||).
 
 The absolute error of a machine on the pair is x(phi) + x(psi); the
 relative error divides that by sin(angle(Id(phi), Id(psi))), i.e. by how
@@ -170,6 +171,7 @@ def analyze_output(v, s, dims: FactorDims) -> CloneAnalysis:
     ss = np.multiply.outer(s, s)
     perp = (grid - ss[:, :, None] * q[None, None, :]).reshape(-1)
     q_norm = float(np.linalg.norm(q))
+    x = float(np.linalg.norm(perp))
 
     if q_norm > DEGENERATE_TOL:
         k = q / q_norm
@@ -180,8 +182,8 @@ def analyze_output(v, s, dims: FactorDims) -> CloneAnalysis:
     return CloneAnalysis(
         v=v,
         q=q,
-        x=float(np.linalg.norm(perp)),
-        delta_s=float(np.arccos(min(q_norm, 1.0))),
+        x=x,
+        delta_s=float(np.arctan2(x, q_norm)),
         k=k,
         ideal=ideal,
         dims=dims,

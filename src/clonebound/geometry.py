@@ -18,7 +18,7 @@ most eps*sqrt(1 - eps^2/4) (see :func:`gate_bound`).
 
 Each inequality is written once (``_lemma1`` .. ``_gate_approx``): a check
 evaluates it on a stack of one sample, a sweep on the stacks that its draw
-makes (``_SWEEPS``).
+makes (``_SWEEPS``). Every angle comes from statespace's one atan2 kernel.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import numpy as np
 
 from .statespace import (
     Projector,
+    _angles,
     as_state,
     check_unit,
     check_unitary,
@@ -90,28 +91,22 @@ class SweepResult:
 # and evaluates its inequality on a stack of one.
 # ---------------------------------------------------------------------------
 
-def _batch_angle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    ov = np.abs(np.einsum("bi,bi->b", x.conj(), y))
-    return np.arccos(np.minimum(ov, 1.0))
-
-
 def _lemma1(phi, ups, psi):
-    return np.cos(_batch_angle(phi, psi)), np.cos(
-        _batch_angle(phi, ups) - _batch_angle(ups, psi))
+    return np.cos(_angles(phi, psi)), np.cos(_angles(phi, ups) - _angles(ups, psi))
 
 
 def _lemma2(phi, ups, psi):
-    return _batch_angle(phi, ups), _batch_angle(phi, psi) + _batch_angle(ups, psi)
+    return _angles(phi, ups), _angles(phi, psi) + _angles(ups, psi)
 
 
 def _lemma3(theta, phi, psi):
     lhs = np.abs(np.abs(np.einsum("bi,bi->b", theta.conj(), phi)) ** 2
                  - np.abs(np.einsum("bi,bi->b", theta.conj(), psi)) ** 2)
-    return lhs, np.sin(_batch_angle(phi, psi))
+    return lhs, np.sin(_angles(phi, psi))
 
 
 def _lemma4(phi, psi, probs):
-    return np.abs(probs[:, 0] - probs[:, 1]), np.sin(_batch_angle(phi, psi))
+    return np.abs(probs[:, 0] - probs[:, 1]), np.sin(_angles(phi, psi))
 
 
 def _gate_approx(diff, probs):  # diff = U - V; the states are U sigma, V sigma

@@ -46,8 +46,8 @@ from scipy.optimize import minimize
 from .bounds import ae_lower_bound, re_lower_bound
 from .cloners import closed_form_re_s
 from .cloning import CHAIN_TOL, DEGENERATE_TOL, _chains, _overlap_angles
-from .geometry import _batch_angle, _block_summaries
-from .statespace import norm, random_states
+from .geometry import _block_summaries
+from .statespace import _angles, norm, random_states
 
 FLOOR_TOL = 1e-9
 # L-BFGS-B stopping rules per start: relative decrease of the objective,
@@ -175,14 +175,18 @@ def _psi_axis(z: float) -> np.ndarray:
 
 
 def _pair_errors(v: np.ndarray, v_psi: np.ndarray, z: float):
-    """(x_phi, x_psi) for one coordinate pair.
+    """(x_phi, x_psi, cos delta_phi, cos delta_psi) of a stack of coordinate
+    pairs, one pair per row: the error sizes and their cosines.
 
     Error sizes are residual norms, not sqrt(1 - |q|^2): the latter loses
     eight digits next to |q| = 1, which is exactly where the optimizer
     converges, and would let it dip below the analytic floor by ~1e-8.
     """
     u = _psi_axis(z)
-    return norm(v[1:]), norm(v_psi - u * np.vdot(u, v_psi))
+    q_psi = v_psi @ u
+    return (np.linalg.norm(v[:, 1:], axis=1),
+            np.linalg.norm(v_psi - u * q_psi[:, None], axis=1),
+            np.abs(v[:, 0]), np.abs(q_psi))
 
 
 def _objective_factory(objective: str, z: float):
@@ -283,8 +287,8 @@ def _search(cfg: SearchConfig, warm: np.ndarray, fun, theta_box,
     _, best_x, evals = _run_minimize(fun, starts, theta_box)
 
     c = _coords_from_params(best_x, cfg.z)
-    x_phi, x_psi = _pair_errors(c.v, c.v_psi, cfg.z)
-    best_ae = x_phi + x_psi
+    x_phi, x_psi, _, _ = _pair_errors(c.v[None], c.v_psi[None], cfg.z)
+    best_ae = x_phi[0] + x_psi[0]
     return SearchOutcome(
         best_ae=float(best_ae),
         best_re=float(best_ae / np.sqrt(1.0 - cfg.z ** 4)),
@@ -370,24 +374,18 @@ def _sample_block(rng: np.random.Generator, n: int, z: float):
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     v_psi = z * v + np.sqrt(1.0 - z * z) * w
 
-    u = _psi_axis(z)
-    q_phi = np.abs(v[:, 0])
-    q_psi_c = v_psi @ u.conj()
-    q_psi = np.abs(q_psi_c)
-    x_phi = np.linalg.norm(v[:, 1:], axis=1)
-    x_psi = np.linalg.norm(v_psi - u[None, :] * q_psi_c[:, None], axis=1)
+    x_phi, x_psi, q_phi, q_psi = _pair_errors(v, v_psi, z)
     ae = x_phi + x_psi
 
     defined = np.minimum(q_phi, q_psi) > DEGENERATE_TOL
     re = ae[defined] / np.sqrt(1.0 - z ** 4)
 
-    # Chain inequalities: angles from the actual sampled vectors. With no
-    # machine mode the ideal outputs are phi x phi and psi x psi, at angle D.
-    delta_phi = np.arccos(np.minimum(q_phi, 1.0))
-    delta_psi = np.arccos(np.minimum(q_psi, 1.0))
+    # Chain inequalities on the sampled vectors, each error angle from its sine
+    # and cosine; the ideal outputs phi x phi and psi x psi are at angle D.
     small, big = _overlap_angles(z)
     (lhs1, rhs1), (lhs2, rhs2) = _chains(
-        delta_phi, delta_psi, _batch_angle(v, v_psi), big, small, big)
+        np.arctan2(x_phi, q_phi), np.arctan2(x_psi, q_psi), _angles(v, v_psi),
+        big, small, big)
     return ae, re, rhs1 - lhs1, rhs2 - lhs2
 
 

@@ -7,7 +7,8 @@ Gram-Schmidt residuals, rank-k orthogonal projectors, and the angle metric
     angle(a, b) = arccos(|<a|b>|)  in  [0, pi/2],
 
 which is zero exactly when the two states coincide up to a global phase.
-It is evaluated in a form that keeps its digits near overlap 1 (see :func:`angle`).
+The package measures the angle of two vectors with one kernel, in a form
+that keeps its digits near overlap 1 (``_angles``); arccos takes only a given z.
 All functions are pure and never mutate their inputs.
 """
 
@@ -47,6 +48,11 @@ def norm(v: np.ndarray) -> float:
     return float(np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)))
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, each with :func:`norm`'s bits."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+
+
 def normalize(v) -> np.ndarray:
     """Scale a nonzero vector to unit norm."""
     v = as_state(v)
@@ -83,11 +89,6 @@ def inner(a, b) -> complex:
 def angle(a, b) -> float:
     """Angle arccos(|<a|b>|) between two unit vectors, in [0, pi/2].
 
-    Computed as 2 atan2(|a' - b'|, |a' + b'|), a' = a h, b' = b conj(h),
-    h = sqrt(<a|b>/|<a|b>|), which keeps the digits that arccos(|<a|b>|)
-    loses near overlap 1. Swapping a and b conjugates h and so only negates
-    a' - b': the result is symmetric bit for bit.
-
     Raises
     ------
     ValueError
@@ -96,11 +97,25 @@ def angle(a, b) -> float:
     a = check_unit(as_state(a))
     b = check_unit(as_state(b))
     _check_same_dim(a, b)
-    ov = np.vdot(a, b)
-    h = np.sqrt(ov / abs(ov)) if ov != 0 else 1.0
+    return float(_angles(a, b))
+
+
+def _angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Angle between each pair of unit rows of two broadcast stacks.
+
+    2 atan2(|a' - b'|, |a' + b'|), a' = a h, b' = b conj(h), h = sqrt(<a|b>/|<a|b>|)
+    or 1 where <a|b> = 0, keeps the digits that arccos(|<a|b>|) loses near
+    overlap 1 (Kahan, "How Futile are Mindless Assessments of Roundoff in
+    Floating-Point Computation?", 2006). Swapping a and b conjugates h and
+    so only negates a' - b': the result is symmetric bit for bit. On a row,
+    np.vecdot and hypot give the bits of vdot/dot and of a scalar's abs().
+    """
+    ov = np.vecdot(a, b)
+    zero = ov == 0  # then h = sqrt((0 + 1)/(0 + 1)) = 1
+    h = np.sqrt((ov + zero) / (np.hypot(ov.real, ov.imag) + zero))[..., None]
     a, b = a * h, b * np.conj(h)
     # Rounding may put orthogonal states an ulp past pi/2.
-    return min(2.0 * float(np.arctan2(norm(a - b), norm(a + b))), np.pi / 2)
+    return np.minimum(2.0 * np.arctan2(_norms(a - b), _norms(a + b)), np.pi / 2)
 
 
 def tensor(a, b) -> np.ndarray:

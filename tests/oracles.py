@@ -23,6 +23,12 @@ def f_bound(z) -> float:
     return float(mp.sin(big - small) / mp.sin(big))
 
 
+def deficit(z) -> float:
+    """The angle deficit D - d that the optimal machines' error angles share."""
+    big, small = _angles(z)
+    return float(big - small)
+
+
 def ae_bound(z) -> float:
     """Absolute-error floor via sin(D - d)."""
     big, small = _angles(z)

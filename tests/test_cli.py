@@ -447,6 +447,22 @@ class TestVerify:
         assert sweep["ae_min"] is sweep["ae_mean"] is sweep["ae_max"] is None
         assert sweep["floor_violations"] == 1 and sweep["re_min"] is not None
 
+    def test_chain_violations_exit_three(self, capsys, monkeypatch):
+        sample = search._sample_block
+
+        def bad_chains(rng, n, z):
+            ae, re, chain1, chain2 = sample(rng, n, z)
+            chain1[2], chain2[5] = -1e-6, np.nan
+            return ae, re, chain1, chain2
+
+        monkeypatch.setattr(search, "_sample_block", bad_chains)
+        code, out, err = run(capsys, "verify", "--z", "0.4", "--restarts", "1",
+                             "--sweep-trials", "50", "--seed", "3")
+        report = json.loads(out)
+        assert report["points"][0]["sweep"]["chain_violations"] == 2
+        assert report["violations"] == 0
+        assert code == 3 and err == "clonebound verify: 2 chain violations\n"
+
     # The two planted floor defects of the verdict table: a floor raised
     # past what the search reaches is a violation (exit 3); one lowered far
     # below it is an attainment failure (exit 4).

@@ -12,7 +12,13 @@ from clonebound.cloners import (
     materialize_unitary,
     plane_frame,
 )
-from clonebound.cloning import FactorDims, TwoStateSet, analyze_output, relative_error
+from clonebound.cloning import (
+    FactorDims,
+    TwoStateSet,
+    analyze_output,
+    analyze_pair,
+    relative_error,
+)
 from clonebound.statespace import (
     basis_state,
     check_unitary,
@@ -76,7 +82,7 @@ class TestSymmetric:
     @pytest.mark.parametrize("z", Z_GRID)
     def test_equal_split_and_closed_form(self, z):
         r = build_symmetric(TwoStateSet.at_overlap(z))
-        assert abs(r.a_phi.delta_s - r.a_psi.delta_s) < 1e-10
+        assert abs(r.a_phi.delta_s - r.a_psi.delta_s) < 1e-15
         assert relative_error(r) == pytest.approx(closed_form_re_s(z), abs=1e-9)
         assert relative_error(r) == pytest.approx(oracles.sym_re(z), abs=1e-12)
 
@@ -109,6 +115,18 @@ class TestAsymmetric:
     def test_rejects_unknown_favored(self):
         with pytest.raises(ValueError, match="favored"):
             build_asymmetric(TwoStateSet.at_overlap(0.5), "both")
+
+
+@pytest.mark.parametrize("z", Z_GRID)
+def test_error_angles_match_the_deficit(z):
+    # Each error angle is atan2(x, ||q||): it keeps the digits that
+    # arccos(||q||) loses, so both machines split D - d to within an ulp.
+    s = TwoStateSet.at_overlap(z)
+    sym, asym = build_symmetric(s), build_asymmetric(s)
+    errors = [sym.a_phi.delta_s, sym.a_psi.delta_s, asym.a_phi.delta_s,
+              asym.a_psi.delta_s]
+    expected = [oracles.deficit(z) / 2] * 2 + [0.0, oracles.deficit(z)]
+    assert np.max(np.abs(np.subtract(errors, expected))) <= 5e-16
 
 
 class TestWoottersZurek:
@@ -209,6 +227,25 @@ class TestRealizability:
             u = check_unitary(materialize_unitary(r))
             for vec, out in zip(machine_inputs(r), (r.a_phi.v, r.a_psi.v)):
                 assert np.max(np.abs(u @ vec - out)) < 1e-9
+
+    @pytest.mark.parametrize("tilt, realizable", [
+        (8.66e-13, True), (4.4e-12, False), (4.4e-11, False)])
+    def test_materialize_takes_one_overlap_tolerance(self, tilt, realizable):
+        # Tilting V(psi) toward V(phi) by `tilt` misses the input overlap by
+        # tilt * sin(60 deg): 7.5e-13, 3.8e-12 and 3.8e-11. The completion
+        # needs an orthonormal output pair within ATOL_ALG = 1e-12.
+        r = build_symmetric(TwoStateSet.at_overlap(0.5))
+        v_phi, v_psi = r.a_phi.v, r.a_psi.v
+        w = gram_schmidt_residual(v_phi, v_psi)
+        tilted = analyze_pair(r.set, v_phi, np.cos(tilt) * v_psi + np.sin(tilt) * w,
+                              r.dims)
+        gap = abs(inner(v_phi, tilted.a_psi.v) - 0.5)
+        assert gap == pytest.approx(tilt * np.sqrt(3) / 2, rel=1e-3)
+        if realizable:
+            check_unitary(materialize_unitary(tilted))
+        else:
+            with pytest.raises(ValueError, match="no unitary maps"):
+                materialize_unitary(tilted)
 
     def test_materialize_in_higher_input_dimension(self):
         rng = np.random.default_rng(4)

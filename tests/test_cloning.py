@@ -82,7 +82,7 @@ class TestAnalyzeOutput:
         v = tensor(tensor(s, s), m)
         a = analyze_output(v, s, FactorDims(3, 3, 4))
         assert a.x == pytest.approx(0.0, abs=1e-12)
-        assert a.delta_s == pytest.approx(0.0, abs=1e-7)
+        assert a.delta_s == pytest.approx(0.0, abs=1e-15)
         assert not a.degenerate
         assert np.allclose(a.ideal, v, atol=1e-12)
 

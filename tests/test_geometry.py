@@ -192,7 +192,12 @@ def test_rotated_equality_witnesses_are_tight(dim):
         reports = [lemma1_check(phi, ups, psi), lemma2_defect(phi, ups, psi),
                    lemma3_check(p.basis[0], f, g), lemma4_check(p, f, g),
                    gate_approx_check(u, u, sigma, q)]
-        assert [abs(r.slack) <= 1e-12 for r in reports] == [True] * 5
+        # Near-collinear coplanar triples at axis angles 0, 5t and 2t, where
+        # arccos of an overlap would lose half of the digits.
+        for t in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
+            triple = [rot @ coplanar_state(k * t, dim) for k in (0, 5, 2)]
+            reports += [lemma1_check(*triple), lemma2_defect(*triple)]
+        assert [abs(r.slack) <= 1e-12 for r in reports] == [True] * 15
 
 
 @pytest.mark.parametrize(

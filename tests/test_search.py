@@ -41,6 +41,13 @@ def ambient_pair(params, z):
     return c.v @ frame, c.v_psi @ frame
 
 
+def pair_errors(c, z):
+    """(x_phi, x_psi) of one decoded pair: the sweep's error arithmetic on a
+    stack of one, as the search reads its best point."""
+    x_phi, x_psi, _, _ = _pair_errors(c.v[None], c.v_psi[None], z)
+    return x_phi[0], x_psi[0]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(z=1.0)
@@ -121,7 +128,7 @@ class TestParameterization:
         r = analyze_pair(set_, v_phi, v_psi, FactorDims(2, 2, 1))
         # the coordinate shortcut and the ambient analysis agree
         c = _coords_from_params(params, z)
-        x_phi, x_psi = _pair_errors(c.v, c.v_psi, z)
+        x_phi, x_psi = pair_errors(c, z)
         assert r.a_phi.x == pytest.approx(x_phi, abs=1e-12)
         assert r.a_psi.x == pytest.approx(x_psi, abs=1e-12)
         assert stats.trials == 1
@@ -235,7 +242,7 @@ class TestColdStarts:
         # equality at the vertex x_phi = 0, x_psi = sin(D - d).
         out = minimize_objective("ae", SearchConfig(z=z, restarts=20, seed=1))
         c = _coords_from_params(out.best_params, z)
-        x_phi, x_psi = _pair_errors(c.v, c.v_psi, z)
+        x_phi, x_psi = pair_errors(c, z)
         assert x_phi == 0.0
         assert abs(x_psi - oracles.ae_bound(z)) < 1e-12
 
@@ -256,7 +263,7 @@ class TestColdStarts:
         assert len(runs) == 20
         for res in runs:
             c = _coords_from_params(res.x, z)
-            x_phi, x_psi = _pair_errors(c.v, c.v_psi, z)
+            x_phi, x_psi = pair_errors(c, z)
             re = (x_phi + x_psi) / np.sqrt(1.0 - z ** 4)
             assert res.status == 0 and abs(re - closed_form_re_s(z)) < 1e-8, res
             assert abs(x_phi - x_psi) < 1e-6

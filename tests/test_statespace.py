@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 from clonebound.statespace import (
     STACK_PIECE,
     Projector,
+    _angles,
     angle,
     apply_projector,
     as_state,
@@ -21,6 +22,7 @@ from clonebound.statespace import (
     phase_fixed_q,
     random_projector,
     random_state,
+    random_states,
     random_unitary,
     spectral_norms,
     tensor,
@@ -89,6 +91,21 @@ def test_angle_keeps_its_digits_near_overlap_one(dim):
             ov = abs(mp.fsum(mp.conj(p) * q for p, q in zip(va, vb)))
             na, nb = (mp.sqrt(mp.fsum(abs(c) ** 2 for c in v)) for v in (va, vb))
             assert abs(angle(a, b) - mp.acos(ov / (na * nb))) < 1e-15, t
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_stacked_angles_are_angle_row_by_row(dim):
+    # Every angle in the package comes from the one stacked kernel; on each
+    # row it gives angle()'s bits, also for identical and orthogonal rows.
+    rng = np.random.default_rng(dim)
+    a, b = random_states(300, dim, rng), random_states(300, dim, rng)
+    b[:100] = a[:100] * np.exp(0.3j)
+    b[100:200] = a[100:200] + 1e-7 * b[100:200]
+    b[100:200] /= np.linalg.norm(b[100:200], axis=1, keepdims=True)
+    a[-1], b[-1] = basis_state(dim, 0), basis_state(dim, 1)
+    assert np.array_equal(_angles(a, b), [angle(x, y) for x, y in zip(a, b)])
+    assert np.array_equal(_angles(a[:, None], b[None, :2])[:, 1],
+                          [angle(x, b[1]) for x in a])
 
 
 def test_angle_rejects_non_unit_input():
