@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cloning import ClonerResult, FactorDims, TwoStateSet, analyze_pair
-from .statespace import ATOL_ALG, Projector, basis_state, gram_schmidt_residual, tensor
+from .statespace import Projector, basis_state, gram_schmidt_residual, tensor
 
 
 def _require_distinct(set_: TwoStateSet) -> None:
@@ -146,14 +146,15 @@ def materialize_unitary(r: ClonerResult) -> np.ndarray:
     q2 = (b2 - b1 * g_in) / s01
     in_pair = [a1, p2 / np.linalg.norm(p2)]
     out_pair = [b1, q2 / np.linalg.norm(q2)]
-    # The completion needs an orthonormal output pair, to ATOL_ALG as
-    # Projector checks it; <b1|q2> = (<b1|b2> - <a1|a2>)/s01.
-    if abs(np.vdot(*out_pair)) > ATOL_ALG:
+    # Projector checks that the output pair is orthonormal, the one thing the
+    # completion needs; <b1|q2> = (<b1|b2> - <a1|a2>)/s01.
+    try:
+        p_out = Projector(out_pair)
+    except ValueError:
         raise ValueError(f"no unitary maps these inputs to these outputs: <in|in> = "
-                         f"{g_in:.15g} but <out|out> = {np.vdot(b1, b2):.15g}")
+                         f"{g_in:.15g} but <out|out> = {np.vdot(b1, b2):.15g}") from None
 
     # Orthonormal completions via the complements of the spanned planes.
-    basis_in, basis_out = (
-        np.stack(pair + list(Projector(pair).complement().basis), axis=1)
-        for pair in (in_pair, out_pair))
+    basis_in, basis_out = (np.concatenate([p.basis, p.complement().basis]).T
+                           for p in (Projector(in_pair), p_out))
     return basis_out @ basis_in.conj().T

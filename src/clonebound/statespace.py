@@ -42,14 +42,13 @@ def as_state(values) -> np.ndarray:
 
 
 def norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-D array: ``np.linalg.norm``'s arithmetic and
-    bits, without its dispatch on ``ord`` and ``axis``."""
-    v = v.ravel(order="K")
-    return float(np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)))
+    """Euclidean norm of an array, flattened: ``np.linalg.norm``'s bits."""
+    return float(_norms(v.ravel(order="K")))
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis, each with :func:`norm`'s bits."""
+    """Euclidean norms along the last axis; on a row, the bits of
+    ``np.linalg.norm``, which sums the real parts' squares, then the imaginary."""
     return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
