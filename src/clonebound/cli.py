@@ -42,6 +42,7 @@ from .cloners import closed_form_re_s, closed_form_re_wz
 from .cloning import TwoStateSet, unitarity_residual
 from .geometry import ALL_SWEEPS, DEFAULT_SWEEP_TOL
 from .search import verify_point
+from .statespace import norm
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -281,7 +282,7 @@ def _load_state_file(path: str):
         if not np.any(vec):
             raise ValueError(f"state {key!r} is the zero vector")
         with np.errstate(over="ignore"):
-            n = np.linalg.norm(vec)
+            n = norm(vec)
         # Below sqrt(smallest normal float) the squared norm is subnormal
         # and has lost digits; above sqrt(largest float) it overflows.
         if not math.sqrt(sys.float_info.min) <= n < math.inf:
@@ -433,7 +434,7 @@ def cmd_verify(args) -> int:
         "manifest": manifest,
     }
     _emit(report, args.out)
-    chain_violations = sum(p["sweep"]["chain_violations"] for p in report["points"])
+    chain_violations = sum(r.sweep.chain_violations for r in records)
     for count, kind in ((total_violations, "floor"), (chain_violations, "chain")):
         if count:
             print(f"clonebound verify: {count} {kind} violations", file=sys.stderr)

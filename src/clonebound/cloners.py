@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cloning import ClonerResult, FactorDims, TwoStateSet, analyze_pair
-from .statespace import Projector, basis_state, gram_schmidt_residual, tensor
+from .statespace import Projector, basis_state, gram_schmidt_residual, norm, tensor
 
 
 def _require_distinct(set_: TwoStateSet) -> None:
@@ -144,8 +144,8 @@ def materialize_unitary(r: ClonerResult) -> np.ndarray:
     # Shared Gram-Schmidt coefficients keep the map exact on both vectors.
     p2 = (a2 - a1 * g_in) / s01
     q2 = (b2 - b1 * g_in) / s01
-    in_pair = [a1, p2 / np.linalg.norm(p2)]
-    out_pair = [b1, q2 / np.linalg.norm(q2)]
+    in_pair = [a1, p2 / norm(p2)]
+    out_pair = [b1, q2 / norm(q2)]
     # Projector checks that the output pair is orthonormal, the one thing the
     # completion needs; <b1|q2> = (<b1|b2> - <a1|a2>)/s01.
     try:

@@ -26,14 +26,8 @@ import numpy as np
 
 from .geometry import InequalityReport
 from .statespace import (
-    Projector,
-    angle,
-    as_state,
-    check_unit,
-    inner,
-    measure_prob,
-    basis_state,
-    tensor,
+    Projector, _projector_probs, angle, as_state, basis_state, check_unit, inner,
+    measure_prob, norm, tensor,
 )
 
 # ||q|| at or below this counts as a degenerate (direction-free) ideal.
@@ -170,8 +164,8 @@ def analyze_output(v, s, dims: FactorDims) -> CloneAnalysis:
     q = np.einsum("a,b,abj->j", s.conj(), s.conj(), grid)
     ss = np.multiply.outer(s, s)
     perp = (grid - ss[:, :, None] * q[None, None, :]).reshape(-1)
-    q_norm = float(np.linalg.norm(q))
-    x = float(np.linalg.norm(perp))
+    q_norm = norm(q)
+    x = norm(perp)
 
     if q_norm > DEGENERATE_TOL:
         k = q / q_norm
@@ -286,17 +280,10 @@ def lifted_prob(a: CloneAnalysis, p: Projector, mode: int) -> float:
     """Outcome probability of a single-particle projector on output mode 1 or 2."""
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode!r}")
-    if p.ambient_dim != a.dims.d1:
-        raise ValueError(
-            f"projector acts on dimension {p.ambient_dim}, expected {a.dims.d1}"
-        )
+    # The output's rows along the measured mode, each a state of that mode.
     grid = a.v.reshape(a.dims.d1, a.dims.d2, a.dims.danc)
-    if mode == 1:
-        coeff = np.einsum("ri,ijk->rjk", p.basis.conj(), grid)
-    else:
-        coeff = np.einsum("rj,ijk->irk", p.basis.conj(), grid)
-    prob = float(np.sum(np.abs(coeff) ** 2))
-    return min(max(prob, 0.0), 1.0)
+    rows = np.moveaxis(grid, mode - 1, -1).reshape(-1, a.dims.d1)
+    return min(max(float(np.sum(_projector_probs(p, rows))), 0.0), 1.0)
 
 
 def measurement_deviation(a: CloneAnalysis, s, p: Projector, mode: int,

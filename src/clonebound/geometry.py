@@ -18,7 +18,8 @@ most eps*sqrt(1 - eps^2/4) (see :func:`gate_bound`).
 
 Each inequality is written once (``_lemma1`` .. ``_gate_approx``): a check
 evaluates it on a stack of one sample, a sweep on the stacks that its draw
-makes (``_SWEEPS``). Every angle comes from statespace's one atan2 kernel.
+makes (``_SWEEPS``). Every angle comes from statespace's one atan2 kernel,
+every outcome probability from its one ||P s||^2 kernel.
 """
 
 from __future__ import annotations
@@ -31,15 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statespace import (
-    Projector,
-    _angles,
-    as_state,
-    check_unit,
-    check_unitary,
-    measure_prob,
-    phase_fixed_q,
-    random_states,
-    spectral_norms,
+    Projector, _angles, _complex_normal, _outcome_probs, _projector_probs, as_state,
+    check_unit, check_unitary, phase_fixed_q, random_states, spectral_norms,
 )
 
 DEFAULT_SWEEP_TOL = 1e-10
@@ -124,32 +118,32 @@ def _report(inequality, *sample) -> InequalityReport:
     return InequalityReport.compare(float(lhs[0]), float(rhs[0]), DEFAULT_SWEEP_TOL)
 
 
-def _triple_angles(a, b, c):
-    a, b, c = (check_unit(as_state(x)) for x in (a, b, c))
-    if not a.shape == b.shape == c.shape:
-        raise ValueError("all three states must share one dimension")
-    return a, b, c
+def _unit_states(*states):
+    states = [check_unit(as_state(x)) for x in states]
+    if len({x.shape for x in states}) > 1:
+        raise ValueError("all states must share one dimension")
+    return states
 
 
 def lemma1_check(phi, ups, psi) -> InequalityReport:
     """cos(angle(phi, psi)) <= cos(angle(phi, ups) - angle(ups, psi))."""
-    return _report(_lemma1, *_triple_angles(phi, ups, psi))
+    return _report(_lemma1, *_unit_states(phi, ups, psi))
 
 
 def lemma2_defect(phi, ups, psi) -> InequalityReport:
     """Spherical triangle inequality: angle(phi, ups) <= angle(phi, psi) + angle(ups, psi)."""
-    return _report(_lemma2, *_triple_angles(phi, ups, psi))
+    return _report(_lemma2, *_unit_states(phi, ups, psi))
 
 
 def lemma3_check(theta, phi, psi) -> InequalityReport:
     """| |<theta|phi>|^2 - |<theta|psi>|^2 | <= sin(angle(phi, psi))."""
-    return _report(_lemma3, *_triple_angles(theta, phi, psi))
+    return _report(_lemma3, *_unit_states(theta, phi, psi))
 
 
 def lemma4_check(p: Projector, phi, psi) -> InequalityReport:
     """|<phi|P|phi> - <psi|P|psi>| <= sin(angle(phi, psi))."""
-    probs = [measure_prob(p, phi), measure_prob(p, psi)]  # validates both states
-    return _report(_lemma4, as_state(phi), as_state(psi), probs)
+    phi, psi = _unit_states(phi, psi)
+    return _report(_lemma4, phi, psi, _projector_probs(p, np.stack([phi, psi])))
 
 
 def gate_bound(epsilon: float) -> float:
@@ -174,8 +168,8 @@ def gate_approx_check(u, v, sigma, p: Projector) -> InequalityReport:
     sigma = check_unit(as_state(sigma))
     if u.shape != v.shape or u.shape[1] != sigma.shape[0]:
         raise ValueError("unitaries and state must share one dimension")
-    probs = [measure_prob(p, u @ sigma), measure_prob(p, v @ sigma)]
-    return _report(_gate_approx, u - v, probs)
+    out = np.einsum("bij,bj->bi", np.stack([u, v]), np.stack([sigma, sigma]))
+    return _report(_gate_approx, u - v, _projector_probs(p, out))
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +270,8 @@ def _random_projector_probs(states: np.ndarray, rng: np.random.Generator) -> np.
     probs = np.empty((n, k))
     for rank in np.unique(ranks):
         idx = np.nonzero(ranks == rank)[0]
-        g = rng.standard_normal((idx.size, dim, rank)) + 1j * rng.standard_normal(
-            (idx.size, dim, rank)
-        )
-        q, _ = np.linalg.qr(g)
-        # coeff[b, j, r] = <q_r | state_j> for trial b
-        coeff = np.einsum("bir,bji->bjr", q.conj(), states[idx])
-        probs[idx] = np.sum(np.abs(coeff) ** 2, axis=2)
+        q, _ = np.linalg.qr(_complex_normal(rng, (idx.size, dim, rank)))
+        probs[idx] = _outcome_probs(q, states[idx])
     return probs
 
 
@@ -348,10 +337,8 @@ def _draw_gate_approx(n, dim, rng):
     [0, GATE_MAX_PERTURBATION], which keeps eps = ||U - V|| well inside the
     bound's valid range eps <= sqrt(2).
     """
-    gu = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
-    u = phase_fixed_q(gu)
-    del gu
-    g = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    u = phase_fixed_q(_complex_normal(rng, (n, dim, dim)))
+    g = _complex_normal(rng, (n, dim, dim))
     g /= spectral_norms(g)[:, None, None]
     eta = rng.uniform(0.0, GATE_MAX_PERTURBATION, size=n)
     g *= eta[:, None, None]

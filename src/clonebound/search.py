@@ -47,7 +47,7 @@ from .bounds import ae_lower_bound, re_lower_bound
 from .cloners import closed_form_re_s
 from .cloning import CHAIN_TOL, DEGENERATE_TOL, _chains, _overlap_angles
 from .geometry import _block_summaries
-from .statespace import _angles, norm, random_states
+from .statespace import _angles, _complex_normal, norm, random_states
 
 FLOOR_TOL = 1e-9
 # L-BFGS-B stopping rules per start: relative decrease of the objective,
@@ -274,8 +274,7 @@ def _cold_starts(cfg: SearchConfig) -> list[np.ndarray]:
     for _ in range(cfg.restarts):
         theta = rng.uniform(0.0, np.pi / 2)
         a, b = rng.standard_normal(2 * m - 2), rng.standard_normal(2 * m)
-        starts.append(np.concatenate([[theta], a / np.linalg.norm(a),
-                                      b / np.linalg.norm(b)]))
+        starts.append(np.concatenate([[theta], a / norm(a), b / norm(b)]))
     return starts
 
 
@@ -360,6 +359,10 @@ class SweepStats:
     def floor_violations(self) -> int:
         return self.floor_violations_ae + self.floor_violations_re
 
+    @property
+    def chain_violations(self) -> int:
+        return self.chain1_violations + self.chain2_violations
+
 
 def _sample_block(rng: np.random.Generator, n: int, z: float):
     """(ae, re, chain1, chain2) of ``n`` uniform realizable pairs at overlap z.
@@ -369,7 +372,7 @@ def _sample_block(rng: np.random.Generator, n: int, z: float):
     """
     m = SUBSPACE_DIM
     v = random_states(n, m, rng)
-    w = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    w = _complex_normal(rng, (n, m))
     w -= v * np.einsum("bi,bi->b", v.conj(), w)[:, None]
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     v_psi = z * v + np.sqrt(1.0 - z * z) * w
@@ -467,8 +470,7 @@ class VerifyRecord:
             d["sweep"][name] = value if np.isfinite(value) else None
         d["sweep"] |= {
             "floor_violations": self.sweep.floor_violations,
-            "chain_violations": self.sweep.chain1_violations
-            + self.sweep.chain2_violations,
+            "chain_violations": self.sweep.chain_violations,
             "undefined_re": self.sweep.undefined_re,
         }
         return d

@@ -190,12 +190,25 @@ def apply_projector(p: Projector, v) -> np.ndarray:
     return coeff @ p.basis
 
 
+def _outcome_probs(q: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Unclamped ||P s||^2 = sum_r |<q_r|s>|^2, shape (n, k), of the k states
+    per trial in ``states`` (n, k, dim), P projecting each trial's states onto
+    the orthonormal columns q_r of its matrix in ``q`` (n, dim, rank)."""
+    coeff = np.einsum("bir,bji->bjr", q.conj(), states)
+    return np.sum(np.abs(coeff) ** 2, axis=2)
+
+
+def _projector_probs(p: Projector, states: np.ndarray) -> np.ndarray:
+    """``_outcome_probs`` of ``p`` on the rows of ``states``, as one trial."""
+    if states.shape[-1] != p.ambient_dim:
+        raise ValueError(f"dimension mismatch: {states.shape[-1]} vs {p.ambient_dim}")
+    return _outcome_probs(p.basis.T[None], states[None])[0]
+
+
 def measure_prob(p: Projector, s) -> float:
     """Outcome probability <s|P|s> = ||P s||^2 for a unit state ``s``."""
     s = check_unit(as_state(s))
-    projected = apply_projector(p, s)
-    prob = float(np.real(np.vdot(projected, projected)))
-    return min(max(prob, 0.0), 1.0)
+    return min(max(float(_projector_probs(p, s[None])[0]), 0.0), 1.0)
 
 
 def check_unitary(u: np.ndarray) -> np.ndarray:
@@ -241,22 +254,30 @@ def basis_state(dim: int, index: int = 0) -> np.ndarray:
 # Seeded random samplers (Haar-uniform states, unitaries, projectors).
 # ---------------------------------------------------------------------------
 
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Complex standard Gaussians x + iy of ``shape``, every x drawn before
+    any y: the bits of rng.standard_normal(shape) + 1j * rng.standard_normal(shape)."""
+    z = np.empty(shape, dtype=np.complex128)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    return z
+
+
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-uniform unit vector: complex standard Gaussian, then normalize."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    v = _complex_normal(rng, dim)
+    return v / norm(v)
 
 
 def random_states(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     """Batch of ``n`` Haar-uniform unit vectors, shape (n, dim)."""
-    v = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    v = _complex_normal(rng, (n, dim))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random unitary via QR orthonormalization of a Gaussian matrix."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return phase_fixed_q(g)
+    return phase_fixed_q(_complex_normal(rng, (dim, dim)))
 
 
 def phase_fixed_q(g: np.ndarray) -> np.ndarray:
@@ -283,6 +304,5 @@ def random_projector(dim: int, rank: int, rng: np.random.Generator) -> Projector
     """Random rank-``rank`` projector from orthonormalized Gaussian vectors."""
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must be in 1..{dim}, got {rank}")
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    q, _ = np.linalg.qr(g)
+    q, _ = np.linalg.qr(_complex_normal(rng, (dim, rank)))
     return Projector(q.T)

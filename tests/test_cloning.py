@@ -232,12 +232,31 @@ class TestMeasurementDeviation:
         mode = int(rng.integers(1, 3))
         assert measurement_deviation(a, s, p, mode).holds
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lifted_prob_matches_the_grid_contraction(self, seed):
+        # lifted_prob evaluates the sweeps' kernel on the output's rows along
+        # the measured mode; the contraction over the whole grid it replaced
+        # agrees.
+        rng = np.random.default_rng(seed)
+        for d in range(2, 6):
+            for danc in (1, 2, 3):
+                dims = FactorDims(d, d, danc)
+                a = analyze_output(random_state(dims.total, rng), random_state(d, rng), dims)
+                p = random_projector(d, int(rng.integers(1, d + 1)), rng)
+                grid = a.v.reshape(d, d, danc)
+                for mode, spec in ((1, "ri,ijk->rjk"), (2, "rj,ijk->irk")):
+                    coeff = np.einsum(spec, p.basis.conj(), grid)
+                    old = min(max(float(np.sum(np.abs(coeff) ** 2)), 0.0), 1.0)
+                    assert abs(lifted_prob(a, p, mode) - old) <= 1e-15
+
     def test_mode_validation(self):
         e1 = basis_state(2, 0)
         a = analyze_output(tensor(e1, e1), e1, FactorDims(2, 2, 1))
         p = random_projector(2, 1, np.random.default_rng(1))
         with pytest.raises(ValueError, match="mode"):
             lifted_prob(a, p, 3)
+        with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+            lifted_prob(a, random_projector(3, 1, np.random.default_rng(1)), 1)
 
 
 def test_unitarity_residual_zero_for_constructions():

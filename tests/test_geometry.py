@@ -34,6 +34,7 @@ from clonebound.geometry import (
 from clonebound.statespace import (
     Projector,
     basis_state,
+    check_unitary,
     random_projector,
     random_state,
     random_unitary,
@@ -175,6 +176,29 @@ def test_gate_approx_rejects_a_nan_unitary():
     with pytest.raises(ValueError, match="not unitary"):
         gate_approx_check(np.full((4, 4), np.nan), u, random_state(4, rng),
                           random_projector(4, 2, rng))
+
+
+def test_gate_approx_takes_every_unitary_check_unitary_takes():
+    # u (1 + 2e-11) deviates from unitarity by 4e-11, inside ATOL_UNITARY;
+    # the states it makes are then off unit norm by 2e-11, which the
+    # check must not reject at the unit-vector tolerance ATOL_ALG.
+    rng = np.random.default_rng(9)
+    u, sigma, p = random_unitary(4, rng), random_state(4, rng), random_projector(4, 2, rng)
+    assert check_unitary(u * (1 + 2e-11)) is not None
+    r = gate_approx_check(u * (1 + 2e-11), u, sigma, p)
+    assert r.holds and r.lhs < 1e-10
+
+
+def test_probability_checks_reject_a_projector_of_another_dimension():
+    rng = np.random.default_rng(9)
+    p, u = random_projector(3, 1, rng), random_unitary(4, rng)
+    a, b = random_state(4, rng), random_state(4, rng)
+    with pytest.raises(ValueError, match="dimension mismatch: 4 vs 3"):
+        lemma4_check(p, a, b)
+    with pytest.raises(ValueError, match="dimension mismatch: 4 vs 3"):
+        gate_approx_check(u, u, a, p)
+    with pytest.raises(ValueError, match="share one dimension"):
+        lemma4_check(p, a, random_state(3, rng))
 
 
 @pytest.mark.parametrize("dim", range(2, 9))

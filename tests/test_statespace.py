@@ -9,6 +9,7 @@ from clonebound.statespace import (
     STACK_PIECE,
     Projector,
     _angles,
+    _complex_normal,
     angle,
     apply_projector,
     as_state,
@@ -208,6 +209,37 @@ def test_measure_prob_examples():
     assert measure_prob(p, basis_state(2, 0)) == pytest.approx(1.0)
     assert measure_prob(p, basis_state(2, 1)) == pytest.approx(0.0)
     assert measure_prob(p, [0.5, np.sqrt(3) / 2]) == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_measure_prob_matches_the_projected_vector_form(seed):
+    # measure_prob evaluates the sweeps' kernel; the form it replaced,
+    # ||P s||^2 as the squared norm of the projected vector, agrees.
+    rng = np.random.default_rng(seed)
+    for dim in range(2, 9):
+        for rank in range(1, dim + 1):
+            p, s = random_projector(dim, rank, rng), random_state(dim, rng)
+            projected = apply_projector(p, s)
+            old = min(max(float(np.real(np.vdot(projected, projected))), 0.0), 1.0)
+            assert abs(measure_prob(p, s) - old) <= 1e-15
+
+
+def test_measure_prob_rejects_a_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+        measure_prob(Projector(basis_state(2, 0)[None, :]), basis_state(3, 0))
+
+
+@pytest.mark.parametrize("shape", [7, (5, 3), (4, 3, 3), (6, 4, 2), (0, 3)])
+def test_complex_normal_is_the_sum_form_bit_for_bit(shape):
+    # The 1-D, (n, d), (n, d, d) and (k, d, r) draws of the package: real
+    # parts first, then imaginary parts, and the generator left where the
+    # sum form leaves it.
+    old, new = np.random.default_rng(42), np.random.default_rng(42)
+    want = old.standard_normal(shape) + 1j * old.standard_normal(shape)
+    got = _complex_normal(new, shape)
+    assert got.dtype == np.complex128 and got.shape == want.shape
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+    assert new.random() == old.random()
 
 
 @given(seeds, dims)
