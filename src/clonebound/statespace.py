@@ -255,8 +255,8 @@ def basis_state(dim: int, index: int = 0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Complex standard Gaussians x + iy of ``shape``, every x drawn before
-    any y: the bits of rng.standard_normal(shape) + 1j * rng.standard_normal(shape)."""
+    """Complex standard Gaussians x + iy of ``shape``, all x drawn before any y,
+    as two real ``standard_normal(shape)`` draws summed would give them."""
     z = np.empty(shape, dtype=np.complex128)
     z.real = rng.standard_normal(shape)
     z.imag = rng.standard_normal(shape)
