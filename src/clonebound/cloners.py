@@ -22,11 +22,13 @@ from __future__ import annotations
 import numpy as np
 
 from .cloning import ClonerResult, FactorDims, TwoStateSet, analyze_pair
-from .statespace import Projector, basis_state, gram_schmidt_residual, norm, tensor
+from .statespace import (
+    COLLINEAR_TOL, Projector, _dots, basis_state, gram_schmidt_residual, norm, tensor,
+)
 
 
 def _require_distinct(set_: TwoStateSet) -> None:
-    if set_.z >= 1.0 - 1e-12:
+    if set_.z >= 1.0 - COLLINEAR_TOL:
         raise ValueError("identical states clone ideally; relative error undefined")
 
 
@@ -136,7 +138,7 @@ def materialize_unitary(r: ClonerResult) -> np.ndarray:
     a1, a2 = (tensor(tensor(s, blank), start) for s in (r.set.phi, r.set.psi))
     b1, b2 = r.a_phi.v, r.a_psi.v
 
-    g_in = np.vdot(a1, a2)
+    g_in = _dots(a1, a2)
     s01 = np.sqrt(1.0 - abs(g_in) ** 2)
     if s01 < 1e-8:
         raise ValueError("inputs are collinear; extension is underdetermined")
@@ -152,7 +154,7 @@ def materialize_unitary(r: ClonerResult) -> np.ndarray:
         p_out = Projector(out_pair)
     except ValueError:
         raise ValueError(f"no unitary maps these inputs to these outputs: <in|in> = "
-                         f"{g_in:.15g} but <out|out> = {np.vdot(b1, b2):.15g}") from None
+                         f"{g_in:.15g} but <out|out> = {_dots(b1, b2):.15g}") from None
 
     # Orthonormal completions via the complements of the spanned planes.
     basis_in, basis_out = (np.concatenate([p.basis, p.complement().basis]).T

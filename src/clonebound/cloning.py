@@ -24,9 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import InequalityReport
+from .geometry import DEFAULT_SWEEP_TOL, InequalityReport
 from .statespace import (
-    Projector, _projector_probs, angle, as_state, basis_state, check_unit, inner,
+    Projector, _dots, _projector_probs, angle, as_state, basis_state, check_unit, inner,
     measure_prob, norm, tensor,
 )
 
@@ -46,7 +46,7 @@ def _overlap_angles(z: float) -> tuple[float, float]:
 
 def canonical_phase(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Rephase ``psi`` so that <phi|psi> is real and nonnegative."""
-    ov = np.vdot(phi, psi)
+    ov = _dots(phi, psi)
     # np.angle(0) = 0, so a vanishing overlap leaves psi untouched.
     return psi * np.exp(-1j * np.angle(ov))
 
@@ -72,7 +72,7 @@ class TwoStateSet:
         if phi.shape != psi.shape:
             raise ValueError("phi and psi must share one dimension")
         psi = canonical_phase(phi, psi)
-        z = min(abs(np.vdot(phi, psi)), 1.0)
+        z = min(abs(_dots(phi, psi)), 1.0)
         return cls(phi=phi, psi=psi, z=float(z), delta=_overlap_angles(z)[0])
 
     @classmethod
@@ -286,14 +286,13 @@ def lifted_prob(a: CloneAnalysis, p: Projector, mode: int) -> float:
     return min(max(float(np.sum(_projector_probs(p, rows))), 0.0), 1.0)
 
 
-def measurement_deviation(a: CloneAnalysis, s, p: Projector, mode: int,
-                          tol: float = 1e-10) -> InequalityReport:
+def measurement_deviation(a: CloneAnalysis, s, p: Projector, mode: int) -> InequalityReport:
     """Deviation of copy statistics from input statistics, bounded by x.
 
-    Checks |P(outcome on mode | V) - P(outcome | s)| <= x for the given
-    single-particle projector lifted to output mode 1 or 2. For a perfect
-    copy the left side vanishes for every projector.
+    Checks |P(outcome on mode | V) - P(outcome | s)| <= x, within
+    DEFAULT_SWEEP_TOL, for the given single-particle projector lifted to
+    output mode 1 or 2. A perfect copy makes the left side 0 for every projector.
     """
     s = check_unit(as_state(s))
     lhs = abs(lifted_prob(a, p, mode) - measure_prob(p, s))
-    return InequalityReport.compare(lhs, a.x, tol)
+    return InequalityReport.compare(lhs, a.x, DEFAULT_SWEEP_TOL)

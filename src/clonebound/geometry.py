@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statespace import (
-    Projector, _angles, _complex_normal, _outcome_probs, _projector_probs, as_state,
+    Projector, _angles, _complex_normal, _dots, _outcome_probs, _projector_probs, as_state,
     check_unit, check_unitary, phase_fixed_q, random_states, spectral_norms,
 )
 
@@ -94,8 +94,7 @@ def _lemma2(phi, ups, psi):
 
 
 def _lemma3(theta, phi, psi):
-    lhs = np.abs(np.abs(np.einsum("bi,bi->b", theta.conj(), phi)) ** 2
-                 - np.abs(np.einsum("bi,bi->b", theta.conj(), psi)) ** 2)
+    lhs = np.abs(np.abs(_dots(theta, phi)) ** 2 - np.abs(_dots(theta, psi)) ** 2)
     return lhs, np.sin(_angles(phi, psi))
 
 

@@ -47,7 +47,7 @@ from .bounds import ae_lower_bound, re_lower_bound
 from .cloners import closed_form_re_s
 from .cloning import CHAIN_TOL, DEGENERATE_TOL, _chains, _overlap_angles
 from .geometry import _block_summaries
-from .statespace import _angles, _complex_normal, norm, random_states
+from .statespace import _angles, _complex_normal, _dots, _norms, norm, random_states
 
 FLOOR_TOL = 1e-9
 # L-BFGS-B stopping rules per start: relative decrease of the objective,
@@ -129,7 +129,7 @@ def _coords_from_params(params, z: float) -> _Coords:
     v[0] = np.cos(theta)
     v[1:] = np.sin(theta) * a_hat
     b = params[2 * SUBSPACE_DIM - 1:].view(np.complex128)
-    alpha = np.vdot(v, b)
+    alpha = _dots(v, b)
     p = b - v * alpha
     p_norm = norm(p)
     if not DEGENERATE_TOL <= p_norm < np.inf:
@@ -183,9 +183,8 @@ def _pair_errors(v: np.ndarray, v_psi: np.ndarray, z: float):
     converges, and would let it dip below the analytic floor by ~1e-8.
     """
     u = _psi_axis(z)
-    q_psi = v_psi @ u
-    return (np.linalg.norm(v[:, 1:], axis=1),
-            np.linalg.norm(v_psi - u * q_psi[:, None], axis=1),
+    q_psi = _dots(u, v_psi)
+    return (_norms(v[:, 1:]), _norms(v_psi - u * q_psi[:, None]),
             np.abs(v[:, 0]), np.abs(q_psi))
 
 
@@ -209,7 +208,7 @@ def _objective_factory(objective: str, z: float):
     def value_and_gradient(params):
         c = _coords_from_params(params, z)
         sin_t, cos_t = np.sin(c.theta), np.cos(c.theta)
-        q = u @ c.v_psi
+        q = _dots(u, c.v_psi)
         r = c.v_psi - u * q
         x_psi = norm(r)
         if objective == "sym":
@@ -223,13 +222,13 @@ def _objective_factory(objective: str, z: float):
             g_psi = r / x_psi if x_psi > 0 else np.zeros(SUBSPACE_DIM, dtype=np.complex128)
         # V_psi = z V + s W, W = p/|p|, p = b - V <V|b>.
         g_w = s * g_psi
-        g_p = (g_w - c.w * np.vdot(c.w, g_w).real) / c.p_norm
-        g_b = g_p - c.v * np.vdot(c.v, g_p)
-        g_v = z * g_psi - np.conj(c.alpha) * g_p - np.vdot(g_p, c.v) * c.b
+        g_p = (g_w - c.w * _dots(c.w, g_w).real) / c.p_norm
+        g_b = g_p - c.v * _dots(c.v, g_p)
+        g_v = z * g_psi - np.conj(c.alpha) * g_p - _dots(g_p, c.v) * c.b
         # V = (cos theta, sin theta a_hat), a_hat = a/|a|.
-        g_theta += -sin_t * g_v[0].real + cos_t * np.vdot(c.a_hat, g_v[1:]).real
+        g_theta += -sin_t * g_v[0].real + cos_t * _dots(c.a_hat, g_v[1:]).real
         g_ahat = sin_t * g_v[1:]
-        g_a = (g_ahat - c.a_hat * np.vdot(c.a_hat, g_ahat).real) / c.a_norm
+        g_a = (g_ahat - c.a_hat * _dots(c.a_hat, g_ahat).real) / c.a_norm
         ga, gb = c.a_norm ** 2 - 1.0, norm(c.b) ** 2 - 1.0
         value += GAUGE_WEIGHT * (ga * ga + gb * gb)
         g_a = g_a + 4 * GAUGE_WEIGHT * ga * c.a_norm * c.a_hat
@@ -373,8 +372,8 @@ def _sample_block(rng: np.random.Generator, n: int, z: float):
     m = SUBSPACE_DIM
     v = random_states(n, m, rng)
     w = _complex_normal(rng, (n, m))
-    w -= v * np.einsum("bi,bi->b", v.conj(), w)[:, None]
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    w -= v * _dots(v, w)[:, None]
+    w /= _norms(w)[:, None]
     v_psi = z * v + np.sqrt(1.0 - z * z) * w
 
     x_phi, x_psi, q_phi, q_psi = _pair_errors(v, v_psi, z)

@@ -7,8 +7,9 @@ Gram-Schmidt residuals, rank-k orthogonal projectors, and the angle metric
     angle(a, b) = arccos(|<a|b>|)  in  [0, pi/2],
 
 which is zero exactly when the two states coincide up to a global phase.
-The package measures the angle of two vectors with one kernel, in a form
-that keeps its digits near overlap 1 (``_angles``); arccos takes only a given z.
+Every inner product and vector norm in the package comes from one reduction
+(``_dots``), and every angle of two vectors from one kernel that keeps its
+digits near overlap 1 (``_angles``); arccos takes only a given z.
 All functions are pure and never mutate their inputs.
 """
 
@@ -42,14 +43,19 @@ def as_state(values) -> np.ndarray:
 
 
 def norm(v: np.ndarray) -> float:
-    """Euclidean norm of an array, flattened: ``np.linalg.norm``'s bits."""
-    return float(_norms(v.ravel(order="K")))
+    """Euclidean norm of an array, flattened: ``_norms`` of it as one row."""
+    return float(_norms(v.reshape(-1)))
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a|b> on the last axis of broadcast stacks by einsum's loops, not BLAS: a row
+    has the same bits in any stack and kernel (a real row, if equally contiguous)."""
+    return np.einsum("...i,...i->...", a.conj(), b)
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis; on a row, the bits of
-    ``np.linalg.norm``, which sums the real parts' squares, then the imaginary."""
-    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+    """Euclidean norms along the last axis, sqrt(Re _dots(v, v)); inf on overflow."""
+    return np.sqrt(_dots(v, v).real)
 
 
 def normalize(v) -> np.ndarray:
@@ -82,7 +88,7 @@ def inner(a, b) -> complex:
     a = as_state(a)
     b = as_state(b)
     _check_same_dim(a, b)
-    return complex(np.vdot(a, b))
+    return complex(_dots(a, b))
 
 
 def angle(a, b) -> float:
@@ -106,10 +112,10 @@ def _angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     or 1 where <a|b> = 0, keeps the digits that arccos(|<a|b>|) loses near
     overlap 1 (Kahan, "How Futile are Mindless Assessments of Roundoff in
     Floating-Point Computation?", 2006). Swapping a and b conjugates h and
-    so only negates a' - b': the result is symmetric bit for bit. On a row,
-    np.vecdot and hypot give the bits of vdot/dot and of a scalar's abs().
+    so only negates a' - b': the result is symmetric bit for bit. A row's
+    bits do not depend on its stack.
     """
-    ov = np.vecdot(a, b)
+    ov = _dots(a, b)
     zero = ov == 0  # then h = sqrt((0 + 1)/(0 + 1)) = 1
     h = np.sqrt((ov + zero) / (np.hypot(ov.real, ov.imag) + zero))[..., None]
     a, b = a * h, b * np.conj(h)
@@ -137,7 +143,7 @@ def gram_schmidt_residual(target, anchor) -> np.ndarray:
     target = check_unit(as_state(target))
     anchor = check_unit(as_state(anchor))
     _check_same_dim(target, anchor)
-    ov = np.vdot(anchor, target)
+    ov = _dots(anchor, target)
     if abs(ov) >= 1.0 - COLLINEAR_TOL:
         raise ValueError(
             f"states are collinear (overlap modulus {abs(ov)!r}); residual undefined"
@@ -272,7 +278,7 @@ def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
 def random_states(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     """Batch of ``n`` Haar-uniform unit vectors, shape (n, dim)."""
     v = _complex_normal(rng, (n, dim))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    return v / _norms(v)[:, None]
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

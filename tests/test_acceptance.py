@@ -253,7 +253,7 @@ def test_c09_measurement_deviation():
         a = analyze_output(random_state(dims.total, rng), s, dims)
         p = random_projector(d, int(rng.integers(1, d)), rng)
         mode = int(rng.integers(1, 3))
-        if not measurement_deviation(a, s, p, mode, tol=1e-10).holds:
+        if not measurement_deviation(a, s, p, mode).holds:
             violations += 1
     assert violations == 0
     _ok("criterion 9", "10^4 deviation trials, zero violations")

@@ -29,7 +29,7 @@ from clonebound.search import (
     verify_point,
     warm_start_params,
 )
-from clonebound.statespace import Projector
+from clonebound.statespace import Projector, _dots, norm, random_states
 
 
 def ambient_pair(params, z):
@@ -135,7 +135,7 @@ class TestParameterization:
 
 
 def _reference_objective(objective, z):
-    """The search objective's value, computed with ``np.linalg.norm``."""
+    """The search objective's value, written out afresh on ``norm`` and ``_dots``."""
     m = SUBSPACE_DIM
     u = np.zeros(m)
     u[0], u[1] = z * z, np.sqrt(1.0 - z ** 4)
@@ -146,23 +146,24 @@ def _reference_objective(objective, z):
         b = params[2 * m - 1::2] + 1j * params[2 * m::2]
         v = np.empty(m, dtype=np.complex128)
         v[0] = np.cos(theta)
-        v[1:] = np.sin(theta) * (a / np.linalg.norm(a))
-        p = b - v * np.vdot(v, b)
-        v_psi = z * v + np.sqrt(1.0 - z * z) * (p / np.linalg.norm(p))
-        q_psi = u @ v_psi
-        x_psi = np.linalg.norm(v_psi - u * q_psi)
+        v[1:] = np.sin(theta) * (a / norm(a))
+        p = b - v * _dots(v, b)
+        v_psi = z * v + np.sqrt(1.0 - z * z) * (p / norm(p))
+        q_psi = _dots(u, v_psi)
+        x_psi = norm(v_psi - u * q_psi)
         if objective == "sym":
             value = np.sin(theta) * np.sin(theta) + x_psi * x_psi
         else:
             value = abs(np.sin(theta)) + x_psi
-        gauge = (np.linalg.norm(a) ** 2 - 1) ** 2 + (np.linalg.norm(b) ** 2 - 1) ** 2
+        gauge = (norm(a) ** 2 - 1) ** 2 + (norm(b) ** 2 - 1) ** 2
         return float(value + 0.25 * gauge)
 
     return fun
 
 
 class TestBitIdentity:
-    """The search's norm shortcut gives numpy's bits exactly.
+    """The objective gives the bits of its formula written out on the one
+    reduction kernel.
 
     Seeded ``verify`` reports depend on every bit of the objective, and an
     ulp of difference can survive a few hashes unnoticed.
@@ -179,6 +180,15 @@ class TestBitIdentity:
             x = warm + scale * rng.standard_normal(N_PARAMS)
             x[0] = abs(x[0])        # inside the box theta >= 0
             assert np.array_equal(fun(x)[0], ref(x)), (x, fun(x)[0], ref(x))
+
+
+@pytest.mark.parametrize("z", [0.1, 0.5, 0.9])
+def test_pair_errors_give_a_row_the_same_bits_in_any_stack(z):
+    # So a sweep sample recomputed alone matches its block.
+    rng = np.random.default_rng(41)
+    v, v_psi = random_states(4096, SUBSPACE_DIM, rng), random_states(4096, SUBSPACE_DIM, rng)
+    alone = [_pair_errors(v[i:i + 1], v_psi[i:i + 1], z) for i in range(len(v))]
+    np.testing.assert_array_equal(_pair_errors(v, v_psi, z), np.concatenate(alone, axis=1))
 
 
 class TestGradient:

@@ -1,3 +1,10 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -5,11 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from clonebound.search import SUBSPACE_DIM, _pair_errors
 from clonebound.statespace import (
     STACK_PIECE,
     Projector,
     _angles,
     _complex_normal,
+    _dots,
+    _norms,
     angle,
     apply_projector,
     as_state,
@@ -28,6 +38,7 @@ from clonebound.statespace import (
     spectral_norms,
     tensor,
 )
+from test_cli import src_env
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 dims = st.sampled_from([2, 3, 4, 5, 8])
@@ -282,12 +293,74 @@ parts = st.one_of(finite, edge)
                elements=st.builds(complex, parts, parts), fill=st.nothing())))
 @example(np.random.default_rng(3).standard_normal(16))  # v[::2] sums differently
 @settings(max_examples=300, deadline=None)
-def test_norm_is_numpys_bit_for_bit(v):
-    # The search objective's bit identity and every check_unit rest on this.
-    # Strided views go through numpy's copy to contiguous memory too.
-    with np.errstate(over="ignore"):    # 1e200 squared is inf for both
-        for x in (v, v[::-1], v[::2]):
-            assert np.array_equal(norm(x), np.linalg.norm(x))
+def test_norm_is_the_kernels_and_near_mpmath(v):
+    # The search objective's bit identity and every check_unit rest on this:
+    # norm is _norms of the row, strided views included. It is inf where a
+    # square overflows. Where every part lies in [2^-500, 2^500] or is 0, no
+    # square overflows and none that underflows can matter, so the norm is
+    # within (n + 1) eps of the exact one, whatever order the squares add in.
+    for x in (v, v[::-1], v[::2]):
+        got = norm(x)
+        assert np.array_equal(got, _norms(x))
+        parts = np.abs(np.concatenate([x.real, x.imag]))
+        with np.errstate(over="ignore"):
+            overflows = np.isinf(np.square(parts)).any()
+        if overflows:
+            assert got == np.inf
+        elif parts.size and 2.0 ** -500 <= parts.max() <= 2.0 ** 500:
+            with mp.workdps(40):
+                exact = mp.sqrt(mp.fsum(mp.mpf(float(p)) ** 2 for p in parts))
+                assert abs(got - exact) <= (x.size + 1) * np.finfo(float).eps * exact
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_reductions_give_a_row_the_same_bits_in_any_stack(dim):
+    rng = np.random.default_rng(dim)
+    a, b = random_states(4096, dim, rng), random_states(4096, dim, rng)
+    for kernel, args in ((_dots, (a, b)), (_norms, (a + b,)), (_angles, (a, b))):
+        whole = kernel(*args)
+        alone = [kernel(*(x[i:i + 1] for x in args)) for i in range(len(a))]
+        np.testing.assert_array_equal(whole, np.concatenate(alone))
+        np.testing.assert_array_equal(whole[:100], [kernel(*(x[i] for x in args))
+                                                    for i in range(100)])
+
+
+def _kernel_digests(names):
+    """sha256 of each named kernel's results on seeded rows that
+    ``random_states`` draws, in dimensions 2-8; ``_pair_errors`` takes those
+    of the search's dimension at z = 0.1, 0.5 and 0.9."""
+    rng = np.random.default_rng(2026)
+    rows = [(random_states(4096, d, rng), random_states(4096, d, rng)) for d in range(2, 9)]
+    results = {
+        "random_states": lambda: [x for pair in rows for x in pair],
+        "_dots": lambda: [_dots(a, b) for a, b in rows],
+        "_norms": lambda: [_norms(a + b) for a, b in rows],
+        "_angles": lambda: [_angles(a, b) for a, b in rows],
+        "_pair_errors": lambda: [np.stack(_pair_errors(*rows[SUBSPACE_DIM - 2], z))
+                                 for z in (0.1, 0.5, 0.9)],
+    }
+    return {name: hashlib.sha256(b"".join(x.tobytes() for x in results[name]())).hexdigest()
+            for name in names}
+
+
+@pytest.mark.parametrize("env, names", [
+    ({"OPENBLAS_CORETYPE": "Haswell"},
+     ["_dots", "_norms", "_angles", "random_states", "_pair_errors"]),
+    ({"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"},
+     ["_dots", "_norms", "random_states"]),
+], ids=["openblas-haswell", "numpy-baseline-simd"])
+def test_reductions_give_the_same_bits_on_an_imitated_host(env, names):
+    # Another OpenBLAS kernel, or numpy limited to its baseline SIMD target,
+    # changes no bit of a reduction. _angles' arctan2 and complex multiply
+    # and _pair_errors' abs still follow numpy's SIMD target.
+    env = src_env({**os.environ, **env})
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parent), env["PYTHONPATH"]])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, test_statespace as t; "
+                               "print(json.dumps(t._kernel_digests(sys.argv[1:])))", *names],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == _kernel_digests(names)
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
