@@ -12,10 +12,10 @@ memory included), 2 I/O error (a failed write to stdout included),
 3 invariant violation, 4 attainment failure. Commands raise ``ValueError``
 for a bad input and let an ``OSError`` from a write through; ``main``
 alone turns these into codes 1 and 2 with a one-line message, while
-``lemmas`` and ``verify`` return their verdicts 3 and 4. With a fixed
-``--seed`` every emitted data file is reproduced byte for byte; the run
-manifest carries the only volatile field (its timestamp) isolated on its
-own line.
+``lemmas`` and ``verify`` return their verdicts 3 and 4, judged at
+``geometry.DEFAULT_SWEEP_TOL``, which no flag or environment variable sets.
+With a fixed ``--seed`` (default ``CLONEBOUND_SEED``) every data file is
+reproduced byte for byte, but for the manifest timestamp on its own line.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .bounds import (
 )
 from .cloners import closed_form_re_s, closed_form_re_wz
 from .cloning import TwoStateSet, unitarity_residual
-from .geometry import ALL_SWEEPS, DEFAULT_SWEEP_TOL
+from .geometry import ALL_SWEEPS
 from .search import verify_point
 from .statespace import norm
 
@@ -90,20 +90,6 @@ def _resolve_seed(args) -> int:
     if seed < 0:
         raise ValueError(f"{name} must be an integer >= 0, got {text!r}")
     return seed
-
-
-def _resolve_tol(args) -> float:
-    """``--tol``, else ``CLONEBOUND_TOL``, else DEFAULT_SWEEP_TOL; finite and >= 0."""
-    name, text = "--tol", args.tol
-    if text is None:
-        name, text = "CLONEBOUND_TOL", os.environ.get("CLONEBOUND_TOL", str(DEFAULT_SWEEP_TOL))
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"{name} must be a finite number >= 0, got {text!r}")
-    return tol
 
 
 def _json_pieces(payload: dict):
@@ -196,7 +182,6 @@ def build_parser() -> _Parser:
     p.add_argument("--dims", type=str, default="2-8",
                    help="dimensions, e.g. '2-8' or '2,4,8'")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_lemmas)
 
     p = sub.add_parser("verify", help="check the bounds are tight floors")
@@ -386,13 +371,12 @@ def _parse_dims(text: str):
 
 
 def cmd_lemmas(args) -> int:
-    tol = _resolve_tol(args)
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     dims = _parse_dims(args.dims)
     total_violations = 0
     for name, sweep in ALL_SWEEPS:
-        r = sweep(args.trials, dims=dims, seed=args.seed, tol=tol)
+        r = sweep(args.trials, dims=dims, seed=args.seed)
         total_violations += r.violations
         print(
             f"{name}: trials={r.trials} min_slack={r.min_slack:.6e} "

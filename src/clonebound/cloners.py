@@ -139,9 +139,9 @@ def materialize_unitary(r: ClonerResult) -> np.ndarray:
     b1, b2 = r.a_phi.v, r.a_psi.v
 
     g_in = _dots(a1, a2)
-    s01 = np.sqrt(1.0 - abs(g_in) ** 2)
-    if s01 < 1e-8:
+    if abs(g_in) >= 1.0 - COLLINEAR_TOL:
         raise ValueError("inputs are collinear; extension is underdetermined")
+    s01 = np.sqrt(1.0 - abs(g_in) ** 2)
 
     # Shared Gram-Schmidt coefficients keep the map exact on both vectors.
     p2 = (a2 - a1 * g_in) / s01

@@ -30,12 +30,9 @@ from .statespace import (
     measure_prob, norm, tensor,
 )
 
-# ||q|| at or below this counts as a degenerate (direction-free) ideal.
+# A length this small counts as zero: ||q|| at or below it leaves the ideal
+# without a direction, sin(ideal angle) below it the relative error undefined.
 DEGENERATE_TOL = 1e-12
-# Slack of a chain inequality at or above -CHAIN_TOL counts as holding.
-CHAIN_TOL = 1e-10
-# sin(ideal angle) below this makes the relative error undefined.
-UNDEFINED_RE_TOL = 1e-12
 
 
 def _overlap_angles(z: float) -> tuple[float, float]:
@@ -220,7 +217,7 @@ def analyze_pair(set_: TwoStateSet, v_phi, v_psi, dims: FactorDims) -> ClonerRes
     else:
         ideal_angle = angle(a_phi.ideal, a_psi.ideal)
         sin_ideal = np.sin(ideal_angle)
-        re = float(ae / sin_ideal) if sin_ideal >= UNDEFINED_RE_TOL else None
+        re = float(ae / sin_ideal) if sin_ideal >= DEGENERATE_TOL else None
     return ClonerResult(
         set=set_, dims=dims, a_phi=a_phi, a_psi=a_psi,
         ae=ae, re=re, ideal_angle=ideal_angle,
@@ -265,7 +262,7 @@ def inequality_chain(r: ClonerResult):
 
     Both follow from the triangle inequality; the second is the key
     constraint behind the lower bounds, and the optimal machines meet it
-    with equality. Each holds within CHAIN_TOL.
+    with equality. Each holds within DEFAULT_SWEEP_TOL.
     """
     if r.a_phi.degenerate or r.a_psi.degenerate:
         raise ValueError("inequality chain needs non-degenerate ideals")
@@ -273,7 +270,7 @@ def inequality_chain(r: ClonerResult):
         r.a_phi.delta_s, r.a_psi.delta_s, angle(r.a_phi.v, r.a_psi.v),
         r.ideal_angle, r.set.delta,
         angle(tensor(r.set.phi, r.set.phi), tensor(r.set.psi, r.set.psi)))
-    return tuple(InequalityReport.compare(lhs, rhs, CHAIN_TOL) for lhs, rhs in chains)
+    return tuple(InequalityReport.compare(lhs, rhs, DEFAULT_SWEEP_TOL) for lhs, rhs in chains)
 
 
 def lifted_prob(a: CloneAnalysis, p: Projector, mode: int) -> float:

@@ -36,10 +36,16 @@ from .statespace import (
     check_unit, check_unitary, phase_fixed_q, random_states, spectral_norms,
 )
 
+# Rounding allowance of every inequality verdict in the package (_violations).
 DEFAULT_SWEEP_TOL = 1e-10
 DEFAULT_DIMS = (2, 3, 4, 5, 6, 7, 8)
 # Largest perturbation size eta in the gate-approximation sweep.
 GATE_MAX_PERTURBATION = 0.3
+
+
+def _violations(slack, tol: float = DEFAULT_SWEEP_TOL) -> int:
+    """How many samples break lhs <= rhs: their slack rhs - lhs is below -tol, or NaN."""
+    return int(np.count_nonzero(~(np.asarray(slack) >= -tol)))
 
 
 @dataclass(frozen=True)
@@ -54,7 +60,7 @@ class InequalityReport:
     @classmethod
     def compare(cls, lhs: float, rhs: float, tol: float) -> "InequalityReport":
         slack = rhs - lhs
-        return cls(lhs=lhs, rhs=rhs, slack=slack, holds=slack >= -tol)
+        return cls(lhs=lhs, rhs=rhs, slack=slack, holds=_violations(slack, tol) == 0)
 
 
 @dataclass(frozen=True)
@@ -374,8 +380,7 @@ def _sweep(name: str, trials: int, dims, seed: int, tol: float) -> SweepResult:
     def run(dim, block, rng, size):
         s = _slack(name, size, dim, rng)
         index = int(np.argmin(s))  # the first NaN, if there is one
-        return float(s[index]), (dim, block, size, index), int(
-            np.count_nonzero(~(s >= -tol)))
+        return float(s[index]), (dim, block, size, index), _violations(s, tol)
 
     min_slack, closest, violations = np.inf, None, 0
     for low, address, bad in _block_summaries(run, trials, dims, seed):

@@ -45,11 +45,10 @@ from scipy.optimize import minimize
 
 from .bounds import ae_lower_bound, re_lower_bound
 from .cloners import closed_form_re_s
-from .cloning import CHAIN_TOL, DEGENERATE_TOL, _chains, _overlap_angles
-from .geometry import _block_summaries
+from .cloning import DEGENERATE_TOL, _chains, _overlap_angles
+from .geometry import _block_summaries, _violations
 from .statespace import _angles, _complex_normal, _dots, _norms, norm, random_states
 
-FLOOR_TOL = 1e-9
 # L-BFGS-B stopping rules per start: relative decrease of the objective,
 # and largest projected-gradient component.
 OBJECTIVE_TOL = 1e-15
@@ -411,10 +410,8 @@ def random_cloner_sweep(cfg: SearchConfig, n: int = 10_000) -> SweepStats:
         # An empty re has extremes inf and -inf and sum 0.0: it changes no fold.
         lo = [ae.min(), re.min(initial=np.inf), np.min([chain1.min(), chain2.min()])]
         hi = [ae.max(), re.max(initial=-np.inf)]
-        # A NaN error or slack fails its comparison and counts as a violation.
-        bad = [np.count_nonzero(~(x >= least)) for x, least in (
-            (ae, bound_ae - FLOOR_TOL), (re, bound_re - FLOOR_TOL),
-            (chain1, -CHAIN_TOL), (chain2, -CHAIN_TOL))]
+        # Floors and chains alike fail below -DEFAULT_SWEEP_TOL, or on a NaN.
+        bad = [_violations(s) for s in (ae - bound_ae, re - bound_re, chain1, chain2)]
         return lo, hi, [float(ae.sum()), float(re.sum())], [re.size] + bad
 
     # np.minimum and np.maximum keep a NaN; min and max drop it.
@@ -488,11 +485,8 @@ def verify_point(z: float, restarts: int = 20, seed: int = 0,
     # search has run.
     sweep = random_cloner_sweep(cfg, n=sweep_trials)
     out = minimize_objective("ae", cfg)
-    violations = sweep.floor_violations
-    if out.best_ae < out.bound_ae - FLOOR_TOL:
-        violations += 1
-    if out.best_re < out.bound_re - FLOOR_TOL:
-        violations += 1
+    violations = sweep.floor_violations + _violations(
+        [out.best_ae - out.bound_ae, out.best_re - out.bound_re])
     return VerifyRecord(
         z=z,
         bound_ae=out.bound_ae,

@@ -167,7 +167,7 @@ class Projector:
         b = np.atleast_2d(np.asarray(self.basis, dtype=np.complex128))
         object.__setattr__(self, "basis", b)
         gram = b @ b.conj().T
-        if not np.allclose(gram, np.eye(b.shape[0]), atol=ATOL_ALG):
+        if not np.allclose(gram, np.eye(b.shape[0]), rtol=0.0, atol=ATOL_ALG):
             raise ValueError("projector basis rows are not orthonormal")
 
     @property

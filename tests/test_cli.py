@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import clonebound
 import oracles
 from clonebound.bounds import ae_lower_bound, hb_bound, re_lower_bound, sample_curve
-from clonebound import search
+from clonebound import geometry, search
 from clonebound.cli import ATTAINMENT_TOL, WRITE_BLOCK, _json_pieces, main
 from test_bounds import _table_csv_reference
 from test_geometry import patch_slack
@@ -399,6 +399,29 @@ class TestLemmas:
         assert "lemma1: trials=100 min_slack=nan violations=100\n" in out
         assert err.startswith("clonebound lemmas: 100 violations")
 
+    def test_an_undercut_of_5e_10_exits_three_whatever_the_environment(
+            self, capsys, monkeypatch):
+        # Every sample of lemma 2 misses by 5e-10, five times the rounding
+        # allowance DEFAULT_SWEEP_TOL, and a CLONEBOUND_TOL in the
+        # environment is not read.
+        draw, inequality = geometry._SWEEPS["lemma2"]
+
+        def undercut(*sample):
+            lhs, _ = inequality(*sample)
+            return lhs, lhs - 5e-10
+
+        monkeypatch.setitem(geometry._SWEEPS, "lemma2", (draw, undercut))
+        monkeypatch.setenv("CLONEBOUND_TOL", "1e-9")
+        code, out, err = run(capsys, "lemmas", "--trials", "100", "--dims", "2")
+        assert code == 3
+        assert re.search(r"^lemma2: trials=100 min_slack=-\S+ violations=100$", out, re.M)
+        assert err.startswith("clonebound lemmas: 100 violations")
+
+    def test_tol_is_not_an_option(self, capsys):
+        code, out, err = run(capsys, "lemmas", "--trials", "5", "--tol", "0")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --tol 0" in err
+
 
 class TestVerify:
     def test_single_point(self, capsys):
@@ -476,6 +499,15 @@ class TestVerify:
         assert code == 3 and violations > 0
         assert err == f"clonebound verify: {violations} floor violations\n"
 
+    def test_ae_floor_raised_by_5e_10_exits_three(self, capsys, monkeypatch):
+        # The search reaches the AE floor to ~1e-16, so a floor 5e-10 too
+        # high is five times the rounding allowance DEFAULT_SWEEP_TOL above it.
+        floor = search.ae_lower_bound
+        monkeypatch.setattr(search, "ae_lower_bound", lambda z: floor(z) + 5e-10)
+        code, _, err = run(capsys, "verify", "--z", "0.5", "--restarts", "2",
+                           "--sweep-trials", "500", "--seed", "1")
+        assert code == 3 and err == "clonebound verify: 1 floor violations\n"
+
     def test_lowered_ae_floor_exits_four(self, capsys, monkeypatch):
         floor = search.ae_lower_bound
         monkeypatch.setattr(search, "ae_lower_bound", lambda z: floor(z) - 1e-4)
@@ -515,19 +547,8 @@ class TestSeedsAndDeterminism:
          "--seed must be an integer >= 0, got -1"),
         (("cloner", "sym", "--z", "0.5"), {"CLONEBOUND_SEED": "-3"},
          "CLONEBOUND_SEED must be an integer >= 0, got '-3'"),
-        (("lemmas", "--trials", "5"), {"CLONEBOUND_TOL": "x"},
-         "CLONEBOUND_TOL must be a finite number >= 0, got 'x'"),
-        (("lemmas", "--trials", "5"), {"CLONEBOUND_TOL": "nan"},
-         "CLONEBOUND_TOL must be a finite number >= 0, got 'nan'"),
-        (("lemmas", "--trials", "5", "--tol", "nan"), {},
-         "--tol must be a finite number >= 0, got nan"),
-        (("lemmas", "--trials", "5", "--tol", "inf"), {},
-         "--tol must be a finite number >= 0, got inf"),
-        (("lemmas", "--trials", "5", "--tol", "-1"), {},
-         "--tol must be a finite number >= 0, got -1.0"),
     ], ids=["env-seed-text", "seed-negative-lemmas", "seed-negative-verify",
-            "seed-negative-bounds", "env-seed-negative", "env-tol-text",
-            "env-tol-nan", "tol-nan", "tol-inf", "tol-negative"])
+            "seed-negative-bounds", "env-seed-negative"])
     def test_bad_seed_or_tol_is_a_usage_error(self, tmp_path, capsys,
                                                monkeypatch, argv, env, message):
         for key, value in env.items():
@@ -792,20 +813,19 @@ _ENV_TEXT = st.one_of(
 )
 
 
-@given(st.integers(1, 50), _dims_texts(), _ENV_TEXT, _ENV_TEXT)
+@given(st.integers(1, 50), _dims_texts(), _ENV_TEXT)
 @settings(max_examples=100, deadline=None)
-def test_lemmas_and_environment_fuzz(trials, dims, seed_text, tol_text):
-    """Any lemmas run, --dims value or seed/tol environment exits 0 or 1."""
+def test_lemmas_and_environment_fuzz(trials, dims, seed_text):
+    """Any lemmas run, --dims value or seed environment exits 0 or 1."""
     err = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        for name, text in (("CLONEBOUND_SEED", seed_text), ("CLONEBOUND_TOL", tol_text)):
-            if text is None:
-                mp.delenv(name, raising=False)
-            else:
-                mp.setenv(name, text)
+        if seed_text is None:
+            mp.delenv("CLONEBOUND_SEED", raising=False)
+        else:
+            mp.setenv("CLONEBOUND_SEED", seed_text)
         code = main(["lemmas", "--trials", str(trials), f"--dims={dims}"])
-    assert code in (0, 1), (trials, dims, seed_text, tol_text, err.getvalue())
+    assert code in (0, 1), (trials, dims, seed_text, err.getvalue())
     assert "Traceback" not in err.getvalue()
 
 
@@ -842,7 +862,7 @@ _TEXT = st.text(st.characters(exclude_characters="\x00", exclude_categories=("Cs
 _VALUES = {
     **dict.fromkeys(["--steps", "--seed", "--dim", "--trials", "--restarts",
                      "--sweep-trials"], _INT),
-    **dict.fromkeys(["--z-min", "--z-max", "--z", "--tol"], _FLOAT),
+    **dict.fromkeys(["--z-min", "--z-max", "--z"], _FLOAT),
     "--out": _TEXT, "--states": _TEXT,
     "--dims": st.one_of(_INT, st.sampled_from(["2-8", "2,3", "5-3", f"2-{10 ** 30}"])),
     "--format": st.sampled_from(["csv", "json"]),
@@ -852,7 +872,7 @@ _ANY_VALUE = st.one_of(*_VALUES.values())
 _FLAGS = {
     "bounds": ["--z-min", "--z-max", "--steps", "--out", "--format", "--seed"],
     "cloner": ["--z", "--states", "--dim", "--favored", "--out", "--seed"],
-    "lemmas": ["--trials", "--dims", "--seed", "--tol"],
+    "lemmas": ["--trials", "--dims", "--seed"],
     "verify": ["--z", "--restarts", "--sweep-trials", "--seed", "--out"],
 }
 # Runnable defaults that the drawn flags override, small so that runs are short.

@@ -247,6 +247,16 @@ class TestRealizability:
             with pytest.raises(ValueError, match="no unitary maps"):
                 materialize_unitary(tilted)
 
+    @pytest.mark.parametrize("z", [1.0, 1.0 - 5e-13])
+    def test_materialize_rejects_collinear_inputs(self, z):
+        # The overlap modulus rule of gram_schmidt_residual: at or above
+        # 1 - COLLINEAR_TOL the inputs span no plane to complete.
+        s = TwoStateSet.at_overlap(z)
+        v_phi, v_psi = (tensor(x, x) for x in (s.phi, s.psi))
+        r = analyze_pair(s, v_phi, v_psi, FactorDims(2, 2))
+        with pytest.raises(ValueError, match="inputs are collinear"):
+            materialize_unitary(r)
+
     def test_materialize_in_higher_input_dimension(self):
         rng = np.random.default_rng(4)
         phi, psi = random_state(3, rng), random_state(3, rng)

@@ -196,6 +196,14 @@ def test_projector_requires_orthonormal_basis():
         Projector(np.array([[1.0, 1.0]]) / 1.0)
 
 
+def test_projector_takes_atol_alg_on_the_diagonal_too():
+    # A row 1e-8 off unit norm is rejected; np.allclose's default rtol of
+    # 1e-5 would let the Gram diagonal pass.
+    with pytest.raises(ValueError, match="orthonormal"):
+        Projector([[1.0 + 1e-8, 0.0]])
+    Projector([[1.0, 1e-13], [0.0, 1.0]])
+
+
 def test_projector_fixed_point_and_kill():
     p = Projector(basis_state(2, 0)[None, :])
     assert np.allclose(apply_projector(p, basis_state(2, 0)), basis_state(2, 0))
