@@ -23,7 +23,8 @@ import numpy as np
 
 from .cloning import ClonerResult, FactorDims, TwoStateSet, analyze_pair
 from .statespace import (
-    COLLINEAR_TOL, Projector, _dots, basis_state, gram_schmidt_residual, norm, tensor,
+    COLLINEAR_TOL, Projector, _dots, _residuals, basis_state, gram_schmidt_residual, norm,
+    tensor,
 )
 
 
@@ -138,13 +139,13 @@ def materialize_unitary(r: ClonerResult) -> np.ndarray:
     a1, a2 = (tensor(tensor(s, blank), start) for s in (r.set.phi, r.set.psi))
     b1, b2 = r.a_phi.v, r.a_psi.v
 
-    g_in = _dots(a1, a2)
+    g_in, p2 = _residuals(a1, a2)
     if abs(g_in) >= 1.0 - COLLINEAR_TOL:
         raise ValueError("inputs are collinear; extension is underdetermined")
     s01 = np.sqrt(1.0 - abs(g_in) ** 2)
 
     # Shared Gram-Schmidt coefficients keep the map exact on both vectors.
-    p2 = (a2 - a1 * g_in) / s01
+    p2 = p2 / s01
     q2 = (b2 - b1 * g_in) / s01
     in_pair = [a1, p2 / norm(p2)]
     out_pair = [b1, q2 / norm(q2)]

@@ -26,8 +26,8 @@ import numpy as np
 
 from .geometry import DEFAULT_SWEEP_TOL, InequalityReport
 from .statespace import (
-    Projector, _dots, _projector_probs, angle, as_state, basis_state, check_unit, inner,
-    measure_prob, norm, tensor,
+    Projector, _dots, _projector_probs, _residuals, angle, as_state, basis_state, check_unit,
+    inner, measure_prob, norm, tensor,
 )
 
 # A length this small counts as zero: ||q|| at or below it leaves the ideal
@@ -157,16 +157,15 @@ def analyze_output(v, s, dims: FactorDims) -> CloneAnalysis:
     if s.shape[0] != dims.d1:
         raise ValueError(f"input has dimension {s.shape[0]}, expected {dims.d1}")
 
-    grid = v.reshape(dims.d1, dims.d2, dims.danc)
-    q = np.einsum("a,b,abj->j", s.conj(), s.conj(), grid)
-    ss = np.multiply.outer(s, s)
-    perp = (grid - ss[:, :, None] * q[None, None, :]).reshape(-1)
+    # Each machine-mode column of v, projected off s x s; perp.T is v's layout.
+    ss = tensor(s, s)
+    q, perp = _residuals(ss, v.reshape(dims.d1 * dims.d2, dims.danc).T)
     q_norm = norm(q)
-    x = norm(perp)
+    x = norm(perp.T)
 
     if q_norm > DEGENERATE_TOL:
         k = q / q_norm
-        ideal = tensor(tensor(s, s), k)
+        ideal = tensor(ss, k)
     else:
         k = None
         ideal = None

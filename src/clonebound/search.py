@@ -47,7 +47,9 @@ from .bounds import ae_lower_bound, re_lower_bound
 from .cloners import closed_form_re_s
 from .cloning import DEGENERATE_TOL, _chains, _overlap_angles
 from .geometry import _block_summaries, _violations
-from .statespace import _angles, _complex_normal, _dots, _norms, norm, random_states
+from .statespace import (
+    _angles, _complex_normal, _dots, _norms, _residuals, norm, random_states,
+)
 
 # L-BFGS-B stopping rules per start: relative decrease of the objective,
 # and largest projected-gradient component.
@@ -128,8 +130,7 @@ def _coords_from_params(params, z: float) -> _Coords:
     v[0] = np.cos(theta)
     v[1:] = np.sin(theta) * a_hat
     b = params[2 * SUBSPACE_DIM - 1:].view(np.complex128)
-    alpha = _dots(v, b)
-    p = b - v * alpha
+    alpha, p = _residuals(v, b)
     p_norm = norm(p)
     if not DEGENERATE_TOL <= p_norm < np.inf:
         raise ValueError("degenerate parameters: zero orthogonal component")
@@ -181,10 +182,8 @@ def _pair_errors(v: np.ndarray, v_psi: np.ndarray, z: float):
     eight digits next to |q| = 1, which is exactly where the optimizer
     converges, and would let it dip below the analytic floor by ~1e-8.
     """
-    u = _psi_axis(z)
-    q_psi = _dots(u, v_psi)
-    return (_norms(v[:, 1:]), _norms(v_psi - u * q_psi[:, None]),
-            np.abs(v[:, 0]), np.abs(q_psi))
+    q_psi, r = _residuals(_psi_axis(z), v_psi)
+    return _norms(v[:, 1:]), _norms(r), np.abs(v[:, 0]), np.abs(q_psi)
 
 
 def _objective_factory(objective: str, z: float):
@@ -207,8 +206,7 @@ def _objective_factory(objective: str, z: float):
     def value_and_gradient(params):
         c = _coords_from_params(params, z)
         sin_t, cos_t = np.sin(c.theta), np.cos(c.theta)
-        q = _dots(u, c.v_psi)
-        r = c.v_psi - u * q
+        _, r = _residuals(u, c.v_psi)
         x_psi = norm(r)
         if objective == "sym":
             value = sin_t * sin_t + x_psi * x_psi
@@ -222,7 +220,7 @@ def _objective_factory(objective: str, z: float):
         # V_psi = z V + s W, W = p/|p|, p = b - V <V|b>.
         g_w = s * g_psi
         g_p = (g_w - c.w * _dots(c.w, g_w).real) / c.p_norm
-        g_b = g_p - c.v * _dots(c.v, g_p)
+        _, g_b = _residuals(c.v, g_p)
         g_v = z * g_psi - np.conj(c.alpha) * g_p - _dots(g_p, c.v) * c.b
         # V = (cos theta, sin theta a_hat), a_hat = a/|a|.
         g_theta += -sin_t * g_v[0].real + cos_t * _dots(c.a_hat, g_v[1:]).real
@@ -370,8 +368,7 @@ def _sample_block(rng: np.random.Generator, n: int, z: float):
     """
     m = SUBSPACE_DIM
     v = random_states(n, m, rng)
-    w = _complex_normal(rng, (n, m))
-    w -= v * _dots(v, w)[:, None]
+    _, w = _residuals(v, _complex_normal(rng, (n, m)))
     w /= _norms(w)[:, None]
     v_psi = z * v + np.sqrt(1.0 - z * z) * w
 

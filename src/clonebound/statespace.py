@@ -58,6 +58,14 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(_dots(v, v).real)
 
 
+def _residuals(anchor: np.ndarray, target: np.ndarray):
+    """(<anchor|target>, target - anchor <anchor|target>) on the last axis of
+    broadcast stacks: each target with its unit anchor's direction projected
+    off. Built on ``_dots``, so a row's bits do not depend on its stack."""
+    ov = _dots(anchor, target)
+    return ov, target - anchor * ov[..., None]
+
+
 def normalize(v) -> np.ndarray:
     """Scale a nonzero vector to unit norm."""
     v = as_state(v)
@@ -143,12 +151,11 @@ def gram_schmidt_residual(target, anchor) -> np.ndarray:
     target = check_unit(as_state(target))
     anchor = check_unit(as_state(anchor))
     _check_same_dim(target, anchor)
-    ov = _dots(anchor, target)
+    ov, residual = _residuals(anchor, target)
     if abs(ov) >= 1.0 - COLLINEAR_TOL:
         raise ValueError(
             f"states are collinear (overlap modulus {abs(ov)!r}); residual undefined"
         )
-    residual = target - anchor * ov
     return residual / np.sqrt(1.0 - abs(ov) ** 2)
 
 
