@@ -142,15 +142,13 @@ def materialize_unitary(r: ClonerResult) -> np.ndarray:
     g_in, p2 = _residuals(a1, a2)
     if abs(g_in) >= 1.0 - COLLINEAR_TOL:
         raise ValueError("inputs are collinear; extension is underdetermined")
-    s01 = np.sqrt(1.0 - abs(g_in) ** 2)
 
-    # Shared Gram-Schmidt coefficients keep the map exact on both vectors.
-    p2 = p2 / s01
-    q2 = (b2 - b1 * g_in) / s01
+    # The shared Gram-Schmidt coefficient g_in keeps the map exact on both vectors.
+    q2 = b2 - b1 * g_in
     in_pair = [a1, p2 / norm(p2)]
     out_pair = [b1, q2 / norm(q2)]
     # Projector checks that the output pair is orthonormal, the one thing the
-    # completion needs; <b1|q2> = (<b1|b2> - <a1|a2>)/s01.
+    # completion needs; <b1|q2> = <b1|b2> - <a1|a2>.
     try:
         p_out = Projector(out_pair)
     except ValueError:

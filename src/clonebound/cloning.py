@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import DEFAULT_SWEEP_TOL, InequalityReport
+from .geometry import InequalityReport
 from .statespace import (
     Projector, _dots, _projector_probs, _residuals, angle, as_state, basis_state, check_unit,
     inner, measure_prob, norm, tensor,
@@ -163,12 +163,8 @@ def analyze_output(v, s, dims: FactorDims) -> CloneAnalysis:
     q_norm = norm(q)
     x = norm(perp.T)
 
-    if q_norm > DEGENERATE_TOL:
-        k = q / q_norm
-        ideal = tensor(ss, k)
-    else:
-        k = None
-        ideal = None
+    k = q / q_norm if q_norm > DEGENERATE_TOL else None
+    ideal = None if k is None else tensor(ss, k)
     return CloneAnalysis(
         v=v,
         q=q,
@@ -269,7 +265,7 @@ def inequality_chain(r: ClonerResult):
         r.a_phi.delta_s, r.a_psi.delta_s, angle(r.a_phi.v, r.a_psi.v),
         r.ideal_angle, r.set.delta,
         angle(tensor(r.set.phi, r.set.phi), tensor(r.set.psi, r.set.psi)))
-    return tuple(InequalityReport.compare(lhs, rhs, DEFAULT_SWEEP_TOL) for lhs, rhs in chains)
+    return tuple(InequalityReport.compare(lhs, rhs) for lhs, rhs in chains)
 
 
 def lifted_prob(a: CloneAnalysis, p: Projector, mode: int) -> float:
@@ -291,4 +287,4 @@ def measurement_deviation(a: CloneAnalysis, s, p: Projector, mode: int) -> Inequ
     """
     s = check_unit(as_state(s))
     lhs = abs(lifted_prob(a, p, mode) - measure_prob(p, s))
-    return InequalityReport.compare(lhs, a.x, DEFAULT_SWEEP_TOL)
+    return InequalityReport.compare(lhs, a.x)

@@ -50,7 +50,7 @@ def _violations(slack, tol: float = DEFAULT_SWEEP_TOL) -> int:
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """Outcome of a single inequality check: lhs <= rhs within a tolerance."""
+    """Outcome of a single inequality check: lhs <= rhs within DEFAULT_SWEEP_TOL."""
 
     lhs: float
     rhs: float
@@ -58,9 +58,9 @@ class InequalityReport:
     holds: bool
 
     @classmethod
-    def compare(cls, lhs: float, rhs: float, tol: float) -> "InequalityReport":
+    def compare(cls, lhs: float, rhs: float) -> "InequalityReport":
         slack = rhs - lhs
-        return cls(lhs=lhs, rhs=rhs, slack=slack, holds=_violations(slack, tol) == 0)
+        return cls(lhs=lhs, rhs=rhs, slack=slack, holds=_violations(slack) == 0)
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def _gate_bound(eps):
 
 def _report(inequality, *sample) -> InequalityReport:
     lhs, rhs = inequality(*(np.asarray(x)[None] for x in sample))
-    return InequalityReport.compare(float(lhs[0]), float(rhs[0]), DEFAULT_SWEEP_TOL)
+    return InequalityReport.compare(float(lhs[0]), float(rhs[0]))
 
 
 def _unit_states(*states):

@@ -178,9 +178,9 @@ def _pair_errors(v: np.ndarray, v_psi: np.ndarray, z: float):
     """(x_phi, x_psi, cos delta_phi, cos delta_psi) of a stack of coordinate
     pairs, one pair per row: the error sizes and their cosines.
 
-    Error sizes are residual norms, not sqrt(1 - |q|^2): the latter loses
-    eight digits next to |q| = 1, which is exactly where the optimizer
-    converges, and would let it dip below the analytic floor by ~1e-8.
+    Each error size is a residual norm: x_phi of V_phi's tail (its residual off
+    e1), x_psi of V_psi's ``_residuals`` off psi x psi. sqrt(1 - |q|^2) would lose
+    eight digits next to |q| = 1, where the optimizer converges.
     """
     q_psi, r = _residuals(_psi_axis(z), v_psi)
     return _norms(v[:, 1:]), _norms(r), np.abs(v[:, 0]), np.abs(q_psi)

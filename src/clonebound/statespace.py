@@ -8,8 +8,10 @@ Gram-Schmidt residuals, rank-k orthogonal projectors, and the angle metric
 
 which is zero exactly when the two states coincide up to a global phase.
 Every inner product and vector norm in the package comes from one reduction
-(``_dots``), and every angle of two vectors from one kernel that keeps its
-digits near overlap 1 (``_angles``); arccos takes only a given z.
+(``_dots``), every residual of a target against an anchor from one kernel
+on it (``_residuals``), divided by its computed norm where it must be unit,
+and every angle of two vectors from one kernel that keeps its digits near
+overlap 1 (``_angles``); arccos takes only a given z.
 All functions are pure and never mutate their inputs.
 """
 
@@ -59,9 +61,8 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 def _residuals(anchor: np.ndarray, target: np.ndarray):
-    """(<anchor|target>, target - anchor <anchor|target>) on the last axis of
-    broadcast stacks: each target with its unit anchor's direction projected
-    off. Built on ``_dots``, so a row's bits do not depend on its stack."""
+    """(<anchor|target>, target - anchor <anchor|target>) on the last axis of broadcast
+    stacks, by ``_dots``: a row's bits do not depend on its stack."""
     ov = _dots(anchor, target)
     return ov, target - anchor * ov[..., None]
 
@@ -139,8 +140,8 @@ def tensor(a, b) -> np.ndarray:
 def gram_schmidt_residual(target, anchor) -> np.ndarray:
     """Unit component of ``target`` orthogonal to ``anchor``.
 
-    Returns (target - anchor <anchor|target>) / sqrt(1 - |<anchor|target>|^2),
-    which is orthogonal to ``anchor`` and lies in span{target, anchor}.
+    Returns the residual of ``_residuals`` over its computed norm: a unit
+    vector orthogonal to ``anchor`` in span{target, anchor}, even near overlap 1.
 
     Raises
     ------
@@ -156,7 +157,7 @@ def gram_schmidt_residual(target, anchor) -> np.ndarray:
         raise ValueError(
             f"states are collinear (overlap modulus {abs(ov)!r}); residual undefined"
         )
-    return residual / np.sqrt(1.0 - abs(ov) ** 2)
+    return residual / norm(residual)
 
 
 @dataclass(frozen=True)

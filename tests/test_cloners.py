@@ -64,6 +64,12 @@ class TestPlaneFrame:
         assert ov.imag == pytest.approx(0.0, abs=1e-12)
         assert ov.real == pytest.approx(s.z ** 2, abs=1e-12)
 
+    def test_e2_is_unit_near_overlap_one(self):
+        # e2 is the residual divided by its computed norm; divided by
+        # sqrt(1 - z^4) it would be 5.5e-10 off unit here.
+        _, e2 = plane_frame(TwoStateSet.at_overlap(1.0 - 1e-8))
+        assert abs(np.linalg.norm(e2) - 1.0) <= 1e-12
+
     def test_identical_states_have_no_plane(self):
         with pytest.raises(ValueError, match="identical"):
             plane_frame(TwoStateSet.at_overlap(1.0))

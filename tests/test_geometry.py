@@ -56,9 +56,9 @@ def patch_slack(monkeypatch, name, fn):
 
 
 def test_report_holds_iff_slack_above_minus_tol():
-    r = InequalityReport.compare(1.0, 1.0 - 5e-11, tol=1e-10)
+    r = InequalityReport.compare(1.0, 1.0 - 5e-11)
     assert r.holds and r.slack == pytest.approx(-5e-11)
-    r = InequalityReport.compare(1.0, 1.0 - 5e-10, tol=1e-10)
+    r = InequalityReport.compare(1.0, 1.0 - 5e-10)
     assert not r.holds
 
 

@@ -20,6 +20,7 @@ from clonebound.statespace import (
     _complex_normal,
     _dots,
     _norms,
+    _residuals,
     angle,
     apply_projector,
     as_state,
@@ -185,6 +186,21 @@ def test_gram_schmidt_residual_properties(seed, dim):
     assert np.linalg.norm(res - inside) < 1e-12
 
 
+@pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-10])
+def test_gram_schmidt_residual_is_unit_near_overlap_one(gap):
+    # The residual is divided by its computed norm. Divided by
+    # sqrt(1 - |<a|t>|^2) instead, it would be up to 1.1e-10 off unit here at
+    # gap 1e-6 and 1.1e-6 off at gap 1e-10. Orthogonality is not checked this
+    # tightly: one Gram-Schmidt pass leaves about 1e-16/|residual| of it.
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        anchor = random_state(5, rng)
+        w = gram_schmidt_residual(random_state(5, rng), anchor)
+        c = (1.0 - gap) * np.exp(2j * np.pi * rng.uniform())
+        target = normalize(c * anchor + np.sqrt(1.0 - abs(c) ** 2) * w)
+        assert abs(np.linalg.norm(gram_schmidt_residual(target, anchor)) - 1.0) <= 1e-12
+
+
 def test_gram_schmidt_residual_rejects_collinear():
     v = normalize([1, 1j])
     with pytest.raises(ValueError, match="collinear"):
@@ -325,12 +341,19 @@ def test_norm_is_the_kernels_and_near_mpmath(v):
 def test_reductions_give_a_row_the_same_bits_in_any_stack(dim):
     rng = np.random.default_rng(dim)
     a, b = random_states(4096, dim, rng), random_states(4096, dim, rng)
-    for kernel, args in ((_dots, (a, b)), (_norms, (a + b,)), (_angles, (a, b))):
+    for kernel, args in ((_dots, (a, b)), (_norms, (a + b,)), (_angles, (a, b)),
+                         (_joined_residuals, (a, b))):
         whole = kernel(*args)
         alone = [kernel(*(x[i:i + 1] for x in args)) for i in range(len(a))]
         np.testing.assert_array_equal(whole, np.concatenate(alone))
         np.testing.assert_array_equal(whole[:100], [kernel(*(x[i] for x in args))
                                                     for i in range(100)])
+
+
+def _joined_residuals(anchor, target):
+    """Both results of ``_residuals`` in one array, the overlap first."""
+    ov, r = _residuals(anchor, target)
+    return np.concatenate([ov[..., None], r], axis=-1)
 
 
 def _kernel_digests(names):
@@ -344,6 +367,7 @@ def _kernel_digests(names):
         "_dots": lambda: [_dots(a, b) for a, b in rows],
         "_norms": lambda: [_norms(a + b) for a, b in rows],
         "_angles": lambda: [_angles(a, b) for a, b in rows],
+        "_residuals": lambda: [x for a, b in rows for x in _residuals(a, b)],
         "_pair_errors": lambda: [np.stack(_pair_errors(*rows[SUBSPACE_DIM - 2], z))
                                  for z in (0.1, 0.5, 0.9)],
     }
@@ -353,14 +377,15 @@ def _kernel_digests(names):
 
 @pytest.mark.parametrize("env, names", [
     ({"OPENBLAS_CORETYPE": "Haswell"},
-     ["_dots", "_norms", "_angles", "random_states", "_pair_errors"]),
+     ["_dots", "_norms", "_angles", "_residuals", "random_states", "_pair_errors"]),
     ({"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"},
      ["_dots", "_norms", "random_states"]),
 ], ids=["openblas-haswell", "numpy-baseline-simd"])
 def test_reductions_give_the_same_bits_on_an_imitated_host(env, names):
     # Another OpenBLAS kernel, or numpy limited to its baseline SIMD target,
-    # changes no bit of a reduction. _angles' arctan2 and complex multiply
-    # and _pair_errors' abs still follow numpy's SIMD target.
+    # changes no bit of a reduction. _angles' arctan2 and complex multiply,
+    # _residuals' complex multiply and _pair_errors' abs still follow numpy's
+    # SIMD target.
     env = src_env({**os.environ, **env})
     env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parent), env["PYTHONPATH"]])
     proc = subprocess.run(
