@@ -24,7 +24,6 @@ from clonebound import (
     SearchConfig,
     closed_form_re_s,
     minimize_objective,
-    minimize_symmetric_re,
     random_cloner_sweep,
 )
 
@@ -41,7 +40,7 @@ for name, best, bound in (("AE", out.best_ae, out.bound_ae),
     print(f"  {name}: best = {best:.9f}, floor = {bound:.9f}, "
           f"gap = {best - bound:+.1e}")
 
-sym = minimize_symmetric_re(cfg)
+sym = minimize_objective("sym", cfg)
 print(f"  equal-angle restriction: best RE = {sym.best_re:.9f} vs "
       f"symmetric closed form {closed_form_re_s(z):.9f}")
 print()

@@ -100,7 +100,6 @@ from .search import (
     SweepStats,
     VerifyRecord,
     minimize_objective,
-    minimize_symmetric_re,
     random_cloner_sweep,
     verify_point,
     warm_start_params,

@@ -13,26 +13,26 @@ orthonormal frame of the two-qubit output space: e1 = phi x phi, e2 the
 unit residual of psi x psi against it, and two directions orthogonal to
 the product plane. The optimum lies inside the plane, and the other two
 directions exist to confirm that leaving it never helps. No error depends
-on which two they are, so the frame is never built.
+on which two they are, so the frame is never built. The decode and the
+objective take stacks of parameter rows and flag the rows they reject.
 
-Three entry points:
+:func:`minimize_objective` is the one search: L-BFGS-B with an analytic
+gradient from seeded random starts plus a warm start.
 
-* :func:`minimize_objective` runs L-BFGS-B with an analytic gradient from
-  seeded random starts (plus a warm start at the fully asymmetric machine)
-  and checks the bounds are floors that the asymmetric construction
-  attains. It minimizes AE: on these machines RE = AE / sin D with
-  sin D = sqrt(1 - z^4) fixed by z, so both floors share one minimizer.
-  V_phi is written in angle coordinates, V_phi = (cos theta,
-  sin theta a/|a|) with theta in [0, pi/2], so x_phi = sin theta is smooth
-  and the optimum is the box face theta = 0 (Byrd, Lu, Nocedal & Zhu,
-  SIAM J. Sci. Comput. 16 (1995) 1190).
-* :func:`minimize_symmetric_re` minimizes x_phi^2 + x_psi^2. Chain 2 gives
-  delta_phi + delta_psi >= D - d, and sin^2 a + sin^2 b = 1 - cos(a+b) cos(a-b),
-  so its only minimizer is delta_phi = delta_psi = (D - d)/2, the symmetric machine.
-* :func:`random_cloner_sweep` samples realizable pairs uniformly and
-  checks the floors and the two chain inequalities on every sample. It
-  draws its blocks with the block engine the ``lemmas`` sweeps use in
-  :mod:`clonebound.geometry`, and folds their summaries in block order.
+* ``"ae"`` (or ``"re"``) minimizes AE from the fully asymmetric machine. On
+  these machines RE = AE / sin D with sin D = sqrt(1 - z^4) fixed by z, so
+  both floors share one minimizer. V_phi = (cos theta, sin theta a/|a|)
+  with theta in [0, pi/2], so x_phi = sin theta is smooth and the optimum
+  is the box face theta = 0 (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci.
+  Comput. 16 (1995) 1190).
+* ``"sym"`` minimizes x_phi^2 + x_psi^2, theta free, from the symmetric
+  machine. Chain 2 gives delta_phi + delta_psi >= D - d, and sin^2 a +
+  sin^2 b = 1 - cos(a+b) cos(a-b), so its only minimizer is delta_phi =
+  delta_psi = (D - d)/2, the symmetric machine.
+
+:func:`random_cloner_sweep` samples realizable pairs uniformly and checks
+the floors and the two chain inequalities on every sample, in blocks of
+the ``lemmas`` sweeps' engine (:mod:`clonebound.geometry`), folded in order.
 """
 
 from __future__ import annotations
@@ -92,51 +92,59 @@ class SearchOutcome:
 
 
 class _Coords(NamedTuple):
-    """A decoded parameter vector, with the intermediates its gradient needs."""
+    """Decoded parameter rows, with the intermediates their gradient needs;
+    a vector field has one axis more. A row whose ``ok`` is False has no pair."""
 
-    theta: float
+    ok: np.ndarray
+    cos_t: np.ndarray
+    sin_t: np.ndarray
     a_hat: np.ndarray       # unit direction of V[1:]
-    a_norm: float
+    a_norm: np.ndarray
     b: np.ndarray
-    alpha: complex          # <V|b>
-    p_norm: float           # |P b|, P = I - |V><V|
+    alpha: np.ndarray       # <V|b>
+    p_norm: np.ndarray      # |P b|, P = I - |V><V|
     v: np.ndarray           # V_phi
     w: np.ndarray           # P b / |P b|
     v_psi: np.ndarray
 
 
+def _realizable(v: np.ndarray, b: np.ndarray, z: float):
+    """(<V|b>, |P b|, W, V_psi) of rows V = V_phi and b: W = P b/|P b| is the
+    unit part of b orthogonal to V_phi, and V_psi = z V_phi + sqrt(1 - z^2) W."""
+    alpha, p = _residuals(v, b)
+    p_norm = _norms(p)
+    w = p / p_norm[..., None]
+    return alpha, p_norm, w, z * v + np.sqrt(1.0 - z * z) * w
+
+
 def _coords_from_params(params, z: float) -> _Coords:
-    """Decode [theta, a, b] into a realizable pair; a and b are stored as
-    interleaved real and imaginary parts.
+    """Decode rows [theta, a, b], the last axis, into realizable pairs; a and
+    b are stored as interleaved real and imaginary parts.
 
     V_phi = (cos theta, sin theta a/|a|), so the phase gauge V_phi[0] >= 0
-    is built in and x_phi = sin theta is smooth; W = P b/|P b| is the unit
-    part of b orthogonal to V_phi, and V_psi = z V_phi + sqrt(1 - z^2) W.
+    is built in and x_phi = sin theta is smooth. A row is rejected, ``ok``
+    False, when theta is not finite, when a has no finite nonzero norm to
+    take a direction from, or when P b is not finite or shorter than
+    DEGENERATE_TOL. It computes through NaN and inf, which numpy reports
+    unless the caller silences it, as the objective does.
     """
     params = np.ascontiguousarray(params, dtype=float)
-    if params.shape != (N_PARAMS,):
+    if params.shape[-1:] != (N_PARAMS,):
         raise ValueError(f"expected {N_PARAMS} parameters, got shape {params.shape}")
-    theta = float(params[0])
-    if not np.isfinite(theta):
-        raise ValueError("degenerate parameters: theta is not finite")
-    a = params[1:2 * SUBSPACE_DIM - 1].view(np.complex128)
-    a_norm = norm(a)
-    # A norm that is zero, NaN or overflows leaves no direction to follow.
-    if not 0.0 < a_norm < np.inf:
-        raise ValueError("degenerate parameters: the direction a has no finite, "
-                         "nonzero norm")
-    a_hat = a / a_norm
-    v = np.empty(SUBSPACE_DIM, dtype=np.complex128)
-    v[0] = np.cos(theta)
-    v[1:] = np.sin(theta) * a_hat
-    b = params[2 * SUBSPACE_DIM - 1:].view(np.complex128)
-    alpha, p = _residuals(v, b)
-    p_norm = norm(p)
-    if not DEGENERATE_TOL <= p_norm < np.inf:
-        raise ValueError("degenerate parameters: zero orthogonal component")
-    w = p / p_norm
-    v_psi = z * v + np.sqrt(1.0 - z * z) * w
-    return _Coords(theta, a_hat, a_norm, b, alpha, p_norm, v, w, v_psi)
+    m = SUBSPACE_DIM
+    theta = params[..., 0][()]
+    a = params[..., 1:2 * m - 1].view(np.complex128)
+    b = params[..., 2 * m - 1:].view(np.complex128)
+    a_norm = _norms(a)
+    a_hat = a / a_norm[..., None]
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    v = np.empty(a.shape[:-1] + (m,), dtype=np.complex128)
+    v[..., 0] = cos_t
+    v[..., 1:] = sin_t[..., None] * a_hat
+    alpha, p_norm, w, v_psi = _realizable(v, b, z)
+    ok = (np.isfinite(theta) & (0.0 < a_norm) & (a_norm < np.inf)
+          & (DEGENERATE_TOL <= p_norm) & (p_norm < np.inf))
+    return _Coords(ok, cos_t, sin_t, a_hat, a_norm, b, alpha, p_norm, v, w, v_psi)
 
 
 def encode_params(v_target: np.ndarray, w_target: np.ndarray) -> np.ndarray:
@@ -175,72 +183,81 @@ def _psi_axis(z: float) -> np.ndarray:
 
 
 def _pair_errors(v: np.ndarray, v_psi: np.ndarray, z: float):
-    """(x_phi, x_psi, cos delta_phi, cos delta_psi) of a stack of coordinate
-    pairs, one pair per row: the error sizes and their cosines.
+    """(x_phi, x_psi, cos delta_phi, cos delta_psi) of coordinate pairs, one
+    pair per row of the stacks: the error sizes and their cosines.
 
     Each error size is a residual norm: x_phi of V_phi's tail (its residual off
     e1), x_psi of V_psi's ``_residuals`` off psi x psi. sqrt(1 - |q|^2) would lose
     eight digits next to |q| = 1, where the optimizer converges.
     """
     q_psi, r = _residuals(_psi_axis(z), v_psi)
-    return _norms(v[:, 1:]), _norms(r), np.abs(v[:, 0]), np.abs(q_psi)
+    return _norms(v[..., 1:]), _norms(r), np.abs(v[..., 0]), np.abs(q_psi)
 
 
 def _objective_factory(objective: str, z: float):
     """``fun(params) -> (value, gradient)`` of AE or, for ``"sym"``,
     x_phi^2 + x_psi^2, with the gradient by reverse-mode differentiation
-    through :func:`_coords_from_params`.
+    through :func:`_coords_from_params`. ``params`` is one row or a stack
+    of rows, and each row's value and gradient are those it has alone.
 
     The value adds the gauge term GAUGE_WEIGHT ((|a|^2 - 1)^2 + (|b|^2 - 1)^2),
     which is zero on unit a and b. Without it the value is blind to the
     norms of a and b, every step lengthens them, and the gradient, which
     falls as 1/|b|, drops below tolerance long before the floor. Complex
-    cotangents follow d value = Re(<cotangent|d vector>). A point the
+    cotangents follow d value = Re(<cotangent|d vector>). A row the
     parameterization rejects and one whose value overflows have the value
-    ``inf``.
+    ``inf`` and a zero gradient.
     """
     s = np.sqrt(1.0 - z * z)
     u = _psi_axis(z)
-    rejected = (np.inf, np.zeros(N_PARAMS))
-
-    def value_and_gradient(params):
-        c = _coords_from_params(params, z)
-        sin_t, cos_t = np.sin(c.theta), np.cos(c.theta)
-        _, r = _residuals(u, c.v_psi)
-        x_psi = norm(r)
-        if objective == "sym":
-            value = sin_t * sin_t + x_psi * x_psi
-            g_theta, g_psi = 2 * sin_t * cos_t, 2 * r
-        else:
-            value = abs(sin_t) + x_psi
-            # d|sin t|/dt = sign(sin t) cos t; copysign(cos_t, sin_t) would
-            # drop the sign of cos t, which is negative off [0, pi/2].
-            g_theta = np.copysign(1.0, sin_t) * cos_t
-            g_psi = r / x_psi if x_psi > 0 else np.zeros(SUBSPACE_DIM, dtype=np.complex128)
-        # V_psi = z V + s W, W = p/|p|, p = b - V <V|b>.
-        g_w = s * g_psi
-        g_p = (g_w - c.w * _dots(c.w, g_w).real) / c.p_norm
-        _, g_b = _residuals(c.v, g_p)
-        g_v = z * g_psi - np.conj(c.alpha) * g_p - _dots(g_p, c.v) * c.b
-        # V = (cos theta, sin theta a_hat), a_hat = a/|a|.
-        g_theta += -sin_t * g_v[0].real + cos_t * _dots(c.a_hat, g_v[1:]).real
-        g_ahat = sin_t * g_v[1:]
-        g_a = (g_ahat - c.a_hat * _dots(c.a_hat, g_ahat).real) / c.a_norm
-        ga, gb = c.a_norm ** 2 - 1.0, norm(c.b) ** 2 - 1.0
-        value += GAUGE_WEIGHT * (ga * ga + gb * gb)
-        g_a = g_a + 4 * GAUGE_WEIGHT * ga * c.a_norm * c.a_hat
-        g_b = g_b + 4 * GAUGE_WEIGHT * gb * c.b
-        return float(value), np.concatenate(
-            [[g_theta], np.concatenate([g_a, g_b]).view(np.float64)])
+    m = SUBSPACE_DIM
 
     def fun(params):
-        # Huge or non-finite parameters overflow on the way to a rejection.
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                value, gradient = value_and_gradient(params)
-            except ValueError:
-                return rejected
-        return (value, gradient) if np.isfinite(value) else rejected
+        # A rejected row computes through NaN and inf, and huge parameters overflow.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            c = _coords_from_params(params, z)
+            sin_t, cos_t = c.sin_t, c.cos_t
+            _, r = _residuals(u, c.v_psi)
+            x_psi = _norms(r)
+            if objective == "sym":
+                value = sin_t * sin_t + x_psi * x_psi
+                g_theta, g_psi = 2 * sin_t * cos_t, 2 * r
+            else:
+                value = np.abs(sin_t) + x_psi
+                # d|sin t|/dt = sign(sin t) cos t; copysign(cos_t, sin_t) would
+                # drop the sign of cos t, which is negative off [0, pi/2].
+                g_theta = np.copysign(1.0, sin_t) * cos_t
+                # At the kink x_psi = 0, r is 0 up to underflow and is the
+                # subgradient taken there: divide it by 1.
+                g_psi = r / (x_psi + (x_psi == 0))[..., None]
+            # V_psi = z V + s W, W = p/|p|, p = b - V <V|b>.
+            g_w = s * g_psi
+            g_p = (g_w - c.w * _dots(c.w, g_w).real[..., None]) / c.p_norm[..., None]
+            # <g_p|V> is the conjugate of the overlap <V|g_p> the residual takes.
+            ov, g_b = _residuals(c.v, g_p)
+            g_v = (z * g_psi - np.conj(c.alpha)[..., None] * g_p
+                   - np.conj(ov)[..., None] * c.b)
+            # V = (cos theta, sin theta a_hat), a_hat = a/|a|; the gauge term
+            # adds 4 GAUGE_WEIGHT (|a|^2 - 1) a to a's cotangent, likewise b's.
+            g_theta = g_theta + (-sin_t * g_v[..., 0].real
+                                 + cos_t * _dots(c.a_hat, g_v[..., 1:]).real)
+            g_ahat = sin_t[..., None] * g_v[..., 1:]
+            g_a = ((g_ahat - c.a_hat * _dots(c.a_hat, g_ahat).real[..., None])
+                   / c.a_norm[..., None])
+            b_norm = _norms(c.b)
+            ga, gb = c.a_norm * c.a_norm - 1.0, b_norm * b_norm - 1.0
+            value = value + GAUGE_WEIGHT * (ga * ga + gb * gb)
+            g_a += (4 * GAUGE_WEIGHT * ga * c.a_norm)[..., None] * c.a_hat
+            g_b += (4 * GAUGE_WEIGHT * gb)[..., None] * c.b
+            gradient = np.empty(c.ok.shape + (N_PARAMS,))
+            gradient[..., 0] = g_theta
+            g_ab = gradient[..., 1:].view(np.complex128)
+            g_ab[..., :m - 1], g_ab[..., m - 1:] = g_a, g_b
+            ok = c.ok & (value < np.inf)        # the value is >= 0, or NaN
+        if not ok.all():
+            value = np.where(ok, value, np.inf)[()]
+            gradient[~ok] = 0.0
+        return value, gradient
 
     return fun
 
@@ -274,16 +291,34 @@ def _cold_starts(cfg: SearchConfig) -> list[np.ndarray]:
     return starts
 
 
-def _search(cfg: SearchConfig, warm: np.ndarray, fun, theta_box,
-            bound_re: float) -> SearchOutcome:
-    """Minimize ``fun`` from ``warm`` plus ``cfg.restarts`` seeded random starts,
-    with theta held to ``theta_box``, and read AE and RE at the best point."""
-    starts = [warm] + _cold_starts(cfg)
-    _, best_x, evals = _run_minimize(fun, starts, theta_box)
+def minimize_objective(objective: str, cfg: SearchConfig) -> SearchOutcome:
+    """Minimize ``objective`` over realizable pairs at overlap ``cfg.z`` by
+    L-BFGS-B from a warm start and ``cfg.restarts`` seeded random starts,
+    and report AE and RE at the best point found against the floors.
+
+    ``"ae"`` and ``"re"`` run the same AE search from the asymmetric
+    machine, theta in [0, pi/2]: RE = AE / sin D, with sin D = sqrt(1 - z^4)
+    fixed by z, so the two floors have one minimizer. Both names stay
+    because acceptance test c07 asks for each floor by name, and the
+    benchmark tracer (``bench/spans.py``) names its span after it.
+    ``"sym"`` minimizes x_phi^2 + x_psi^2 from the symmetric machine with
+    theta free, and its ``bound_re`` is the symmetric closed form.
+    """
+    if objective in ("ae", "re"):
+        theta0, box, bound_re = 0.0, (0.0, np.pi / 2), float(re_lower_bound(cfg.z))
+    elif objective == "sym":
+        small, big = _overlap_angles(cfg.z)
+        theta0, box, bound_re = (big - small) / 2.0, (None, None), closed_form_re_s(cfg.z)
+    else:
+        raise ValueError(f"objective must be 'ae', 're' or 'sym', got {objective!r}")
+    if cfg.z <= 0.0:
+        raise ValueError("minimization needs 0 < z < 1")
+    starts = [warm_start_params(theta0)] + _cold_starts(cfg)
+    _, best_x, evals = _run_minimize(_objective_factory(objective, cfg.z), starts, box)
 
     c = _coords_from_params(best_x, cfg.z)
-    x_phi, x_psi, _, _ = _pair_errors(c.v[None], c.v_psi[None], cfg.z)
-    best_ae = x_phi[0] + x_psi[0]
+    x_phi, x_psi, _, _ = _pair_errors(c.v, c.v_psi, cfg.z)
+    best_ae = x_phi + x_psi
     return SearchOutcome(
         best_ae=float(best_ae),
         best_re=float(best_ae / np.sqrt(1.0 - cfg.z ** 4)),
@@ -292,43 +327,6 @@ def _search(cfg: SearchConfig, warm: np.ndarray, fun, theta_box,
         best_params=best_x,
         trials=evals,
     )
-
-
-def minimize_objective(objective: str, cfg: SearchConfig) -> SearchOutcome:
-    """Minimize the copying error over realizable pairs at overlap ``cfg.z``.
-
-    Runs L-BFGS-B on AE from a warm start at the asymmetric machine and
-    from ``cfg.restarts`` seeded random starts. The outcome reports the AE
-    and RE at the best point found together with the analytic floors.
-
-    ``objective`` is ``"ae"`` or ``"re"``, and both names run the same AE
-    search: RE = AE / sin D, with sin D = sqrt(1 - z^4) fixed by z, so the
-    two floors have one minimizer. The name stays because acceptance test
-    c07 asks for each floor by name, and the benchmark tracer
-    (``bench/spans.py``) names its span after it.
-    """
-    if objective not in ("ae", "re"):
-        raise ValueError(f"objective must be 'ae' or 're', got {objective!r}")
-    if cfg.z <= 0.0:
-        raise ValueError("minimization needs 0 < z < 1")
-    return _search(cfg, warm_start_params(0.0), _objective_factory("ae", cfg.z),
-                   (0.0, np.pi / 2), float(re_lower_bound(cfg.z)))
-
-
-def minimize_symmetric_re(cfg: SearchConfig) -> SearchOutcome:
-    """Find the least RE of a machine with equal error angles on both branches.
-
-    Minimizes x_phi^2 + x_psi^2 over all realizable pairs with theta free:
-    by chain 2 its only minimizer is the symmetric machine, which also
-    serves as the warm start. ``best_re`` is read at the best point, and
-    the floor is the symmetric closed form, reported in ``bound_re``.
-    """
-    if cfg.z <= 0.0:
-        raise ValueError("minimization needs 0 < z < 1")
-    small, big = _overlap_angles(cfg.z)
-    return _search(cfg, warm_start_params((big - small) / 2.0),
-                   _objective_factory("sym", cfg.z), (None, None),
-                   closed_form_re_s(cfg.z))
 
 
 @dataclass(frozen=True)
@@ -368,9 +366,7 @@ def _sample_block(rng: np.random.Generator, n: int, z: float):
     """
     m = SUBSPACE_DIM
     v = random_states(n, m, rng)
-    _, w = _residuals(v, _complex_normal(rng, (n, m)))
-    w /= _norms(w)[:, None]
-    v_psi = z * v + np.sqrt(1.0 - z * z) * w
+    _, _, _, v_psi = _realizable(v, _complex_normal(rng, (n, m)), z)
 
     x_phi, x_psi, q_phi, q_psi = _pair_errors(v, v_psi, z)
     ae = x_phi + x_psi

@@ -10,10 +10,10 @@ CPU, OpenBLAS its dot-product kernels, and L-BFGS-B amplifies last-bit
 differences. Where the fingerprint matches, the comparison is exact;
 elsewhere (``tolerant_mismatches``) text and integers must match exactly
 and floats to a relative ``FLOAT_REL``, with two exceptions: a corpus
-float of exactly 0.0 matches any value within ``ZERO_ABS`` of 0, a
-rounding residual such as ``unitarity_residual``, and the values of
-``"trials"`` are not compared, since they count L-BFGS-B's evaluations,
-which last bits move. ``OPENBLAS_CORETYPE=Haswell`` and
+float within ``ZERO_ABS`` of 0, a rounding residual such as
+``unitarity_residual``, matches any value within ``ZERO_ABS`` of it, and
+the values of ``"trials"`` are not compared, since they count L-BFGS-B's
+evaluations, which last bits move. ``OPENBLAS_CORETYPE=Haswell`` and
 ``NPY_DISABLE_CPU_FEATURES`` make this process imitate another host.
 
 Rewrite the corpus with ``PYTHONPATH=src python tests/test_golden.py``.
@@ -104,8 +104,8 @@ def files_of(argv) -> dict[str, str]:
 def tolerant_mismatches(want: str, got: str) -> list[str]:
     """Where ``got`` departs from ``want``: text and integers exactly, floats
     (numbers with a point or an exponent) beyond a relative ``FLOAT_REL``,
-    or beyond ``ZERO_ABS`` where ``want`` holds 0.0; a ``"trials"`` value
-    is not compared."""
+    or beyond ``ZERO_ABS`` where ``want`` holds a float within ``ZERO_ABS``
+    of 0; a ``"trials"`` value is not compared."""
     a, b = _NUMBERS.split(want), _NUMBERS.split(got)
     if len(a) != len(b):
         return [f"{len(a) // 2} numbers expected, {len(b) // 2} found"]
@@ -114,7 +114,7 @@ def tolerant_mismatches(want: str, got: str) -> list[str]:
         if i % 2 and a[i - 1].endswith('"trials": '):
             continue
         if i % 2 and re.search("[.eE]", x) and re.search("[.eE]", y):
-            zero = ZERO_ABS if float(x) == 0.0 else 0.0
+            zero = ZERO_ABS if abs(float(x)) <= ZERO_ABS else 0.0
             if not math.isclose(float(x), float(y), rel_tol=FLOAT_REL, abs_tol=zero):
                 bad.append(f"float {x} != {y}")
         elif x != y:
@@ -150,13 +150,18 @@ def test_files_match_the_golden_corpus(name):
 
 def test_tolerant_comparison_bounds_floats_only():
     want = ('{"x": 0.1234567890123456, "n": 20000, "s": "lemma1", "r": 0.0, '
-            '"y": 1e-17, "trials": 10955, "sweep_trials": 20}')
+            '"y": 1e-17, "u": 1.1102230246251565e-16, "g": 7.816081e-12, '
+            '"trials": 10955, "sweep_trials": 20}')
+    # A corpus float within ZERO_ABS of 0 is held within ZERO_ABS; a larger
+    # one, however small, to a relative FLOAT_REL.
     for old, new in (("23456,", "234561,"), ("0.0,", "2.7755575615628914e-16,"),
-                     ("0.0,", "-1e-15,"), ("10955", "10953")):
+                     ("0.0,", "-1e-15,"), ("10955", "10953"), ("1e-17", "2e-17"),
+                     ("1e-17", "1.00000000001e-17"),
+                     ("1.1102230246251565e-16", "1.6653345369377348e-16")):
         assert tolerant_mismatches(want, want.replace(old, new)) == [], (old, new)
     for old, new in (("0123456,", "0133456,"), ("20000", "20001"), ("lemma1", "lemma2"),
                      ("20000", "20000.0"), ('"s"', '"t"'), ("}", ", 1}"),
-                     ("0.0,", "1.1e-15,"), ("1e-17", "2e-17"), ("1e-17", "1.00000000001e-17"),
+                     ("0.0,", "1.1e-15,"), ("7.816081e-12", "7.817081e-12"),
                      ("20}", "21}"), ('"trials"', '"tries"')):
         assert tolerant_mismatches(want, want.replace(old, new)), (old, new)
 

@@ -24,7 +24,6 @@ from clonebound.search import (
     _sample_block,
     encode_params,
     minimize_objective,
-    minimize_symmetric_re,
     random_cloner_sweep,
     verify_point,
     warm_start_params,
@@ -39,13 +38,6 @@ def ambient_pair(params, z):
     frame = np.vstack([e1, e2, Projector([e1, e2]).complement().basis])
     c = _coords_from_params(params, z)
     return c.v @ frame, c.v_psi @ frame
-
-
-def pair_errors(c, z):
-    """(x_phi, x_psi) of one decoded pair: the sweep's error arithmetic on a
-    stack of one, as the search reads its best point."""
-    x_phi, x_psi, _, _ = _pair_errors(c.v[None], c.v_psi[None], z)
-    return x_phi[0], x_psi[0]
 
 
 def test_config_validation():
@@ -81,18 +73,18 @@ class TestParameterization:
 
     def test_degenerate_parameters_rejected(self):
         m = SUBSPACE_DIM
-        params = np.zeros(N_PARAMS)
-        params[0] = 0.4
-        params[1] = 1.0                 # a = (1, 0, 0): V = (cos 0.4, sin 0.4, 0, 0)
-        with pytest.raises(ValueError, match="degenerate"):
-            _coords_from_params(params, 0.5)        # b = 0
-        params[2 * m - 1: 2 * m + 3: 2] = np.cos(0.4), np.sin(0.4)
-        with pytest.raises(ValueError, match="degenerate"):
-            _coords_from_params(params, 0.5)        # b parallel to V
-        params[2 * m - 1:] = 1.0
-        params[1:2 * m - 1] = 0.0
-        with pytest.raises(ValueError, match="degenerate"):
-            _coords_from_params(params, 0.5)        # a = 0
+        rows = np.zeros((3, N_PARAMS))
+        rows[:, 0] = 0.4
+        rows[:2, 1] = 1.0               # a = (1, 0, 0): V = (cos 0.4, sin 0.4, 0, 0)
+        # rows[0]: b = 0
+        rows[1, 2 * m - 1: 2 * m + 3: 2] = np.cos(0.4), np.sin(0.4)    # b parallel to V
+        rows[2, 2 * m - 1:] = 1.0       # a = 0
+        for params in rows:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                assert not _coords_from_params(params, 0.5).ok, params
+            for objective in ("ae", "sym"):
+                value, grad = _objective_factory(objective, 0.5)(params)
+                assert value == np.inf and not grad.any(), (objective, params)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="parameters"):
@@ -128,7 +120,7 @@ class TestParameterization:
         r = analyze_pair(set_, v_phi, v_psi, FactorDims(2, 2, 1))
         # the coordinate shortcut and the ambient analysis agree
         c = _coords_from_params(params, z)
-        x_phi, x_psi = pair_errors(c, z)
+        x_phi, x_psi, _, _ = _pair_errors(c.v, c.v_psi, z)
         assert r.a_phi.x == pytest.approx(x_phi, abs=1e-12)
         assert r.a_psi.x == pytest.approx(x_psi, abs=1e-12)
         assert stats.trials == 1
@@ -155,7 +147,8 @@ def _reference_objective(objective, z):
             value = np.sin(theta) * np.sin(theta) + x_psi * x_psi
         else:
             value = abs(np.sin(theta)) + x_psi
-        gauge = (norm(a) ** 2 - 1) ** 2 + (norm(b) ** 2 - 1) ** 2
+        a_norm, b_norm = norm(a), norm(b)
+        gauge = (a_norm * a_norm - 1) ** 2 + (b_norm * b_norm - 1) ** 2
         return float(value + 0.25 * gauge)
 
     return fun
@@ -180,6 +173,30 @@ class TestBitIdentity:
             x = warm + scale * rng.standard_normal(N_PARAMS)
             x[0] = abs(x[0])        # inside the box theta >= 0
             assert np.array_equal(fun(x)[0], ref(x)), (x, fun(x)[0], ref(x))
+
+
+@pytest.mark.parametrize("objective", ["ae", "sym"])
+@pytest.mark.parametrize("z", [0.1, 0.5, 0.9])
+def test_objective_gives_a_row_the_same_bits_in_any_stack(objective, z):
+    # So a stacked optimizer sees the bits L-BFGS-B sees one row at a time.
+    # Rows the parameterization rejects (NaN theta, inf in b, a = 0) are
+    # stacked in among the others, and give inf and a zero gradient alone too.
+    m = SUBSPACE_DIM
+    rng = np.random.default_rng(43)
+    scales = np.logspace(-9, 0, 4500)[:, None]
+    rows = warm_start_params(0.0) + scales * rng.standard_normal((4500, N_PARAMS))
+    rejected = np.zeros(len(rows), dtype=bool)
+    for start, step, columns, bad in ((0, 97, 0, np.nan), (1, 101, N_PARAMS - 1, np.inf),
+                                      (2, 103, slice(1, 2 * m - 1), 0.0)):
+        rows[start::step, columns] = bad
+        rejected[start::step] = True
+    fun = _objective_factory(objective, z)
+    value, grad = fun(rows)
+    alone = [fun(row) for row in rows]
+    assert value.tobytes() == np.array([f for f, _ in alone]).tobytes()
+    assert grad.tobytes() == np.stack([g for _, g in alone]).tobytes()
+    np.testing.assert_array_equal(value == np.inf, rejected)
+    assert not grad[rejected].any()
 
 
 @pytest.mark.parametrize("z", [0.1, 0.5, 0.9])
@@ -252,7 +269,7 @@ class TestColdStarts:
         # equality at the vertex x_phi = 0, x_psi = sin(D - d).
         out = minimize_objective("ae", SearchConfig(z=z, restarts=20, seed=1))
         c = _coords_from_params(out.best_params, z)
-        x_phi, x_psi = pair_errors(c, z)
+        x_phi, x_psi, _, _ = _pair_errors(c.v, c.v_psi, z)
         assert x_phi == 0.0
         assert abs(x_psi - oracles.ae_bound(z)) < 1e-12
 
@@ -273,7 +290,7 @@ class TestColdStarts:
         assert len(runs) == 20
         for res in runs:
             c = _coords_from_params(res.x, z)
-            x_phi, x_psi = pair_errors(c, z)
+            x_phi, x_psi, _, _ = _pair_errors(c.v, c.v_psi, z)
             re = (x_phi + x_psi) / np.sqrt(1.0 - z ** 4)
             assert res.status == 0 and abs(re - closed_form_re_s(z)) < 1e-8, res
             assert abs(x_phi - x_psi) < 1e-6
@@ -313,19 +330,20 @@ class TestMinimize:
     def test_rejects_unknown_objective_and_zero_overlap(self):
         with pytest.raises(ValueError, match="objective"):
             minimize_objective("fidelity", SearchConfig(z=0.5))
-        with pytest.raises(ValueError, match="0 < z"):
-            minimize_objective("ae", SearchConfig(z=0.0))
+        for objective in ("ae", "sym"):
+            with pytest.raises(ValueError, match="0 < z"):
+                minimize_objective(objective, SearchConfig(z=0.0))
 
 
 class TestSymmetricRestriction:
     @pytest.mark.parametrize("z", [0.3, 0.5, 0.7])
     def test_floor_is_the_symmetric_closed_form(self, z):
-        out = minimize_symmetric_re(SearchConfig(z=z, restarts=5, seed=4))
+        out = minimize_objective("sym", SearchConfig(z=z, restarts=5, seed=4))
         assert out.best_re >= closed_form_re_s(z) - 1e-6
         assert out.best_re <= closed_form_re_s(z) + 1e-5
 
     def test_symmetric_floor_sits_above_the_general_floor(self):
-        out = minimize_symmetric_re(SearchConfig(z=0.5, restarts=3, seed=5))
+        out = minimize_objective("sym", SearchConfig(z=0.5, restarts=3, seed=5))
         assert out.best_re > float(re_lower_bound(0.5)) + 1e-3
 
 
