@@ -17,7 +17,12 @@ on which two they are, so the frame is never built. The decode and the
 objective take stacks of parameter rows and flag the rows they reject.
 
 :func:`minimize_objective` is the one search: L-BFGS-B with an analytic
-gradient from seeded random starts plus a warm start.
+gradient from seeded random starts plus a warm start. The starts run in
+lockstep, each with its own state of L-BFGS-B's reverse-communication
+routine, and one stacked objective call per round answers every start that
+asks for a point. Every start still follows, bit for bit, the run scipy's
+``minimize`` makes from it alone: the objective gives a row the same bits
+in any stack, and the driver's loop is scipy's, step for step.
 
 * ``"ae"`` (or ``"re"``) minimizes AE from the fully asymmetric machine. On
   these machines RE = AE / sin D with sin D = sqrt(1 - z^4) fixed by z, so
@@ -37,11 +42,12 @@ the ``lemmas`` sweeps' engine (:mod:`clonebound.geometry`), folded in order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import _lbfgsb
 
 from .bounds import ae_lower_bound, re_lower_bound
 from .cloners import closed_form_re_s
@@ -55,6 +61,16 @@ from .statespace import (
 # and largest projected-gradient component.
 OBJECTIVE_TOL = 1e-15
 GRADIENT_TOL = 1e-10
+# OBJECTIVE_TOL as setulb takes it, in units of the machine epsilon.
+_FACTR = OBJECTIVE_TOL / np.finfo(float).eps
+# The rest of L-BFGS-B's settings are scipy's defaults: correction pairs
+# kept, line-search steps per iteration, and the caps on iterations and on
+# evaluations per start.
+LBFGSB_MEMORY = 10
+LBFGSB_MAXLS = 20
+LBFGSB_MAX_ITER = LBFGSB_MAX_EVALS = 15000
+# Starts driven in lockstep at once; each holds ~12 KB of L-BFGS-B state.
+LOCKSTEP_WIDTH = 64
 # Complex dimension of the search subspace: the whole product space of a
 # qubit pair, i.e. the product plane plus two orthogonal directions.
 SUBSPACE_DIM = 4
@@ -262,19 +278,114 @@ def _objective_factory(objective: str, z: float):
     return fun
 
 
+class _StartResult(NamedTuple):
+    """Where one L-BFGS-B start stopped: ``status`` is scipy's, 0 converged,
+    1 an iteration or evaluation cap, 2 any other stop."""
+
+    x: np.ndarray
+    f: float
+    evals: int
+    status: int
+
+
+class _LbfgsbRun:
+    """One start's L-BFGS-B state, stepped through the reverse-communication
+    routine ``setulb`` as scipy's ``_minimize_lbfgsb`` steps it."""
+
+    def __init__(self, x0: np.ndarray):
+        n, m = x0.shape[0], LBFGSB_MEMORY
+        self.x, self.f, self.g = x0, 0.0, np.zeros(n)
+        self.wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+        self.iwa = np.zeros(3 * n, np.int32)
+        self.task, self.ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+        self.lsave, self.isave = np.zeros(4, np.int32), np.zeros(44, np.int32)
+        self.dsave = np.zeros(29)
+        self.iterations = self.evals = 0
+        # The last evaluated point, its value and its gradient.
+        self.seen = self.f_seen = self.g_seen = None
+
+    def record(self, x, f, g):
+        self.seen, self.f_seen, self.g_seen = x, f, g
+        self.evals += 1
+
+    def advance(self, lower, upper, nbd) -> bool:
+        """Step until ``setulb`` asks for the value and gradient at a point
+        not yet evaluated (True) or stops (False)."""
+        task = self.task
+        while True:
+            if task[0] == 3:            # the request at x is answered
+                self.f, self.g[:] = self.f_seen, self.g_seen
+            _lbfgsb.setulb(LBFGSB_MEMORY, self.x, lower, upper, nbd, self.f,
+                           self.g, _FACTR, GRADIENT_TOL, self.wa, self.iwa,
+                           task, self.lsave, self.isave, self.dsave,
+                           LBFGSB_MAXLS, self.ln_task)
+            if task[0] == 3:            # FG: value and gradient at x
+                if not np.array_equal(self.x, self.seen):
+                    return True
+            elif task[0] == 1:          # NEW_X: an iteration is done
+                self.iterations += 1
+                if self.iterations >= LBFGSB_MAX_ITER:
+                    task[:] = 5, 504
+                elif self.evals > LBFGSB_MAX_EVALS:
+                    task[:] = 5, 502
+            else:
+                return False
+
+    def result(self) -> _StartResult:
+        capped = self.evals > LBFGSB_MAX_EVALS or self.iterations >= LBFGSB_MAX_ITER
+        status = 0 if self.task[0] == 4 else 1 if capped else 2
+        return _StartResult(self.x, self.f, self.evals, status)
+
+
+def _lockstep_lbfgsb(fun, starts, theta_box):
+    """L-BFGS-B from every start, driven in lockstep: each start's
+    :class:`_StartResult`, in start order.
+
+    ``theta_box`` is the (low, high) bound on theta, None for no bound; a and
+    b are free. Up to LOCKSTEP_WIDTH starts at once each keep their own
+    ``setulb`` state, and every round advances each live start until it asks
+    for the value and gradient at a new point or stops; one stacked ``fun``
+    call then answers every request. Each start follows the iterates it
+    follows alone under ``scipy.optimize.minimize(method="L-BFGS-B",
+    jac=True)``, bit for bit: ``fun`` gives a row the bits it has alone, and
+    the loop is scipy's ``_minimize_lbfgsb`` with its ``ScalarFunction``
+    accounting, which evaluates and counts x0 once and serves a request at
+    the last evaluated point from its cache.
+    """
+    n = N_PARAMS
+    lb, ub = np.full(n, -np.inf), np.full(n, np.inf)
+    nbd, lower, upper = np.zeros(n, np.int32), np.zeros(n), np.zeros(n)
+    low, high = theta_box
+    if low is not None:
+        lb[0] = lower[0] = low
+        nbd[0] = 1
+    if high is not None:
+        ub[0] = upper[0] = high
+        nbd[0] = 3 if low is None else 2
+    starts = iter(starts)
+    while runs := [_LbfgsbRun(np.clip(np.asarray(x0, dtype=float).ravel(), lb, ub))
+                   for x0 in itertools.islice(starts, LOCKSTEP_WIDTH)]:
+        live = runs
+        while live:
+            points = np.array([run.x for run in live])
+            values, grads = fun(points)
+            for run, x, f, g in zip(live, points, values, grads):
+                run.record(x, f, g)
+            live = [run for run in live if run.advance(lower, upper, nbd)]
+        yield from (run.result() for run in runs)
+
+
 def _run_minimize(fun, starts, theta_box):
-    """L-BFGS-B from each start in turn: (best value, best point, evaluations).
+    """L-BFGS-B from every start: (best value, best point, evaluations). The
+    best start is the first with the strictly lowest value.
 
     ``theta_box`` is the (low, high) bound on theta; a and b are free.
     """
     best_f, best_x, evals = np.inf, None, 0
-    for x0 in starts:
-        bounds = [theta_box] + [(None, None)] * (len(x0) - 1)
-        res = minimize(fun, x0, method="L-BFGS-B", jac=True, bounds=bounds,
-                       options={"ftol": OBJECTIVE_TOL, "gtol": GRADIENT_TOL})
-        evals += res.nfev
-        if res.fun < best_f:
-            best_f, best_x = res.fun, res.x
+    for res in _lockstep_lbfgsb(fun, starts, theta_box):
+        evals += res.evals
+        if res.f < best_f:
+            best_f, best_x = res.f, res.x
     return best_f, best_x, evals
 
 

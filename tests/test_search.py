@@ -1,3 +1,4 @@
+import itertools
 import threading
 import tracemalloc
 from dataclasses import fields
@@ -10,7 +11,7 @@ import oracles
 from clonebound import search
 from clonebound.bounds import ae_lower_bound, re_lower_bound
 from clonebound.cloners import build_asymmetric, closed_form_re_s, plane_frame
-from clonebound.cloning import FactorDims, TwoStateSet, analyze_pair
+from clonebound.cloning import FactorDims, TwoStateSet, _overlap_angles, analyze_pair
 from clonebound.geometry import SWEEP_BLOCK
 from clonebound.search import (
     N_PARAMS,
@@ -18,6 +19,7 @@ from clonebound.search import (
     SearchConfig,
     _coords_from_params,
     _cold_starts,
+    _lockstep_lbfgsb,
     _objective_factory,
     _pair_errors,
     _run_minimize,
@@ -274,19 +276,12 @@ class TestColdStarts:
         assert abs(x_psi - oracles.ae_bound(z)) < 1e-12
 
     @pytest.mark.parametrize("z", [0.1, 0.5, 0.9])
-    def test_cold_starts_alone_reach_the_symmetric_machine(self, z, monkeypatch):
+    def test_cold_starts_alone_reach_the_symmetric_machine(self, z):
         # Chain 2 and sin^2 a + sin^2 b = 1 - cos(a + b) cos(a - b): the only
         # minimizer of x_phi^2 + x_psi^2 is x_phi = x_psi = sin((D - d)/2).
-        runs = []
-
-        def recording(*args, **kwargs):
-            runs.append(minimize(*args, **kwargs))
-            return runs[-1]
-
-        monkeypatch.setattr(search, "minimize", recording)
         cfg = SearchConfig(z=z, restarts=20, seed=1)
-        _run_minimize(_objective_factory("sym", z), _cold_starts(cfg),
-                      (None, None))
+        runs = list(_lockstep_lbfgsb(_objective_factory("sym", z), _cold_starts(cfg),
+                                     (None, None)))
         assert len(runs) == 20
         for res in runs:
             c = _coords_from_params(res.x, z)
@@ -295,6 +290,75 @@ class TestColdStarts:
             assert res.status == 0 and abs(re - closed_form_re_s(z)) < 1e-8, res
             assert abs(x_phi - x_psi) < 1e-6
             assert abs(x_phi - oracles.sym_ae(z) / 2) < 1e-6
+
+    def test_cold_start_protocol(self):
+        # 20 cold starts at each of seeds 1-5 and z = 0.1, 0.5, 0.9: nearly
+        # every AE start converges to the floor, every equal-angle start to
+        # the symmetric closed form, and no point dips below its floor.
+        ae_hits, sym_hits, lowest = 0, 0, np.inf
+        for seed, z in itertools.product(range(1, 6), (0.1, 0.5, 0.9)):
+            starts = _cold_starts(SearchConfig(z=z, restarts=20, seed=seed))
+            for objective, box in (("ae", (0.0, np.pi / 2)), ("sym", (None, None))):
+                for res in _lockstep_lbfgsb(_objective_factory(objective, z), starts, box):
+                    c = _coords_from_params(res.x, z)
+                    x_phi, x_psi, _, _ = _pair_errors(c.v, c.v_psi, z)
+                    if objective == "ae":
+                        gap = x_phi + x_psi - float(ae_lower_bound(z))
+                        ae_hits += gap < 1e-8
+                    else:
+                        gap = (x_phi + x_psi) / np.sqrt(1.0 - z ** 4) - closed_form_re_s(z)
+                        sym_hits += abs(gap) < 1e-8
+                    lowest = min(lowest, gap)
+        assert ae_hits >= 285 and sym_hits == 300, (ae_hits, sym_hits)
+        assert lowest >= -1e-15, lowest
+
+
+def _search_starts(objective, cfg):
+    """The starts and theta box of ``minimize_objective(objective, cfg)``."""
+    if objective == "sym":
+        small, big = _overlap_angles(cfg.z)
+        return [warm_start_params((big - small) / 2.0)] + _cold_starts(cfg), (None, None)
+    return [warm_start_params(0.0)] + _cold_starts(cfg), (0.0, np.pi / 2)
+
+
+class TestLockstep:
+    """Driving every start in lockstep changes no start's run."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("objective", ["ae", "sym"])
+    @pytest.mark.parametrize("z", [0.1, 0.5, 0.9])
+    def test_each_start_is_solo_lbfgsb_bit_for_bit(self, z, objective, seed):
+        # The reference is public scipy: a release that changes setulb or
+        # its driver's loop fails here.
+        fun = _objective_factory(objective, z)
+        starts, box = _search_starts(objective, SearchConfig(z=z, restarts=20, seed=seed))
+        runs = list(_lockstep_lbfgsb(fun, starts, box))
+        assert len(runs) == len(starts)
+        for x0, res in zip(starts, runs):
+            solo = minimize(fun, x0, method="L-BFGS-B", jac=True,
+                            bounds=[box] + [(None, None)] * (N_PARAMS - 1),
+                            options={"ftol": search.OBJECTIVE_TOL,
+                                     "gtol": search.GRADIENT_TOL})
+            assert res.x.tobytes() == solo.x.tobytes()
+            assert np.float64(res.f).tobytes() == np.float64(solo.fun).tobytes()
+            assert (res.evals, res.status) == (solo.nfev, solo.status)
+
+    @pytest.mark.parametrize("width", [1, 3, search.LOCKSTEP_WIDTH])
+    @pytest.mark.parametrize("objective", ["ae", "sym"])
+    def test_width_changes_no_result(self, objective, width, monkeypatch):
+        # 10 starts: at width 3 the last lockstep group holds one start.
+        cfg = SearchConfig(z=0.5, restarts=9, seed=2)
+        starts, box = _search_starts(objective, cfg)
+        fun = _objective_factory(objective, cfg.z)
+        wide = list(_lockstep_lbfgsb(fun, starts, box))
+        out = minimize_objective(objective, cfg)
+        monkeypatch.setattr(search, "LOCKSTEP_WIDTH", width)
+        for res, ref in zip(_lockstep_lbfgsb(fun, starts, box), wide, strict=True):
+            assert res.x.tobytes() == ref.x.tobytes() and res[1:] == ref[1:]
+        narrow = minimize_objective(objective, cfg)
+        for f in fields(out):
+            assert np.asarray(getattr(narrow, f.name)).tobytes() == \
+                np.asarray(getattr(out, f.name)).tobytes(), f.name
 
 
 class TestMinimize:
