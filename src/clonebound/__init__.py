@@ -5,14 +5,14 @@ The package is organized bottom-up:
 
 * :mod:`clonebound.statespace`  complex vectors, tensor products,
   projectors, and the angle metric;
+* :mod:`clonebound.bounds`      the analytic lower bounds and the angles d, D
+  of the overlap z with their sines, for cloning, cloners and search;
 * :mod:`clonebound.geometry`    the inequality suite relating angles to
   measurement statistics, with seeded random sweeps;
 * :mod:`clonebound.cloning`     the output decomposition and the absolute
   and relative copying errors;
 * :mod:`clonebound.cloners`     the symmetric, fully asymmetric, and
   basis-copier machines plus their closed-form error curves;
-* :mod:`clonebound.bounds`      the analytic lower bounds as functions of
-  the overlap z;
 * :mod:`clonebound.search`      numerical verification that the bounds are
   tight floors;
 * :mod:`clonebound.cli`         the ``clonebound`` command.

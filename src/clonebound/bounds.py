@@ -11,12 +11,13 @@ Everything here is a scalar formula in z = |<phi|psi>|:
 * ``icasmin_form``    sin(D - d)/sin(D) with cos(D) = z^2, cos(d) = z; an
   algebraically identical rewrite of F used as a cross-check.
 
-``sample_curve`` turns any of them into a :class:`BoundCurve` for CSV/JSON
-emission.
+d, D and their sines are computed here once for the package, free of cancellation;
+``sample_curve`` turns any floor into a :class:`BoundCurve` for CSV/JSON emission.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -28,6 +29,18 @@ def _check_range(z):
     if np.any(z < 0.0) or np.any(z > 1.0):
         raise ValueError("overlap z must be in [0.0, 1.0]")
     return z
+
+
+def _overlap_sines(z):
+    """(sin d, sin D) at overlap z, a scalar or an array, free of the cancellation
+    of 1 - z^2 and 1 - z^4 near z = 1: 1 - z is exact on [0.5, 1] (Sterbenz)."""
+    sin_d = np.sqrt((1.0 - z) * (1.0 + z))
+    return sin_d, sin_d * np.sqrt(1.0 + z * z)
+
+
+def _overlap_angles(z: float) -> tuple[float, float]:
+    """(d, D) = (arccos z, arccos z^2) through libm, D = 2 atan2(sin d, sqrt(1 + z^2))."""
+    return math.acos(z), 2.0 * math.atan2(float(_overlap_sines(z)[0]), math.sqrt(1.0 + z * z))
 
 
 def re_lower_bound(z):
@@ -42,15 +55,17 @@ def re_lower_bound(z):
 
 
 def ae_lower_bound(z):
-    """Absolute-error floor z sqrt(1 - z^4) - z^2 sqrt(1 - z^2) on [0, 1]."""
+    """Absolute-error floor z sqrt(1 - z^4) - z^2 sqrt(1 - z^2) on [0, 1],
+    computed as z sin d (sqrt(1 + z^2) - z)."""
     z = _check_range(z)
-    return z * np.sqrt(1.0 - z ** 4) - z * z * np.sqrt(1.0 - z * z)
+    return z * _overlap_sines(z)[0] * (np.sqrt(1.0 + z * z) - z)
 
 
 def hb_bound(z):
-    """Earlier absolute-error floor 2(sqrt(1 + z(1 - z)) - 1), symmetric in z <-> 1-z."""
+    """Earlier absolute-error floor 2(sqrt(1 + z(1 - z)) - 1), symmetric in z <-> 1-z,
+    computed as 2 z(1 - z)/(sqrt(1 + z(1 - z)) + 1)."""
     z = _check_range(z)
-    return 2.0 * (np.sqrt(1.0 + z * (1.0 - z)) - 1.0)
+    return 2.0 * z * (1.0 - z) / (np.sqrt(1.0 + z * (1.0 - z)) + 1.0)
 
 
 def icasmin_form(z):

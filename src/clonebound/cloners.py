@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bounds import _overlap_sines
 from .cloning import ClonerResult, FactorDims, TwoStateSet, analyze_pair
 from .statespace import (
     COLLINEAR_TOL, Projector, _dots, _residuals, basis_state, gram_schmidt_residual, norm,
@@ -91,9 +92,7 @@ def build_wootters_zurek(set_: TwoStateSet) -> ClonerResult:
     f1 = basis_state(2, 0)
     f2 = basis_state(2, 1)
     v_phi = tensor(tensor(set_.phi, set_.phi), f1)
-    v_psi = set_.z * v_phi + np.sqrt(1.0 - set_.z ** 2) * tensor(
-        tensor(omega, omega), f2
-    )
+    v_psi = set_.z * v_phi + _overlap_sines(set_.z)[0] * tensor(tensor(omega, omega), f2)
     dims = FactorDims(set_.dim, set_.dim, 2)
     return analyze_pair(set_, v_phi, v_psi, dims)
 
@@ -101,12 +100,14 @@ def build_wootters_zurek(set_: TwoStateSet) -> ClonerResult:
 def closed_form_re_s(z: float) -> float:
     """Relative error of the symmetric machine:
 
-    sqrt(2) * [ (1 + z + z^2)/(1 + z + z^2 + z^3) - 1/sqrt(1 + z^2) ]^(1/2).
+    sqrt(2) * [ (1 + z + z^2)/(1 + z + z^2 + z^3) - 1/sqrt(1 + z^2) ]^(1/2),
+    computed as z sqrt(2/((1 + z)(1 + z + z^2 + (1 + z) s)))/s, s = sqrt(1 + z^2),
+    since (1 + z + z^2)^2 - (1 + z)^2 (1 + z^2) = z^2: the difference cancels as z -> 0.
     """
     if not 0.0 <= z < 1.0:
         raise ValueError(f"overlap z must be in [0, 1), got {z!r}")
-    inside = (1.0 + z + z * z) / (1.0 + z + z * z + z ** 3) - 1.0 / np.sqrt(1.0 + z * z)
-    return float(np.sqrt(2.0) * np.sqrt(max(inside, 0.0)))
+    s = np.sqrt(1.0 + z * z)
+    return float(z * np.sqrt(2.0 / ((1.0 + z) * (1.0 + z + z * z + (1.0 + z) * s))) / s)
 
 
 def closed_form_re_wz(z: float) -> float:

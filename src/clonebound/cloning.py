@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from .bounds import _overlap_angles, _overlap_sines
 from .geometry import InequalityReport
 from .statespace import (
     Projector, _dots, _projector_probs, _residuals, angle, as_state, basis_state, check_unit,
@@ -33,12 +34,6 @@ from .statespace import (
 # A length this small counts as zero: ||q|| at or below it leaves the ideal
 # without a direction, sin(ideal angle) below it the relative error undefined.
 DEGENERATE_TOL = 1e-12
-
-
-def _overlap_angles(z: float) -> tuple[float, float]:
-    """(d, D) = (arccos z, arccos z^2): the angle between phi and psi, and
-    the one between phi x phi and psi x psi, at overlap z."""
-    return float(np.arccos(z)), float(np.arccos(min(z * z, 1.0)))
 
 
 def canonical_phase(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -74,13 +69,13 @@ class TwoStateSet:
 
     @classmethod
     def at_overlap(cls, z: float, dim: int = 2) -> "TwoStateSet":
-        """Canonical pair phi = e1, psi = z e1 + sqrt(1 - z^2) e2."""
+        """Canonical pair phi = e1, psi = z e1 + sin d e2."""
         if not 0.0 <= z <= 1.0:
             raise ValueError(f"overlap z must be in [0, 1], got {z!r}")
         if dim < 2:
             raise ValueError("need dimension >= 2")
         phi = basis_state(dim, 0)
-        psi = z * basis_state(dim, 0) + np.sqrt(1.0 - z * z) * basis_state(dim, 1)
+        psi = z * basis_state(dim, 0) + _overlap_sines(z)[0] * basis_state(dim, 1)
         return cls.from_states(phi, psi)
 
     @property

@@ -49,9 +49,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import _lbfgsb
 
-from .bounds import ae_lower_bound, re_lower_bound
+from .bounds import _overlap_angles, _overlap_sines, ae_lower_bound, re_lower_bound
 from .cloners import closed_form_re_s
-from .cloning import DEGENERATE_TOL, _chains, _overlap_angles
+from .cloning import DEGENERATE_TOL, _chains
 from .geometry import _block_summaries, _violations
 from .statespace import (
     _angles, _complex_normal, _dots, _norms, _residuals, norm, random_states,
@@ -126,11 +126,11 @@ class _Coords(NamedTuple):
 
 def _realizable(v: np.ndarray, b: np.ndarray, z: float):
     """(<V|b>, |P b|, W, V_psi) of rows V = V_phi and b: W = P b/|P b| is the
-    unit part of b orthogonal to V_phi, and V_psi = z V_phi + sqrt(1 - z^2) W."""
+    unit part of b orthogonal to V_phi, and V_psi = z V_phi + sin d W."""
     alpha, p = _residuals(v, b)
     p_norm = _norms(p)
     w = p / p_norm[..., None]
-    return alpha, p_norm, w, z * v + np.sqrt(1.0 - z * z) * w
+    return alpha, p_norm, w, z * v + _overlap_sines(z)[0] * w
 
 
 def _coords_from_params(params, z: float) -> _Coords:
@@ -191,10 +191,9 @@ def warm_start_params(theta: float) -> np.ndarray:
 
 
 def _psi_axis(z: float) -> np.ndarray:
-    """Coordinates of psi x psi in the frame: z^2 e1 + sqrt(1 - z^4) e2."""
+    """Coordinates of psi x psi in the frame: z^2 e1 + sin D e2."""
     u = np.zeros(SUBSPACE_DIM)
-    u[0] = z * z
-    u[1] = np.sqrt(1.0 - z ** 4)
+    u[:2] = z * z, _overlap_sines(z)[1]
     return u
 
 
@@ -224,7 +223,7 @@ def _objective_factory(objective: str, z: float):
     parameterization rejects and one whose value overflows have the value
     ``inf`` and a zero gradient.
     """
-    s = np.sqrt(1.0 - z * z)
+    s = _overlap_sines(z)[0]
     u = _psi_axis(z)
     m = SUBSPACE_DIM
 
@@ -432,7 +431,7 @@ def minimize_objective(objective: str, cfg: SearchConfig) -> SearchOutcome:
     best_ae = x_phi + x_psi
     return SearchOutcome(
         best_ae=float(best_ae),
-        best_re=float(best_ae / np.sqrt(1.0 - cfg.z ** 4)),
+        best_re=float(best_ae / _overlap_sines(cfg.z)[1]),
         bound_ae=float(ae_lower_bound(cfg.z)),
         bound_re=bound_re,
         best_params=best_x,
@@ -483,7 +482,7 @@ def _sample_block(rng: np.random.Generator, n: int, z: float):
     ae = x_phi + x_psi
 
     defined = np.minimum(q_phi, q_psi) > DEGENERATE_TOL
-    re = ae[defined] / np.sqrt(1.0 - z ** 4)
+    re = ae[defined] / _overlap_sines(z)[1]
 
     # Chain inequalities on the sampled vectors, each error angle from its sine
     # and cosine; the ideal outputs phi x phi and psi x psi are at angle D.

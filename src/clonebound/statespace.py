@@ -11,7 +11,7 @@ Every inner product and vector norm in the package comes from one reduction
 (``_dots``), every residual of a target against an anchor from one kernel
 on it (``_residuals``), divided by its computed norm where it must be unit,
 and every angle of two vectors from one kernel that keeps its digits near
-overlap 1 (``_angles``); arccos takes only a given z.
+overlap 1 (``_angles``); the angles of a given z come from :mod:`.bounds`.
 All functions are pure and never mutate their inputs.
 """
 

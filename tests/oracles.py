@@ -15,6 +15,12 @@ def _angles(z):
     return mp.acos(z * z), mp.acos(z)   # (Delta, delta)
 
 
+def overlap_angles(z) -> tuple[float, float]:
+    """(d, D) = (arccos z, arccos z^2)."""
+    big, small = _angles(z)
+    return float(small), float(big)
+
+
 def f_bound(z) -> float:
     """Relative-error floor via its trigonometric origin sin(D-d)/sin(D)."""
     big, small = _angles(z)
@@ -77,6 +83,18 @@ def wz_re_quoted(z) -> float:
     """The quoted closed form sqrt(3) z / sqrt(1 + z^2)."""
     z = mp.mpf(z)
     return float(mp.sqrt(3) * z / mp.sqrt(1 + z * z))
+
+
+def rel_err(value, ref) -> float:
+    """|value - ref| / |ref|, or |value| where ref is 0."""
+    return abs(value - ref) / abs(ref) if ref else abs(value)
+
+
+# Overlaps where float64 forms in z cancel: z = 1 - 10^-k, where 1 - z^4 and
+# arccos(z^2) do, z = 10^-k, where differences of terms in z do, and a grid.
+NEAR_ONE = [1.0 - 10.0 ** -k for k in range(2, 16)]
+NEAR_ZERO = [10.0 ** -k for k in range(2, 16)]
+GRID = [i / 100 for i in range(1, 100)]
 
 
 # Frozen landmark values (40-digit computations rounded to float64).

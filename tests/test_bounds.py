@@ -7,6 +7,7 @@ import oracles
 from clonebound.bounds import (
     RE_BOUND_ARGMAX,
     BoundCurve,
+    _overlap_angles,
     ae_lower_bound,
     hb_bound,
     icasmin_form,
@@ -110,6 +111,25 @@ class TestRelations:
             2 - np.sqrt(2), abs=1e-2
         )
         assert float(hb_bound(1 - xi)) / xi == pytest.approx(1.0, abs=1e-2)
+
+
+class TestFullRelativePrecision:
+    """The floors and the angles keep full relative precision next to both
+    ends of [0, 1], where their textbook forms cancel: 1 - z^4 and arccos(z^2)
+    as z -> 1, 2(sqrt(1 + z(1 - z)) - 1) as z -> 0 and z -> 1."""
+
+    ZS = oracles.NEAR_ONE + oracles.NEAR_ZERO + oracles.GRID
+
+    def test_floors(self):
+        for f, ref in ((ae_lower_bound, oracles.ae_bound),
+                       (re_lower_bound, oracles.f_bound), (hb_bound, oracles.hb_bound)):
+            for z in self.ZS:
+                assert oracles.rel_err(float(f(z)), ref(z)) <= 1e-15, (f.__name__, z)
+
+    def test_overlap_angles(self):
+        for z in self.ZS:
+            for got, ref in zip(_overlap_angles(z), oracles.overlap_angles(z)):
+                assert oracles.rel_err(got, ref) <= 1e-15, z
 
 
 class TestSampleCurve:

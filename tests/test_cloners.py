@@ -135,6 +135,31 @@ def test_error_angles_match_the_deficit(z):
     assert np.max(np.abs(np.subtract(errors, expected))) <= 5e-16
 
 
+#: (x_phi, x_psi, ae, re) of each machine at overlap z, from the oracles.
+MACHINE_ORACLES = {
+    build_symmetric: lambda z: (oracles.sym_ae(z) / 2, oracles.sym_ae(z) / 2,
+                                oracles.sym_ae(z), oracles.sym_re(z)),
+    build_asymmetric: lambda z: (0.0, oracles.ae_bound(z), oracles.ae_bound(z),
+                                 oracles.f_bound(z)),
+    build_wootters_zurek: lambda z: (0.0, oracles.wz_x_psi(z), oracles.wz_x_psi(z),
+                                     oracles.wz_re_definition(z)),
+}
+
+
+@pytest.mark.parametrize("build", list(MACHINE_ORACLES), ids=lambda b: b.__name__)
+def test_machines_keep_full_relative_precision_near_one(build):
+    # Up to z = 1 - 10^-11, the last overlap COLLINEAR_TOL admits, and on a
+    # grid over [0.5, 0.99]. Below z = 0.5 the deficit D - d is a difference
+    # of two angles near pi/2 and keeps its digits only absolutely. Each x is
+    # the norm of a residual of unit vectors: measured within 2.7e-15 (sym's
+    # x_psi at z = 0.9), where the textbook forms are 9.4e-10 off.
+    zs = [z for z in oracles.NEAR_ONE if z < 1.0 - 1e-12] + oracles.GRID[49:]
+    for z in zs:
+        r = build(TwoStateSet.at_overlap(z))
+        for got, ref in zip((r.a_phi.x, r.a_psi.x, r.ae, r.re), MACHINE_ORACLES[build](z)):
+            assert oracles.rel_err(got, ref) <= 4e-15, z
+
+
 class TestWoottersZurek:
     def test_orthogonal_states_clone_exactly(self):
         r = build_wootters_zurek(TwoStateSet.at_overlap(0.0))
@@ -191,6 +216,11 @@ class TestClosedForms:
                                                       abs=1e-12)
         with pytest.raises(ValueError):
             closed_form_re_s(1.0)
+
+    def test_re_s_keeps_full_relative_precision(self):
+        # Its published form is a difference that cancels as z -> 0.
+        for z in oracles.NEAR_ONE + oracles.NEAR_ZERO + oracles.GRID:
+            assert oracles.rel_err(closed_form_re_s(z), oracles.sym_re(z)) <= 1e-15, z
 
     @pytest.mark.parametrize("z", Z_GRID)
     def test_symmetric_floor_dominates_general_floor(self, z):

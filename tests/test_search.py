@@ -129,10 +129,12 @@ class TestParameterization:
 
 
 def _reference_objective(objective, z):
-    """The search objective's value, written out afresh on ``norm`` and ``_dots``."""
+    """The search objective's value, written out afresh on ``norm`` and ``_dots``,
+    with sin d = sqrt((1 - z)(1 + z)) and sin D = sin d sqrt(1 + z^2)."""
     m = SUBSPACE_DIM
+    sin_d = np.sqrt((1.0 - z) * (1.0 + z))
     u = np.zeros(m)
-    u[0], u[1] = z * z, np.sqrt(1.0 - z ** 4)
+    u[0], u[1] = z * z, sin_d * np.sqrt(1.0 + z * z)
 
     def fun(params):
         theta = params[0]
@@ -142,7 +144,7 @@ def _reference_objective(objective, z):
         v[0] = np.cos(theta)
         v[1:] = np.sin(theta) * (a / norm(a))
         p = b - v * _dots(v, b)
-        v_psi = z * v + np.sqrt(1.0 - z * z) * (p / norm(p))
+        v_psi = z * v + sin_d * (p / norm(p))
         q_psi = _dots(u, v_psi)
         x_psi = norm(v_psi - u * q_psi)
         if objective == "sym":
