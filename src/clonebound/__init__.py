@@ -102,7 +102,6 @@ from .search import (
     minimize_objective,
     random_cloner_sweep,
     verify_point,
-    warm_start_params,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

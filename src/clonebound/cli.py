@@ -40,7 +40,7 @@ from .bounds import (
 )
 from .cloners import closed_form_re_s, closed_form_re_wz
 from .cloning import TwoStateSet, unitarity_residual
-from .geometry import ALL_SWEEPS
+from .geometry import ALL_SWEEPS, DEFAULT_SWEEP_TOL, _violations
 from .search import verify_point
 from .statespace import norm
 
@@ -50,7 +50,6 @@ EXIT_IO = 2
 EXIT_VIOLATION = 3
 EXIT_ATTAINMENT = 4
 
-ATTAINMENT_TOL = 1e-5
 #: Rows (CSV) or list elements (JSON) per piece of a written file, so a
 #: ``bounds`` file is never held whole in memory.
 WRITE_BLOCK = 8192
@@ -424,9 +423,11 @@ def cmd_verify(args) -> int:
             print(f"clonebound verify: {count} {kind} violations", file=sys.stderr)
     if total_violations or chain_violations:
         return EXIT_VIOLATION
-    if max_gap >= ATTAINMENT_TOL:
+    # A best point above its floor by more than the rounding allowance, or
+    # with a NaN gap, has not attained it.
+    if _violations([-r.attainment_gap for r in records]):
         print(f"clonebound verify: attainment gap {max_gap:.3e} "
-              f"exceeds {ATTAINMENT_TOL}", file=sys.stderr)
+              f"exceeds {DEFAULT_SWEEP_TOL}", file=sys.stderr)
         return EXIT_ATTAINMENT
     return EXIT_OK
 

@@ -17,23 +17,23 @@ on which two they are, so the frame is never built. The decode and the
 objective take stacks of parameter rows and flag the rows they reject.
 
 :func:`minimize_objective` is the one search: L-BFGS-B with an analytic
-gradient from seeded random starts plus a warm start. The starts run in
+gradient from ``restarts`` seeded random starts, and no other. Handed no
+point known to attain, it must find the floors itself. The starts run in
 lockstep, each with its own state of L-BFGS-B's reverse-communication
 routine, and one stacked objective call per round answers every start that
 asks for a point. Every start still follows, bit for bit, the run scipy's
 ``minimize`` makes from it alone: the objective gives a row the same bits
 in any stack, and the driver's loop is scipy's, step for step.
 
-* ``"ae"`` (or ``"re"``) minimizes AE from the fully asymmetric machine. On
-  these machines RE = AE / sin D with sin D = sqrt(1 - z^4) fixed by z, so
-  both floors share one minimizer. V_phi = (cos theta, sin theta a/|a|)
-  with theta in [0, pi/2], so x_phi = sin theta is smooth and the optimum
-  is the box face theta = 0 (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci.
-  Comput. 16 (1995) 1190).
-* ``"sym"`` minimizes x_phi^2 + x_psi^2, theta free, from the symmetric
-  machine. Chain 2 gives delta_phi + delta_psi >= D - d, and sin^2 a +
-  sin^2 b = 1 - cos(a+b) cos(a-b), so its only minimizer is delta_phi =
-  delta_psi = (D - d)/2, the symmetric machine.
+* ``"ae"`` (or ``"re"``) minimizes AE. On every realizable pair RE = AE /
+  sin D with sin D = sqrt(1 - z^4) fixed by z, so both floors share one
+  minimizer. V_phi = (cos theta, sin theta a/|a|) with theta in [0, pi/2],
+  so x_phi = sin theta is smooth and the optimum is the box face theta = 0
+  (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16 (1995) 1190).
+* ``"sym"`` minimizes x_phi^2 + x_psi^2, theta free. Chain 2 gives
+  delta_phi + delta_psi >= D - d, and sin^2 a + sin^2 b = 1 - cos(a+b)
+  cos(a-b), so its only minimizer is delta_phi = delta_psi = (D - d)/2,
+  the symmetric machine.
 
 :func:`random_cloner_sweep` samples realizable pairs uniformly and checks
 the floors and the two chain inequalities on every sample, in blocks of
@@ -82,7 +82,8 @@ GAUGE_WEIGHT = 0.25
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Reproducible settings for one search or sweep."""
+    """Reproducible settings for one search or sweep: ``restarts`` is the
+    number of seeded starts a search runs, the only starts it has."""
 
     z: float
     restarts: int = 20
@@ -161,33 +162,6 @@ def _coords_from_params(params, z: float) -> _Coords:
     ok = (np.isfinite(theta) & (0.0 < a_norm) & (a_norm < np.inf)
           & (DEGENERATE_TOL <= p_norm) & (p_norm < np.inf))
     return _Coords(ok, cos_t, sin_t, a_hat, a_norm, b, alpha, p_norm, v, w, v_psi)
-
-
-def encode_params(v_target: np.ndarray, w_target: np.ndarray) -> np.ndarray:
-    """Parameters of the pair (V_phi, W) = (v_target, w_target).
-
-    ``v_target`` and ``w_target`` must be orthonormal. Both are first
-    multiplied by the phase that makes v_target[0] real and >= 0, the
-    gauge the parameterization fixes; a common phase changes no error.
-    """
-    phase = v_target[0] / abs(v_target[0]) if v_target[0] != 0 else 1.0
-    v, w = v_target / phase, w_target / phase
-    tail = norm(v[1:])
-    # At theta = 0 the direction a is arbitrary; take the first axis.
-    a = v[1:] / tail if tail > 0 else np.eye(v.shape[0] - 1, 1)[:, 0]
-    return np.concatenate([[np.arctan2(tail, v[0].real)],
-                           np.concatenate([a, w]).view(np.float64)])
-
-
-def warm_start_params(theta: float) -> np.ndarray:
-    """Parameters of the in-plane pair at plane angle ``theta``: V_phi =
-    cos theta e1 + sin theta e2 and W its in-plane normal, which puts V_psi
-    at plane angle theta + d. Angle 0 is the fully asymmetric machine and
-    (D - d)/2 the symmetric one."""
-    v, w = np.zeros((2, SUBSPACE_DIM), dtype=np.complex128)
-    v[0], v[1] = np.cos(theta), np.sin(theta)
-    w[0], w[1] = -np.sin(theta), np.cos(theta)
-    return encode_params(v, w)
 
 
 def _psi_axis(z: float) -> np.ndarray:
@@ -403,28 +377,27 @@ def _cold_starts(cfg: SearchConfig) -> list[np.ndarray]:
 
 def minimize_objective(objective: str, cfg: SearchConfig) -> SearchOutcome:
     """Minimize ``objective`` over realizable pairs at overlap ``cfg.z`` by
-    L-BFGS-B from a warm start and ``cfg.restarts`` seeded random starts,
+    L-BFGS-B from ``cfg.restarts`` seeded random starts, its only starts,
     and report AE and RE at the best point found against the floors.
 
-    ``"ae"`` and ``"re"`` run the same AE search from the asymmetric
-    machine, theta in [0, pi/2]: RE = AE / sin D, with sin D = sqrt(1 - z^4)
-    fixed by z, so the two floors have one minimizer. Both names stay
-    because acceptance test c07 asks for each floor by name, and the
-    benchmark tracer (``bench/spans.py``) names its span after it.
-    ``"sym"`` minimizes x_phi^2 + x_psi^2 from the symmetric machine with
-    theta free, and its ``bound_re`` is the symmetric closed form.
+    ``"ae"`` and ``"re"`` run the same AE search, theta in [0, pi/2]:
+    RE = AE / sin D, with sin D = sqrt(1 - z^4) fixed by z, so the two
+    floors have one minimizer. Both names stay because acceptance test c07
+    asks for each floor by name, and the benchmark tracer
+    (``bench/spans.py``) names its span after it. ``"sym"`` minimizes
+    x_phi^2 + x_psi^2 with theta free, and its ``bound_re`` is the
+    symmetric closed form.
     """
     if objective in ("ae", "re"):
-        theta0, box, bound_re = 0.0, (0.0, np.pi / 2), float(re_lower_bound(cfg.z))
+        box, bound_re = (0.0, np.pi / 2), float(re_lower_bound(cfg.z))
     elif objective == "sym":
-        small, big = _overlap_angles(cfg.z)
-        theta0, box, bound_re = (big - small) / 2.0, (None, None), closed_form_re_s(cfg.z)
+        box, bound_re = (None, None), closed_form_re_s(cfg.z)
     else:
         raise ValueError(f"objective must be 'ae', 're' or 'sym', got {objective!r}")
     if cfg.z <= 0.0:
         raise ValueError("minimization needs 0 < z < 1")
-    starts = [warm_start_params(theta0)] + _cold_starts(cfg)
-    _, best_x, evals = _run_minimize(_objective_factory(objective, cfg.z), starts, box)
+    _, best_x, evals = _run_minimize(_objective_factory(objective, cfg.z),
+                                     _cold_starts(cfg), box)
 
     c = _coords_from_params(best_x, cfg.z)
     x_phi, x_psi, _, _ = _pair_errors(c.v, c.v_psi, cfg.z)

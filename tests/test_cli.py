@@ -19,7 +19,7 @@ import clonebound
 import oracles
 from clonebound.bounds import ae_lower_bound, hb_bound, re_lower_bound, sample_curve
 from clonebound import geometry, search
-from clonebound.cli import ATTAINMENT_TOL, WRITE_BLOCK, _json_pieces, main
+from clonebound.cli import WRITE_BLOCK, _json_pieces, main
 from test_bounds import _table_csv_reference
 from test_geometry import patch_slack
 
@@ -486,9 +486,9 @@ class TestVerify:
         assert report["violations"] == 0
         assert code == 3 and err == "clonebound verify: 2 chain violations\n"
 
-    # The two planted floor defects of the verdict table: a floor raised
-    # past what the search reaches is a violation (exit 3); one lowered far
-    # below it is an attainment failure (exit 4).
+    # The planted defects of the verdict table: a floor raised past what the
+    # search reaches is a violation (exit 3); a floor lowered below it, or a
+    # search that stops short of it, is an attainment failure (exit 4).
     VERIFY_ARGS = ("verify", "--z", "0.1,0.5,0.9", "--restarts", "20", "--seed", "1")
 
     def test_raised_ae_floor_exits_three(self, capsys, monkeypatch):
@@ -510,12 +510,30 @@ class TestVerify:
 
     def test_lowered_ae_floor_exits_four(self, capsys, monkeypatch):
         floor = search.ae_lower_bound
-        monkeypatch.setattr(search, "ae_lower_bound", lambda z: floor(z) - 1e-4)
+        for drop in (1e-4, 1e-6):
+            monkeypatch.setattr(search, "ae_lower_bound", lambda z, drop=drop: floor(z) - drop)
+            code, out, err = run(capsys, *self.VERIFY_ARGS)
+            report = json.loads(out)
+            assert code == 4 and report["violations"] == 0, drop
+            assert err == (f"clonebound verify: attainment gap {report['max_attainment_gap']:.3e}"
+                           f" exceeds {geometry.DEFAULT_SWEEP_TOL}\n")
+
+    def test_crippled_optimizer_exits_four(self, capsys, monkeypatch):
+        # One L-BFGS-B iteration per start leaves the best point short of the
+        # floor; no start is handed a point that attains it.
+        monkeypatch.setattr(search, "LBFGSB_MAX_ITER", 1)
         code, out, err = run(capsys, *self.VERIFY_ARGS)
         report = json.loads(out)
         assert code == 4 and report["violations"] == 0
-        assert err == (f"clonebound verify: attainment gap "
-                       f"{report['max_attainment_gap']:.3e} exceeds {ATTAINMENT_TOL}\n")
+        assert report["max_attainment_gap"] > geometry.DEFAULT_SWEEP_TOL
+        assert err.startswith("clonebound verify: attainment gap ")
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_ends_of_the_range_attain(self, capsys, seed):
+        code, out, err = run(capsys, "verify", "--z", "0.01,0.99", "--restarts", "20",
+                             "--seed", str(seed))
+        assert (code, err) == (0, ""), err
+        assert json.loads(out)["max_attainment_gap"] <= geometry.DEFAULT_SWEEP_TOL
 
 
 class TestSeedsAndDeterminism:

@@ -11,7 +11,7 @@ import oracles
 from clonebound import search
 from clonebound.bounds import ae_lower_bound, re_lower_bound
 from clonebound.cloners import build_asymmetric, closed_form_re_s, plane_frame
-from clonebound.cloning import FactorDims, TwoStateSet, _overlap_angles, analyze_pair
+from clonebound.cloning import FactorDims, TwoStateSet, analyze_pair
 from clonebound.geometry import SWEEP_BLOCK
 from clonebound.search import (
     N_PARAMS,
@@ -24,13 +24,16 @@ from clonebound.search import (
     _pair_errors,
     _run_minimize,
     _sample_block,
-    encode_params,
     minimize_objective,
     random_cloner_sweep,
     verify_point,
-    warm_start_params,
 )
 from clonebound.statespace import Projector, _dots, norm, random_states
+
+# The row [theta, a, b] of the fully asymmetric machine: theta = 0, a = e1
+# and b = e2, so V_phi = e1 and V_psi = z e1 + sin d e2.
+ASYM_PARAMS = np.array([0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0], dtype=float)
+ASYM_PARAMS.setflags(write=False)
 
 
 def ambient_pair(params, z):
@@ -52,7 +55,7 @@ def test_config_validation():
 class TestParameterization:
     def test_length(self):
         # theta, a in C^3, b in C^4
-        assert N_PARAMS == 15 == warm_start_params(0.0).shape[0]
+        assert N_PARAMS == 15 == ASYM_PARAMS.shape[0]
 
     # The frame is orthonormal, so norms and overlaps in frame coordinates
     # are those of the ambient vectors.
@@ -65,10 +68,10 @@ class TestParameterization:
             assert np.linalg.norm(c.v_psi) == pytest.approx(1.0, abs=1e-12)
             assert abs(np.vdot(c.v, c.v_psi) - z) < 1e-12
 
-    def test_warm_start_reproduces_the_asymmetric_machine(self):
+    def test_base_point_is_the_asymmetric_machine(self):
         z = 0.5
         set_ = TwoStateSet.at_overlap(z)
-        v_phi, v_psi = ambient_pair(warm_start_params(0.0), z)
+        v_phi, v_psi = ambient_pair(ASYM_PARAMS, z)
         r = build_asymmetric(set_)
         assert np.max(np.abs(v_phi - r.a_phi.v)) < 1e-10
         assert np.max(np.abs(v_psi - r.a_psi.v)) < 1e-10
@@ -102,14 +105,12 @@ class TestParameterization:
         w -= v * np.vdot(v, w)
         w /= np.linalg.norm(w)
         z = 0.42
-        c = _coords_from_params(encode_params(v, w), z)
+        tail = norm(v[1:])
+        params = np.concatenate([[np.arctan2(tail, v[0].real)],
+                                 np.concatenate([v[1:] / tail, w]).view(np.float64)])
+        c = _coords_from_params(params, z)
         assert np.max(np.abs(c.v - v)) < 1e-12
         assert np.max(np.abs(c.v_psi - (z * v + np.sqrt(1 - z * z) * w))) < 1e-12
-        # A common phase on both targets only rephases the decoded pair.
-        phase = np.exp(0.7j)
-        again = _coords_from_params(encode_params(phase * v, phase * w), z)
-        assert np.max(np.abs(again.v - c.v)) < 1e-12
-        assert np.max(np.abs(again.v_psi - c.v_psi)) < 1e-12
 
     def test_agrees_with_the_full_analysis_pipeline(self):
         z = 0.61
@@ -172,9 +173,8 @@ class TestBitIdentity:
         fun = _objective_factory(objective, z)
         ref = _reference_objective(objective, z)
         rng = np.random.default_rng(7)
-        warm = warm_start_params(0.0)
         for scale in np.concatenate([np.logspace(-9, -2, 8).repeat(40), [0.5] * 200]):
-            x = warm + scale * rng.standard_normal(N_PARAMS)
+            x = ASYM_PARAMS + scale * rng.standard_normal(N_PARAMS)
             x[0] = abs(x[0])        # inside the box theta >= 0
             assert np.array_equal(fun(x)[0], ref(x)), (x, fun(x)[0], ref(x))
 
@@ -188,7 +188,7 @@ def test_objective_gives_a_row_the_same_bits_in_any_stack(objective, z):
     m = SUBSPACE_DIM
     rng = np.random.default_rng(43)
     scales = np.logspace(-9, 0, 4500)[:, None]
-    rows = warm_start_params(0.0) + scales * rng.standard_normal((4500, N_PARAMS))
+    rows = ASYM_PARAMS + scales * rng.standard_normal((4500, N_PARAMS))
     rejected = np.zeros(len(rows), dtype=bool)
     for start, step, columns, bad in ((0, 97, 0, np.nan), (1, 101, N_PARAMS - 1, np.inf),
                                       (2, 103, slice(1, 2 * m - 1), 0.0)):
@@ -243,7 +243,7 @@ class TestNonFiniteParameters:
         for i in (0, 1, N_PARAMS - 1):      # theta, a, b one at a time
             if np.isfinite(value) and i == 0:
                 continue            # a huge but finite angle is a valid angle
-            points.append(warm_start_params(0.0))
+            points.append(ASYM_PARAMS.copy())
             points[-1][i] = value
         for x in points:
             f, grad = fun(x)
@@ -256,7 +256,7 @@ class TestNonFiniteParameters:
 
 
 class TestColdStarts:
-    """Evidence that rests on converged runs, not on the warm start."""
+    """Evidence that rests on converged runs from seeded random starts."""
 
     @pytest.mark.parametrize("z", [0.1, 0.5, 0.9])
     def test_cold_starts_alone_reach_the_ae_floor(self, z):
@@ -317,10 +317,8 @@ class TestColdStarts:
 
 def _search_starts(objective, cfg):
     """The starts and theta box of ``minimize_objective(objective, cfg)``."""
-    if objective == "sym":
-        small, big = _overlap_angles(cfg.z)
-        return [warm_start_params((big - small) / 2.0)] + _cold_starts(cfg), (None, None)
-    return [warm_start_params(0.0)] + _cold_starts(cfg), (0.0, np.pi / 2)
+    box = (None, None) if objective == "sym" else (0.0, np.pi / 2)
+    return _cold_starts(cfg), box
 
 
 class TestLockstep:
@@ -349,7 +347,7 @@ class TestLockstep:
     @pytest.mark.parametrize("objective", ["ae", "sym"])
     def test_width_changes_no_result(self, objective, width, monkeypatch):
         # 10 starts: at width 3 the last lockstep group holds one start.
-        cfg = SearchConfig(z=0.5, restarts=9, seed=2)
+        cfg = SearchConfig(z=0.5, restarts=10, seed=2)
         starts, box = _search_starts(objective, cfg)
         fun = _objective_factory(objective, cfg.z)
         wide = list(_lockstep_lbfgsb(fun, starts, box))
