@@ -239,10 +239,15 @@ def sweep_blocks(n: int, dim: int, seed: int):
     Block b draws from ``SeedSequence(seed, spawn_key=(dim, b))``. A count
     beyond the largest array index is rejected before any block.
     """
-    if n > np.iinfo(np.intp).max:
-        raise ValueError("Maximum allowed dimension exceeded")
+    _check_count(n)
     for block, start in enumerate(range(0, n, SWEEP_BLOCK)):
         yield _block_rng(seed, dim, block), min(SWEEP_BLOCK, n - start)
+
+
+def _check_count(n: int) -> None:
+    """Reject a count beyond the largest array index, with numpy's message."""
+    if n > np.iinfo(np.intp).max:
+        raise ValueError("Maximum allowed dimension exceeded")
 
 
 def _block_rng(seed: int, dim: int, block: int) -> np.random.Generator:

@@ -52,7 +52,7 @@ from scipy.optimize import _lbfgsb
 from .bounds import _overlap_angles, _overlap_sines, ae_lower_bound, re_lower_bound
 from .cloners import closed_form_re_s
 from .cloning import DEGENERATE_TOL, _chains
-from .geometry import _block_summaries, _violations
+from .geometry import _block_summaries, _check_count, _violations
 from .statespace import (
     _angles, _complex_normal, _dots, _norms, _residuals, norm, random_states,
 )
@@ -78,6 +78,9 @@ SUBSPACE_DIM = 4
 N_PARAMS = 4 * SUBSPACE_DIM - 1
 # Weight of the objective's gauge term on the norms of a and b.
 GAUGE_WEIGHT = 0.25
+# Each search's (low, high) bound on theta, None where theta is free; a and
+# b are always free.
+_THETA_BOX = {"ae": (0.0, np.pi / 2), "re": (0.0, np.pi / 2), "sym": None}
 
 
 @dataclass(frozen=True)
@@ -94,6 +97,7 @@ class SearchConfig:
             raise ValueError(f"overlap z must be in [0, 1), got {self.z!r}")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
+        _check_count(self.restarts)
 
 
 @dataclass(frozen=True)
@@ -314,7 +318,7 @@ def _lockstep_lbfgsb(fun, starts, theta_box):
     """L-BFGS-B from every start, driven in lockstep: each start's
     :class:`_StartResult`, in start order.
 
-    ``theta_box`` is the (low, high) bound on theta, None for no bound; a and
+    ``theta_box`` is the (low, high) bound on theta, or None for none; a and
     b are free. Up to LOCKSTEP_WIDTH starts at once each keep their own
     ``setulb`` state, and every round advances each live start until it asks
     for the value and gradient at a new point or stops; one stacked ``fun``
@@ -325,18 +329,14 @@ def _lockstep_lbfgsb(fun, starts, theta_box):
     accounting, which evaluates and counts x0 once and serves a request at
     the last evaluated point from its cache.
     """
-    n = N_PARAMS
-    lb, ub = np.full(n, -np.inf), np.full(n, np.inf)
-    nbd, lower, upper = np.zeros(n, np.int32), np.zeros(n), np.zeros(n)
-    low, high = theta_box
-    if low is not None:
-        lb[0] = lower[0] = low
-        nbd[0] = 1
-    if high is not None:
-        ub[0] = upper[0] = high
-        nbd[0] = 3 if low is None else 2
+    lower, upper = np.zeros(N_PARAMS), np.zeros(N_PARAMS)
+    nbd = np.zeros(N_PARAMS, np.int32)  # setulb's codes: 0 free, 2 both bounds
+    if theta_box is not None:
+        nbd[0] = 2
+        lower[0], upper[0] = theta_box
     starts = iter(starts)
-    while runs := [_LbfgsbRun(np.clip(np.asarray(x0, dtype=float).ravel(), lb, ub))
+    # setulb moves x in place, so each run steps its own copy of its start.
+    while runs := [_LbfgsbRun(np.array(x0, dtype=float))
                    for x0 in itertools.islice(starts, LOCKSTEP_WIDTH)]:
         live = runs
         while live:
@@ -348,31 +348,15 @@ def _lockstep_lbfgsb(fun, starts, theta_box):
         yield from (run.result() for run in runs)
 
 
-def _run_minimize(fun, starts, theta_box):
-    """L-BFGS-B from every start: (best value, best point, evaluations). The
-    best start is the first with the strictly lowest value.
-
-    ``theta_box`` is the (low, high) bound on theta; a and b are free.
-    """
-    best_f, best_x, evals = np.inf, None, 0
-    for res in _lockstep_lbfgsb(fun, starts, theta_box):
-        evals += res.evals
-        if res.f < best_f:
-            best_f, best_x = res.f, res.x
-    return best_f, best_x, evals
-
-
-def _cold_starts(cfg: SearchConfig) -> list[np.ndarray]:
-    """``cfg.restarts`` seeded random starts: theta uniform on its box, a
-    and b uniform on their unit spheres."""
+def _cold_starts(cfg: SearchConfig):
+    """Yield ``cfg.restarts`` seeded random starts, one at a time: theta
+    uniform on [0, pi/2], a and b uniform on their unit spheres."""
     m = SUBSPACE_DIM
     rng = np.random.default_rng(cfg.seed)
-    starts = []
     for _ in range(cfg.restarts):
         theta = rng.uniform(0.0, np.pi / 2)
         a, b = rng.standard_normal(2 * m - 2), rng.standard_normal(2 * m)
-        starts.append(np.concatenate([[theta], a / norm(a), b / norm(b)]))
-    return starts
+        yield np.concatenate([[theta], a / norm(a), b / norm(b)])
 
 
 def minimize_objective(objective: str, cfg: SearchConfig) -> SearchOutcome:
@@ -386,18 +370,19 @@ def minimize_objective(objective: str, cfg: SearchConfig) -> SearchOutcome:
     asks for each floor by name, and the benchmark tracer
     (``bench/spans.py``) names its span after it. ``"sym"`` minimizes
     x_phi^2 + x_psi^2 with theta free, and its ``bound_re`` is the
-    symmetric closed form.
+    symmetric closed form. The best point is that of the first start with
+    the strictly lowest value, and ``trials`` counts every start's evaluations.
     """
-    if objective in ("ae", "re"):
-        box, bound_re = (0.0, np.pi / 2), float(re_lower_bound(cfg.z))
-    elif objective == "sym":
-        box, bound_re = (None, None), closed_form_re_s(cfg.z)
-    else:
+    if objective not in _THETA_BOX:
         raise ValueError(f"objective must be 'ae', 're' or 'sym', got {objective!r}")
     if cfg.z <= 0.0:
         raise ValueError("minimization needs 0 < z < 1")
-    _, best_x, evals = _run_minimize(_objective_factory(objective, cfg.z),
-                                     _cold_starts(cfg), box)
+    best_f, best_x, evals = np.inf, None, 0
+    for res in _lockstep_lbfgsb(_objective_factory(objective, cfg.z), _cold_starts(cfg),
+                                _THETA_BOX[objective]):
+        evals += res.evals
+        if res.f < best_f:
+            best_f, best_x = res.f, res.x
 
     c = _coords_from_params(best_x, cfg.z)
     x_phi, x_psi, _, _ = _pair_errors(c.v, c.v_psi, cfg.z)
@@ -406,7 +391,8 @@ def minimize_objective(objective: str, cfg: SearchConfig) -> SearchOutcome:
         best_ae=float(best_ae),
         best_re=float(best_ae / _overlap_sines(cfg.z)[1]),
         bound_ae=float(ae_lower_bound(cfg.z)),
-        bound_re=bound_re,
+        bound_re=(closed_form_re_s(cfg.z) if objective == "sym"
+                  else float(re_lower_bound(cfg.z))),
         best_params=best_x,
         trials=evals,
     )
@@ -416,9 +402,7 @@ def minimize_objective(objective: str, cfg: SearchConfig) -> SearchOutcome:
 class SweepStats:
     """Summary of a random sweep over realizable pairs at fixed overlap."""
 
-    z: float
     trials: int
-    seed: int
     ae_min: float
     ae_mean: float
     ae_max: float
@@ -500,9 +484,7 @@ def random_cloner_sweep(cfg: SearchConfig, n: int = 10_000) -> SweepStats:
     ae_max, re_max = map(float, hi)
     defined, floor_ae, floor_re, chain1_bad, chain2_bad = map(int, count)
     return SweepStats(
-        z=cfg.z,
         trials=n,
-        seed=cfg.seed,
         ae_min=ae_min,
         ae_mean=float(total[0]) / n,
         ae_max=ae_max,

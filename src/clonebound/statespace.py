@@ -278,9 +278,8 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-uniform unit vector: complex standard Gaussian, then normalize."""
-    v = _complex_normal(rng, dim)
-    return v / norm(v)
+    """Haar-uniform unit vector: one row of :func:`random_states`."""
+    return random_states(1, dim, rng)[0]
 
 
 def random_states(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -648,10 +648,11 @@ def test_out_of_memory_exits_one(capsys, monkeypatch, argv, attr, fake):
     ("lemmas", "--trials", str(10 ** 30), "--dims", "2"),
     ("lemmas", "--trials", "5", "--dims", str(10 ** 30)),
     ("verify", "--z", "0.5", "--restarts", "1", "--sweep-trials", str(10 ** 30)),
+    ("verify", "--z", "0.5", "--restarts", str(10 ** 30), "--sweep-trials", "1"),
 ])
 def test_oversized_count_exits_one(capsys, argv):
-    # numpy cannot convert a size this large to an index, so it raises
-    # before it allocates anything.
+    # numpy cannot convert a size this large to an index; every count is
+    # checked the same way, with numpy's message, before anything is allocated.
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"clonebound {argv[0]}: Maximum allowed dimension exceeded\n"

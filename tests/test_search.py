@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import threading
 import tracemalloc
@@ -16,13 +17,13 @@ from clonebound.geometry import SWEEP_BLOCK
 from clonebound.search import (
     N_PARAMS,
     SUBSPACE_DIM,
+    _THETA_BOX,
     SearchConfig,
     _coords_from_params,
     _cold_starts,
     _lockstep_lbfgsb,
     _objective_factory,
     _pair_errors,
-    _run_minimize,
     _sample_block,
     minimize_objective,
     random_cloner_sweep,
@@ -50,6 +51,10 @@ def test_config_validation():
         SearchConfig(z=1.0)
     with pytest.raises(ValueError):
         SearchConfig(z=0.5, restarts=0)
+    # A count beyond the largest array index, as the sweeps reject it.
+    SearchConfig(z=0.5, restarts=np.iinfo(np.intp).max)
+    with pytest.raises(ValueError, match="Maximum allowed dimension exceeded"):
+        SearchConfig(z=0.5, restarts=np.iinfo(np.intp).max + 1)
 
 
 class TestParameterization:
@@ -261,8 +266,8 @@ class TestColdStarts:
     @pytest.mark.parametrize("z", [0.1, 0.5, 0.9])
     def test_cold_starts_alone_reach_the_ae_floor(self, z):
         cfg = SearchConfig(z=z, restarts=20, seed=1)
-        best, _, _ = _run_minimize(_objective_factory("ae", z),
-                                   _cold_starts(cfg), (0.0, np.pi / 2))
+        best = min(res.f for res in _lockstep_lbfgsb(
+            _objective_factory("ae", z), _cold_starts(cfg), _THETA_BOX["ae"]))
         bound = float(ae_lower_bound(z))
         assert bound - 1e-9 <= best < bound + 1e-5
 
@@ -283,7 +288,7 @@ class TestColdStarts:
         # minimizer of x_phi^2 + x_psi^2 is x_phi = x_psi = sin((D - d)/2).
         cfg = SearchConfig(z=z, restarts=20, seed=1)
         runs = list(_lockstep_lbfgsb(_objective_factory("sym", z), _cold_starts(cfg),
-                                     (None, None)))
+                                     _THETA_BOX["sym"]))
         assert len(runs) == 20
         for res in runs:
             c = _coords_from_params(res.x, z)
@@ -293,15 +298,26 @@ class TestColdStarts:
             assert abs(x_phi - x_psi) < 1e-6
             assert abs(x_phi - oracles.sym_ae(z) / 2) < 1e-6
 
+    def test_starts_stream(self):
+        # The first starts of a search far too long to list come at once, and
+        # are those of a short search with the same seed. The first check
+        # keeps a regression from listing 10**18 starts.
+        assert inspect.isgeneratorfunction(_cold_starts)
+        long = _cold_starts(SearchConfig(0.5, restarts=10 ** 18, seed=4))
+        first = np.array(list(itertools.islice(long, 3)))
+        short = np.array(list(_cold_starts(SearchConfig(0.5, restarts=3, seed=4))))
+        assert first.tobytes() == short.tobytes()
+
     def test_cold_start_protocol(self):
         # 20 cold starts at each of seeds 1-5 and z = 0.1, 0.5, 0.9: nearly
         # every AE start converges to the floor, every equal-angle start to
         # the symmetric closed form, and no point dips below its floor.
         ae_hits, sym_hits, lowest = 0, 0, np.inf
         for seed, z in itertools.product(range(1, 6), (0.1, 0.5, 0.9)):
-            starts = _cold_starts(SearchConfig(z=z, restarts=20, seed=seed))
-            for objective, box in (("ae", (0.0, np.pi / 2)), ("sym", (None, None))):
-                for res in _lockstep_lbfgsb(_objective_factory(objective, z), starts, box):
+            starts = list(_cold_starts(SearchConfig(z=z, restarts=20, seed=seed)))
+            for objective in ("ae", "sym"):
+                for res in _lockstep_lbfgsb(_objective_factory(objective, z), starts,
+                                            _THETA_BOX[objective]):
                     c = _coords_from_params(res.x, z)
                     x_phi, x_psi, _, _ = _pair_errors(c.v, c.v_psi, z)
                     if objective == "ae":
@@ -315,12 +331,6 @@ class TestColdStarts:
         assert lowest >= -1e-15, lowest
 
 
-def _search_starts(objective, cfg):
-    """The starts and theta box of ``minimize_objective(objective, cfg)``."""
-    box = (None, None) if objective == "sym" else (0.0, np.pi / 2)
-    return _cold_starts(cfg), box
-
-
 class TestLockstep:
     """Driving every start in lockstep changes no start's run."""
 
@@ -331,12 +341,13 @@ class TestLockstep:
         # The reference is public scipy: a release that changes setulb or
         # its driver's loop fails here.
         fun = _objective_factory(objective, z)
-        starts, box = _search_starts(objective, SearchConfig(z=z, restarts=20, seed=seed))
+        starts = list(_cold_starts(SearchConfig(z=z, restarts=20, seed=seed)))
+        box = _THETA_BOX[objective]
         runs = list(_lockstep_lbfgsb(fun, starts, box))
         assert len(runs) == len(starts)
         for x0, res in zip(starts, runs):
             solo = minimize(fun, x0, method="L-BFGS-B", jac=True,
-                            bounds=[box] + [(None, None)] * (N_PARAMS - 1),
+                            bounds=[box or (None, None)] + [(None, None)] * (N_PARAMS - 1),
                             options={"ftol": search.OBJECTIVE_TOL,
                                      "gtol": search.GRADIENT_TOL})
             assert res.x.tobytes() == solo.x.tobytes()
@@ -348,7 +359,7 @@ class TestLockstep:
     def test_width_changes_no_result(self, objective, width, monkeypatch):
         # 10 starts: at width 3 the last lockstep group holds one start.
         cfg = SearchConfig(z=0.5, restarts=10, seed=2)
-        starts, box = _search_starts(objective, cfg)
+        starts, box = list(_cold_starts(cfg)), _THETA_BOX[objective]
         fun = _objective_factory(objective, cfg.z)
         wide = list(_lockstep_lbfgsb(fun, starts, box))
         out = minimize_objective(objective, cfg)
