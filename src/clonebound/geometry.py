@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statespace import (
-    Projector, _angles, _complex_normal, _dots, _outcome_probs, _projector_probs, as_state,
-    check_unit, check_unitary, phase_fixed_q, random_states, spectral_norms,
+    Projector, _angles, _complex_normal, _dots, _outcome_probs, _phase_fix_in_place,
+    _projector_probs, as_state, check_unit, check_unitary, random_states, spectral_norms,
 )
 
 # Rounding allowance of every inequality verdict in the package (_violations).
@@ -347,13 +347,15 @@ def _draw_gate_approx(n, dim, rng):
     [0, GATE_MAX_PERTURBATION], which keeps eps = ||U - V|| well inside the
     bound's valid range eps <= sqrt(2).
     """
-    u = phase_fixed_q(_complex_normal(rng, (n, dim, dim)))
+    # Each Q is written over the matrices it factors: no more than U and G
+    # are alive at once.
+    u = _phase_fix_in_place(_complex_normal(rng, (n, dim, dim)))
     g = _complex_normal(rng, (n, dim, dim))
     g /= spectral_norms(g)[:, None, None]
     eta = rng.uniform(0.0, GATE_MAX_PERTURBATION, size=n)
     g *= eta[:, None, None]
     g += u
-    v = phase_fixed_q(g)  # of u + eta * g, built in place
+    v = _phase_fix_in_place(g)  # of u + eta * g
     del g
     sigma = random_states(n, dim, rng)
     out = np.stack([np.einsum("bij,bj->bi", u, sigma),

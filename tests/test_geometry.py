@@ -431,6 +431,28 @@ def test_failing_block_propagates_and_stops_the_sweep(monkeypatch):
     assert threading.active_count() == threads
 
 
+def test_gate_block_holds_at_most_two_stacks_and_pieces():
+    # A dimension-8 gate block needs U and the perturbation G alive at once;
+    # every other buffer (the pieces of the QR and of the eigensolve, the
+    # generator fills, the states and probabilities) must stay below three
+    # quarters of one more stack.
+    stack = SWEEP_BLOCK * 8 * 8 * np.dtype(np.complex128).itemsize
+
+    def traced_peak():
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        geometry._slack("gate_approx", SWEEP_BLOCK, 8, geometry._block_rng(1, 8, 0))
+        return tracemalloc.get_traced_memory()[1] - before
+
+    tracemalloc.start()
+    try:
+        traced_peak()       # first-call allocations out of the way
+        peak = traced_peak()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * stack
+
+
 @pytest.mark.parametrize("name, sweep", ALL_SWEEPS)
 def test_sweep_memory_does_not_grow_with_trials(name, sweep):
     def traced_peak(blocks):

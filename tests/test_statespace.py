@@ -14,12 +14,14 @@ from hypothesis.extra import numpy as hnp
 
 from clonebound.search import SUBSPACE_DIM, _pair_errors
 from clonebound.statespace import (
+    _NORMAL_PIECE,
     STACK_PIECE,
     Projector,
     _angles,
     _complex_normal,
     _dots,
     _norms,
+    _phase_fix_in_place,
     _residuals,
     angle,
     apply_projector,
@@ -264,11 +266,17 @@ def test_measure_prob_rejects_a_dimension_mismatch():
         measure_prob(Projector(basis_state(2, 0)[None, :]), basis_state(3, 0))
 
 
-@pytest.mark.parametrize("shape", [7, (5, 3), (4, 3, 3), (6, 4, 2), (0, 3)])
+@pytest.mark.parametrize("shape", [
+    7, (5, 3), (4, 3, 3), (6, 4, 2), (0, 3),
+    (2 * STACK_PIECE + 3, 3, 3), (3 * 4096, 2), _NORMAL_PIECE + 5, 2 * _NORMAL_PIECE,
+    (4096, 8, 8),
+])
 def test_complex_normal_is_the_sum_form_bit_for_bit(shape):
     # The 1-D, (n, d), (n, d, d) and (k, d, r) draws of the package: real
     # parts first, then imaginary parts, and the generator left where the
-    # sum form leaves it.
+    # sum form leaves it. (2 STACK_PIECE + 3, 3, 3) spans three QR pieces;
+    # the last four shapes take several generator fills, the last that of a
+    # dimension-8 gate sweep block.
     old, new = np.random.default_rng(42), np.random.default_rng(42)
     want = old.standard_normal(shape) + 1j * old.standard_normal(shape)
     got = _complex_normal(new, shape)
@@ -422,6 +430,22 @@ def test_stacks_give_each_matrix_its_own_result():
         spectral_norms(g), np.concatenate([spectral_norms(m[None]) for m in g]))
     d = np.einsum("...ii->...i", np.swapaxes(q.conj(), -1, -2) @ g)
     assert np.all(d.real > 0) and np.allclose(d.imag, 0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (1, 4, 4), (STACK_PIECE - 3, 4, 4),
+                                   (STACK_PIECE, 4, 4), (STACK_PIECE + 5, 4, 4),
+                                   (2 * STACK_PIECE + 1, 4, 4)])
+def test_phase_fix_in_place_is_phase_fixed_q_over_its_input(shape):
+    # phase_fixed_q leaves its input as it was; the private helper writes
+    # the same bits over its own, one matrix or a stack of several pieces.
+    g = _complex_normal(np.random.default_rng(shape[0]), shape)
+    kept = g.copy()
+    want = phase_fixed_q(g)
+    assert not np.shares_memory(want, g)
+    assert np.array_equal(g.view(np.float64), kept.view(np.float64))
+    got = _phase_fix_in_place(g)
+    assert np.shares_memory(got, g)
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
 
 def test_basis_state_bounds():
