@@ -183,6 +183,8 @@ def gate_approx_check(u, v, sigma, p: Projector) -> InequalityReport:
 
 def coplanar_state(theta: float, dim: int = 2) -> np.ndarray:
     """Real-plane state cos(theta) e1 + sin(theta) e2 embedded in ``dim``."""
+    if dim < 2:
+        raise ValueError(f"a coplanar state needs dimension >= 2, got {dim}")
     v = np.zeros(dim, dtype=np.complex128)
     v[0] = np.cos(theta)
     v[1] = np.sin(theta)
@@ -417,8 +419,13 @@ def replay_sample(name: str, seed: int, dim: int, block: int, size: int,
     """Slack of one sample of the sweep ``name``, rebuilt from its address.
 
     ``(dim, block, size, index)`` is a :attr:`SweepResult.closest`; the
-    result equals that sweep's ``min_slack`` bit for bit.
+    result equals that sweep's ``min_slack`` bit for bit. An address that no
+    sweep makes is rejected.
     """
     if name not in _SWEEPS:
         raise ValueError(f"unknown sweep {name!r}; the sweeps are {', '.join(_SWEEPS)}")
+    if dim < 2 or block < 0 or not 0 <= index < size <= SWEEP_BLOCK:
+        raise ValueError(f"no sweep samples at (dim, block, size, index) = "
+                         f"{(dim, block, size, index)}: it needs dim >= 2, block >= 0 "
+                         f"and 0 <= index < size <= {SWEEP_BLOCK}")
     return float(_slack(name, size, dim, _block_rng(seed, dim, block))[index])

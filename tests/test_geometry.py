@@ -326,6 +326,22 @@ def test_replay_of_an_unknown_sweep_names_the_sweeps():
         replay_sample("lemma5", 0, 2, 0, 1, 0)
 
 
+@pytest.mark.parametrize("dim, block, size, index", [
+    (1, 0, 10, 0), (3, -1, 10, 0), (3, 0, 0, 0), (3, 0, SWEEP_BLOCK + 1, 0),
+    (3, 0, 10, -1), (3, 0, 10, 10)])
+def test_replay_rejects_an_address_no_sweep_makes(dim, block, size, index):
+    with pytest.raises(ValueError, match="no sweep samples at"):
+        replay_sample("lemma1", 4, dim, block, size, index)
+
+
+@pytest.mark.parametrize("make", [partial(coplanar_state, 0.3), coplanar_equality_witness,
+                                  partial(lemma4_saturation_witness, 0.5)])
+@pytest.mark.parametrize("dim", [0, 1])
+def test_coplanar_constructions_need_dimension_two(make, dim):
+    with pytest.raises(ValueError, match="dimension >= 2, got"):
+        make(dim=dim)
+
+
 def test_nan_slack_is_a_violation(monkeypatch):
     # One NaN in every block: min(inf, nan) is inf and nan < -tol is False,
     # so a running min and a "< -tol" count would both let it pass.
