@@ -258,8 +258,7 @@ def inequality_chain(r: ClonerResult):
         raise ValueError("inequality chain needs non-degenerate ideals")
     chains = _chains(
         r.a_phi.delta_s, r.a_psi.delta_s, angle(r.a_phi.v, r.a_psi.v),
-        r.ideal_angle, r.set.delta,
-        angle(tensor(r.set.phi, r.set.phi), tensor(r.set.psi, r.set.psi)))
+        r.ideal_angle, r.set.delta, r.set.delta_product)
     return tuple(InequalityReport.compare(lhs, rhs) for lhs, rhs in chains)
 
 

@@ -18,12 +18,12 @@ objective take stacks of parameter rows and flag the rows they reject.
 
 :func:`minimize_objective` is the one search: L-BFGS-B with an analytic
 gradient from ``restarts`` seeded random starts, and no other. Handed no
-point known to attain, it must find the floors itself. The starts run in
-lockstep, each with its own state of L-BFGS-B's reverse-communication
-routine, and one stacked objective call per round answers every start that
-asks for a point. Every start still follows, bit for bit, the run scipy's
-``minimize`` makes from it alone: the objective gives a row the same bits
-in any stack, and the driver's loop is scipy's, step for step.
+point known to attain, it must find the floors itself. Each start is a
+generator that runs scipy's loop on L-BFGS-B's reverse-communication routine
+and yields the points it needs; the starts run in lockstep, and one stacked
+objective call per round answers them all. Every start still follows, bit
+for bit, the run scipy's ``minimize`` makes from it alone: the objective
+gives a row the same bits in any stack.
 
 * ``"ae"`` (or ``"re"``) minimizes AE. On every realizable pair RE = AE /
   sin D with sin D = sqrt(1 - z^4) fixed by z, so both floors share one
@@ -265,53 +265,42 @@ class _StartResult(NamedTuple):
     status: int
 
 
-class _LbfgsbRun:
-    """One start's L-BFGS-B state, stepped through the reverse-communication
-    routine ``setulb`` as scipy's ``_minimize_lbfgsb`` steps it."""
-
-    def __init__(self, x0: np.ndarray):
-        n, m = x0.shape[0], LBFGSB_MEMORY
-        self.x, self.f, self.g = x0, 0.0, np.zeros(n)
-        self.wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-        self.iwa = np.zeros(3 * n, np.int32)
-        self.task, self.ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
-        self.lsave, self.isave = np.zeros(4, np.int32), np.zeros(44, np.int32)
-        self.dsave = np.zeros(29)
-        self.iterations = self.evals = 0
-        # The last evaluated point, its value and its gradient.
-        self.seen = self.f_seen = self.g_seen = None
-
-    def record(self, x, f, g):
-        self.seen, self.f_seen, self.g_seen = x, f, g
-        self.evals += 1
-
-    def advance(self, lower, upper, nbd) -> bool:
-        """Step until ``setulb`` asks for the value and gradient at a point
-        not yet evaluated (True) or stops (False)."""
-        task = self.task
-        while True:
-            if task[0] == 3:            # the request at x is answered
-                self.f, self.g[:] = self.f_seen, self.g_seen
-            _lbfgsb.setulb(LBFGSB_MEMORY, self.x, lower, upper, nbd, self.f,
-                           self.g, _FACTR, GRADIENT_TOL, self.wa, self.iwa,
-                           task, self.lsave, self.isave, self.dsave,
-                           LBFGSB_MAXLS, self.ln_task)
-            if task[0] == 3:            # FG: value and gradient at x
-                if not np.array_equal(self.x, self.seen):
-                    return True
-            elif task[0] == 1:          # NEW_X: an iteration is done
-                self.iterations += 1
-                if self.iterations >= LBFGSB_MAX_ITER:
-                    task[:] = 5, 504
-                elif self.evals > LBFGSB_MAX_EVALS:
-                    task[:] = 5, 502
-            else:
-                return False
-
-    def result(self) -> _StartResult:
-        capped = self.evals > LBFGSB_MAX_EVALS or self.iterations >= LBFGSB_MAX_ITER
-        status = 0 if self.task[0] == 4 else 1 if capped else 2
-        return _StartResult(self.x, self.f, self.evals, status)
+def _lbfgsb_start(x0, lower, upper, nbd):
+    """One L-BFGS-B start, as a generator that runs scipy's ``_minimize_lbfgsb``
+    loop on the reverse-communication routine ``setulb``: it yields each point
+    whose value and gradient it needs, is sent them, and returns its
+    :class:`_StartResult`. It counts evaluations as scipy's ``ScalarFunction``
+    does: x0 first, and a request at the last evaluated point is served from
+    that evaluation.
+    """
+    n, m = len(x0), LBFGSB_MEMORY
+    x, f, g = np.array(x0, dtype=float), 0.0, np.zeros(n)  # setulb moves x in place
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    seen = x.copy()
+    f_seen, g_seen = yield seen
+    evals, iterations = 1, 0
+    while True:
+        _lbfgsb.setulb(m, x, lower, upper, nbd, f, g, _FACTR, GRADIENT_TOL, wa, iwa,
+                       task, lsave, isave, dsave, LBFGSB_MAXLS, ln_task)
+        if task[0] == 3:                # FG: value and gradient at x
+            if not np.array_equal(x, seen):
+                seen = x.copy()
+                f_seen, g_seen = yield seen
+                evals += 1
+            f, g = f_seen, g_seen.copy()  # scipy, too, hands setulb a copy of g
+        elif task[0] == 1:              # NEW_X: an iteration is done
+            iterations += 1
+            if iterations >= LBFGSB_MAX_ITER:
+                task[:] = 5, 504
+            elif evals > LBFGSB_MAX_EVALS:
+                task[:] = 5, 502
+        else:
+            break
+    capped = evals > LBFGSB_MAX_EVALS or iterations >= LBFGSB_MAX_ITER
+    return _StartResult(x, f, evals, 0 if task[0] == 4 else 1 if capped else 2)
 
 
 def _lockstep_lbfgsb(fun, starts, theta_box):
@@ -319,15 +308,12 @@ def _lockstep_lbfgsb(fun, starts, theta_box):
     :class:`_StartResult`, in start order.
 
     ``theta_box`` is the (low, high) bound on theta, or None for none; a and
-    b are free. Up to LOCKSTEP_WIDTH starts at once each keep their own
-    ``setulb`` state, and every round advances each live start until it asks
-    for the value and gradient at a new point or stops; one stacked ``fun``
-    call then answers every request. Each start follows the iterates it
-    follows alone under ``scipy.optimize.minimize(method="L-BFGS-B",
-    jac=True)``, bit for bit: ``fun`` gives a row the bits it has alone, and
-    the loop is scipy's ``_minimize_lbfgsb`` with its ``ScalarFunction``
-    accounting, which evaluates and counts x0 once and serves a request at
-    the last evaluated point from its cache.
+    b are free. Up to LOCKSTEP_WIDTH :func:`_lbfgsb_start` generators run at
+    once. Every round, one stacked ``fun`` call answers the point each live
+    start asked for, and each start runs on to its next point or returns.
+    Each follows its solo run under ``scipy.optimize.minimize(method=
+    "L-BFGS-B", jac=True)`` bit for bit, since ``fun`` gives a row the bits
+    it has alone.
     """
     lower, upper = np.zeros(N_PARAMS), np.zeros(N_PARAMS)
     nbd = np.zeros(N_PARAMS, np.int32)  # setulb's codes: 0 free, 2 both bounds
@@ -335,17 +321,18 @@ def _lockstep_lbfgsb(fun, starts, theta_box):
         nbd[0] = 2
         lower[0], upper[0] = theta_box
     starts = iter(starts)
-    # setulb moves x in place, so each run steps its own copy of its start.
-    while runs := [_LbfgsbRun(np.array(x0, dtype=float))
+    while runs := [_lbfgsb_start(x0, lower, upper, nbd)
                    for x0 in itertools.islice(starts, LOCKSTEP_WIDTH)]:
-        live = runs
-        while live:
-            points = np.array([run.x for run in live])
-            values, grads = fun(points)
-            for run, x, f, g in zip(live, points, values, grads):
-                run.record(x, f, g)
-            live = [run for run in live if run.advance(lower, upper, nbd)]
-        yield from (run.result() for run in runs)
+        asks, results = {run: next(run) for run in runs}, {}
+        while asks:
+            values, grads = fun(np.array(list(asks.values())))
+            for run, f, g in zip(list(asks), values, grads):
+                try:
+                    asks[run] = run.send((f, g))
+                except StopIteration as stop:
+                    results[run] = stop.value
+                    del asks[run]
+        yield from (results[run] for run in runs)
 
 
 def _cold_starts(cfg: SearchConfig):

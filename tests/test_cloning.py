@@ -175,6 +175,14 @@ class TestInequalityChain:
             assert abs(r2.slack) < 1e-10      # the key constraint is met exactly
             assert r1.holds and r2.holds
 
+    @pytest.mark.parametrize("z", [0.5, 0.9])
+    def test_chain2_lhs_is_the_one_deficit(self, z):
+        # D and d come from bounds alone: chain 2's lhs is D - d bit for bit.
+        s = TwoStateSet.at_overlap(z)
+        _, r2 = inequality_chain(build_asymmetric(s))
+        deficit = s.delta_product - s.delta
+        assert np.float64(r2.lhs).tobytes() == np.float64(deficit).tobytes()
+
     @given(seeds)
     @settings(max_examples=50, deadline=None)
     def test_holds_for_random_realizable_pairs(self, seed):

@@ -354,6 +354,30 @@ class TestLockstep:
             assert np.float64(res.f).tobytes() == np.float64(solo.fun).tobytes()
             assert (res.evals, res.status) == (solo.nfev, solo.status)
 
+    @pytest.mark.parametrize("cap, option, value", [
+        ("LBFGSB_MAX_ITER", "maxiter", 1), ("LBFGSB_MAX_ITER", "maxiter", 3),
+        ("LBFGSB_MAX_EVALS", "maxfun", 1), ("LBFGSB_MAX_EVALS", "maxfun", 5),
+        ("LBFGSB_MAX_EVALS", "maxfun", 12)])
+    @pytest.mark.parametrize("objective", ["ae", "sym"])
+    def test_capped_start_is_solo_lbfgsb_bit_for_bit(self, objective, cap, option, value,
+                                                     monkeypatch):
+        # A cap stops each start at the iterate, count and status where
+        # scipy's solo run under the same option stops.
+        z = 0.5
+        fun = _objective_factory(objective, z)
+        starts = list(_cold_starts(SearchConfig(z=z, restarts=20, seed=1)))
+        box = _THETA_BOX[objective]
+        monkeypatch.setattr(search, cap, value)
+        for x0, res in zip(starts, _lockstep_lbfgsb(fun, starts, box), strict=True):
+            solo = minimize(fun, x0, method="L-BFGS-B", jac=True,
+                            bounds=[box or (None, None)] + [(None, None)] * (N_PARAMS - 1),
+                            options={"ftol": search.OBJECTIVE_TOL,
+                                     "gtol": search.GRADIENT_TOL, option: value})
+            assert res.x.tobytes() == solo.x.tobytes()
+            assert np.float64(res.f).tobytes() == np.float64(solo.fun).tobytes()
+            assert (res.evals, res.status) == (solo.nfev, solo.status)
+            assert res.status == 1
+
     @pytest.mark.parametrize("width", [1, 3, search.LOCKSTEP_WIDTH])
     @pytest.mark.parametrize("objective", ["ae", "sym"])
     def test_width_changes_no_result(self, objective, width, monkeypatch):
