@@ -53,7 +53,6 @@ EXIT_ATTAINMENT = 4
 #: Rows (CSV) or list elements (JSON) per piece of a written file, so a
 #: ``bounds`` file is never held whole in memory.
 WRITE_BLOCK = 8192
-UNDEFINED_RE_TEXT = "undefined (identical ideal outputs)"
 
 
 def _manifest(command: str, parameters: dict, seed: int) -> dict:
@@ -128,8 +127,13 @@ def _csv_pieces(header, columns):
         yield text[text.index("\n") + 1:] if start else text
 
 
-def _write_text(path: Path, pieces) -> None:
-    """Write an iterable of strings to ``path`` through one open file."""
+def _write(out, pieces) -> None:
+    """Write an iterable of strings to the file ``out`` through one open
+    file, or to stdout when ``out`` is None."""
+    if out is None:
+        sys.stdout.writelines(pieces)
+        return
+    path = Path(out)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)
@@ -138,15 +142,6 @@ def _write_text(path: Path, pieces) -> None:
         # would report that as a failed write to stdout.
         exc.filename = exc.filename or str(path)
         raise
-
-
-def _emit(report: dict, out) -> None:
-    """Write ``report`` as JSON (``_json_pieces``) to the file ``out``, or to
-    stdout when it is None."""
-    if out is None:
-        sys.stdout.writelines(_json_pieces(report))
-    else:
-        _write_text(Path(out), _json_pieces(report))
 
 
 def build_parser() -> _Parser:
@@ -218,19 +213,19 @@ def cmd_bounds(args) -> int:
     # stream from the sampled arrays, WRITE_BLOCK rows or elements at a time.
     if args.format == "csv":
         written = ["fig1.csv", "fig2.csv", "run.manifest.json"]
-        _write_text(out_dir / "fig1.csv", _csv_pieces(
+        _write(out_dir / "fig1.csv", _csv_pieces(
             ("z", "value"), (curve_re.grid, curve_re.values)))
-        _write_text(out_dir / "fig2.csv", _csv_pieces(
+        _write(out_dir / "fig2.csv", _csv_pieces(
             ("z", "ae_bound", "hb_bound"),
             (curve_ae.grid, curve_ae.values, curve_hb.values)))
-        _write_text(out_dir / "run.manifest.json", _json_pieces(
+        _write(out_dir / "run.manifest.json", _json_pieces(
             {"artifacts": written[:2], "manifest": manifest}))
     else:
         written = ["fig1.json", "fig2.json"]
-        _write_text(out_dir / "fig1.json", _json_pieces({
+        _write(out_dir / "fig1.json", _json_pieces({
             "name": curve_re.name, "z": curve_re.grid,
             "values": curve_re.values, "manifest": manifest}))
-        _write_text(out_dir / "fig2.json", _json_pieces({
+        _write(out_dir / "fig2.json", _json_pieces({
             "name": "fig2", "z": curve_ae.grid, "ae_bound": curve_ae.values,
             "hb_bound": curve_hb.values, "manifest": manifest}))
     print(f"wrote {', '.join(written)} to {out_dir}")
@@ -282,8 +277,6 @@ def _load_state_file(path: str):
                 file=sys.stderr,
             )
         states[key] = vec / n
-    if states["phi"].shape != states["psi"].shape:
-        raise ValueError("phi and psi must have equal dimension")
     return TwoStateSet.from_states(states["phi"], states["psi"])
 
 
@@ -339,12 +332,12 @@ def cmd_cloner(args) -> int:
             "psi": {"x": result.a_psi.x, "delta_s": result.a_psi.delta_s},
         },
         "ae": result.ae,
-        "re": result.re if result.re is not None else UNDEFINED_RE_TEXT,
+        "re": result.re,
         "closed_form": closed,
         "unitarity_residual": unitarity_residual(result),
         "manifest": manifest,
     }
-    _emit(report, args.out)
+    _write(args.out, _json_pieces(report))
     return EXIT_OK
 
 
@@ -416,7 +409,7 @@ def cmd_verify(args) -> int:
         "max_attainment_gap": max_gap,
         "manifest": manifest,
     }
-    _emit(report, args.out)
+    _write(args.out, _json_pieces(report))
     chain_violations = sum(r.sweep.chain_violations for r in records)
     for count, kind in ((total_violations, "floor"), (chain_violations, "chain")):
         if count:

@@ -269,12 +269,13 @@ def _lbfgsb_start(x0, lower, upper, nbd):
     """One L-BFGS-B start, as a generator that runs scipy's ``_minimize_lbfgsb``
     loop on the reverse-communication routine ``setulb``: it yields each point
     whose value and gradient it needs, is sent them, and returns its
-    :class:`_StartResult`. It counts evaluations as scipy's ``ScalarFunction``
-    does: x0 first, and a request at the last evaluated point is served from
-    that evaluation.
+    :class:`_StartResult`. As scipy does, it projects x0 into its box, then
+    counts evaluations as ``ScalarFunction`` does: x0 first, and a request at
+    the last evaluated point is served from that evaluation.
     """
     n, m = len(x0), LBFGSB_MEMORY
     x, f, g = np.array(x0, dtype=float), 0.0, np.zeros(n)  # setulb moves x in place
+    np.clip(x, lower, upper, out=x, where=nbd == 2)
     wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
     iwa = np.zeros(3 * n, np.int32)
     task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)

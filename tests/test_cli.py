@@ -20,6 +20,7 @@ import oracles
 from clonebound.bounds import ae_lower_bound, hb_bound, re_lower_bound, sample_curve
 from clonebound import geometry, search
 from clonebound.cli import WRITE_BLOCK, _json_pieces, main
+from clonebound.statespace import COLLINEAR_TOL
 from test_bounds import _table_csv_reference
 from test_geometry import patch_slack
 
@@ -258,6 +259,19 @@ class TestCloner:
         assert code == 1
         assert "identical states clone ideally" in err
 
+    @pytest.mark.parametrize("dim", ["2", "3"])
+    @pytest.mark.parametrize("machine", [["sym"], ["asym"], ["asym", "--favored", "psi"],
+                                         ["wz"]], ids=["sym", "asym-phi", "asym-psi", "wz"])
+    def test_re_is_a_number_just_below_the_collinear_limit(self, capsys, machine, dim):
+        # The builders reject z >= 1 - COLLINEAR_TOL. Just below it the sine
+        # of the ideal outputs' angle is still 2.0e-6, far above
+        # DEGENERATE_TOL, so every machine they build has a finite RE.
+        z = float(np.nextafter(1.0 - COLLINEAR_TOL, 0.0))
+        code, out, _ = run(capsys, "cloner", *machine, "--z", repr(z), "--dim", dim)
+        report = json.loads(out)
+        assert code == 0 and report["z"] == z
+        assert type(report["re"]) is float and math.isfinite(report["re"])
+
     def test_z_and_states_are_mutually_exclusive(self, tmp_path, capsys):
         f = tmp_path / "states.json"
         f.write_text(json.dumps({"phi": [[1, 0], [0, 0]],
@@ -319,18 +333,27 @@ class TestCloner:
         code, out, err = run(capsys, "cloner", "asym", "--states", str(f))
         assert code == 1 and out == ""
         assert "'phi' must be a list of [re, im] pairs" in err
+        # A missing file and a directory are usage errors too.
+        for path in (tmp_path / "missing.json", tmp_path):
+            code, out, err = run(capsys, "cloner", "asym", "--states", str(path))
+            assert code == 1 and out == ""
+            assert err.startswith("clonebound cloner:") and err.count("\n") == 1
+            assert str(path) in err and "Traceback" not in err
 
     @pytest.mark.parametrize("phi, message", [
         ([[1e200, 0], [0, 0]], "squared norm of its amplitudes overflows"),
         ([[0, 0], [1e-170, 0]], "squared norm of its amplitudes underflows"),
         ([[0, 0], [1e-160, 0]], "squared norm of its amplitudes underflows"),
         ([[0, 0], [0, 0]], "'phi' is the zero vector"),
-    ], ids=["overflow", "underflow", "subnormal", "zero"])
+        ([[10**400, 0], [0, 0]], "'phi' must be a list of [re, im] pairs"),
+        ([[0, 0], [1, 0], [0, 0]], "phi and psi must share one dimension"),
+    ], ids=["overflow", "underflow", "subnormal", "zero", "huge-integer", "dimensions"])
     def test_unnormalizable_state_file(self, tmp_path, capsys, phi, message):
         f = tmp_path / "states.json"
-        f.write_text(json.dumps({"phi": phi, "psi": [[1, 0], [1, 0]]}))
+        f.write_text(json.dumps({"phi": phi, "psi": [[1, 0], [0, 0]]}))
         code, out, err = run(capsys, "cloner", "sym", "--states", str(f))
         assert code == 1 and out == ""
+        assert err.startswith("clonebound cloner:") and err.count("\n") == 1
         assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("amplitude", ["NaN", "Infinity"])

@@ -18,9 +18,14 @@ from clonebound.cloning import (
     relative_error,
     unitarity_residual,
 )
+from clonebound.geometry import gate_approx_check, lemma4_saturation_witness
 from clonebound.search import N_PARAMS
 from clonebound.statespace import (
+    Projector,
+    apply_projector,
+    as_state,
     basis_state,
+    check_unitary,
     gram_schmidt_residual,
     normalize,
     random_projector,
@@ -271,3 +276,39 @@ def test_unitarity_residual_zero_for_constructions():
     for z in (0.1, 0.5, 0.9):
         r = build_symmetric(TwoStateSet.at_overlap(z))
         assert unitarity_residual(r) < 1e-10
+
+
+_E0 = basis_state(2, 0)
+_HALF = TwoStateSet.at_overlap(0.5)
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (as_state, ([],), "must be 1-D and non-empty"),
+    (as_state, (np.eye(2),), "must be 1-D and non-empty"),
+    (normalize, (np.zeros(2),), "cannot normalize the zero vector"),
+    (Projector.complement, (Projector(np.eye(2)),), "full-rank projector has no complement"),
+    (apply_projector, (Projector(basis_state(3, 0)), _E0), "dimension mismatch: 2 vs 3"),
+    (check_unitary, (np.ones((2, 3)),), "expected a square matrix"),
+    (random_projector, (3, 0, np.random.default_rng(0)), r"rank must be in 1\.\.3, got 0"),
+    (random_projector, (3, 4, np.random.default_rng(0)), r"rank must be in 1\.\.3, got 4"),
+    (gate_approx_check, (np.eye(2), np.eye(3), _E0, Projector(_E0)),
+     "unitaries and state must share one dimension"),
+    (lemma4_saturation_witness, (0.0,), r"delta must be in \(0, pi/2\]"),
+    (lemma4_saturation_witness, (1.6,), r"delta must be in \(0, pi/2\]"),
+    (TwoStateSet.from_states, (_E0, basis_state(3, 0)), "phi and psi must share one dimension"),
+    (TwoStateSet.at_overlap, (0.5, 1), "need dimension >= 2"),
+    (absolute_error, (analyze_output(tensor(_E0, _E0), _E0, FactorDims(2, 2, 1)),
+                      analyze_output(basis_state(8, 0), _E0, FactorDims(2, 2, 2))),
+     "analyses were made over different factor layouts"),
+    # phi's output lies wholly off phi x phi, so its ideal has no direction.
+    (inequality_chain, (analyze_pair(_HALF, basis_state(4, 3), tensor(_HALF.psi, _HALF.psi),
+                                     FactorDims(2, 2, 1)),),
+     "inequality chain needs non-degenerate ideals"),
+], ids=["as_state-empty", "as_state-2d", "normalize-zero", "complement-full-rank",
+        "apply_projector-dims", "check_unitary-not-square", "random_projector-rank-0",
+        "random_projector-rank-above-dim", "gate_approx_check-dims", "lemma4-delta-0",
+        "lemma4-delta-above-half-pi", "from_states-dims", "at_overlap-dim-1",
+        "absolute_error-layouts", "inequality_chain-degenerate"])
+def test_library_checks_reject_bad_arguments(call, args, message):
+    with pytest.raises(ValueError, match=message):
+        call(*args)

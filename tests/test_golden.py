@@ -38,6 +38,8 @@ COMMANDS = {
     "lemmas.txt": ["lemmas", "--trials", "20000", "--seed", "3"],
     **{f"cloner-{kind}.json": ["cloner", kind, "--z", "0.5", "--seed", "0"]
        for kind in ("sym", "asym", "wz")},
+    **{f"cloner-{kind}-z0.37.json": ["cloner", kind, "--z", "0.37", "--seed", "0"]
+       for kind in ("sym", "asym", "wz")},
 }
 #: Commands whose files in ``--out`` are pinned, each in ``golden/<name>/``.
 FILE_COMMANDS = {

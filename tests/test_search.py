@@ -331,6 +331,18 @@ class TestColdStarts:
         assert lowest >= -1e-15, lowest
 
 
+def assert_solo_lbfgsb(fun, x0, box, res, **options):
+    """``res`` has the x and f bits, evaluation count and status of scipy's
+    solo L-BFGS-B run from ``x0`` with theta in ``box``, under ``options``."""
+    solo = minimize(fun, x0, method="L-BFGS-B", jac=True,
+                    bounds=[box or (None, None)] + [(None, None)] * (N_PARAMS - 1),
+                    options={"ftol": search.OBJECTIVE_TOL, "gtol": search.GRADIENT_TOL,
+                             **options})
+    assert res.x.tobytes() == solo.x.tobytes()
+    assert np.float64(res.f).tobytes() == np.float64(solo.fun).tobytes()
+    assert (res.evals, res.status) == (solo.nfev, solo.status)
+
+
 class TestLockstep:
     """Driving every start in lockstep changes no start's run."""
 
@@ -346,13 +358,7 @@ class TestLockstep:
         runs = list(_lockstep_lbfgsb(fun, starts, box))
         assert len(runs) == len(starts)
         for x0, res in zip(starts, runs):
-            solo = minimize(fun, x0, method="L-BFGS-B", jac=True,
-                            bounds=[box or (None, None)] + [(None, None)] * (N_PARAMS - 1),
-                            options={"ftol": search.OBJECTIVE_TOL,
-                                     "gtol": search.GRADIENT_TOL})
-            assert res.x.tobytes() == solo.x.tobytes()
-            assert np.float64(res.f).tobytes() == np.float64(solo.fun).tobytes()
-            assert (res.evals, res.status) == (solo.nfev, solo.status)
+            assert_solo_lbfgsb(fun, x0, box, res)
 
     @pytest.mark.parametrize("cap, option, value", [
         ("LBFGSB_MAX_ITER", "maxiter", 1), ("LBFGSB_MAX_ITER", "maxiter", 3),
@@ -369,14 +375,21 @@ class TestLockstep:
         box = _THETA_BOX[objective]
         monkeypatch.setattr(search, cap, value)
         for x0, res in zip(starts, _lockstep_lbfgsb(fun, starts, box), strict=True):
-            solo = minimize(fun, x0, method="L-BFGS-B", jac=True,
-                            bounds=[box or (None, None)] + [(None, None)] * (N_PARAMS - 1),
-                            options={"ftol": search.OBJECTIVE_TOL,
-                                     "gtol": search.GRADIENT_TOL, option: value})
-            assert res.x.tobytes() == solo.x.tobytes()
-            assert np.float64(res.f).tobytes() == np.float64(solo.fun).tobytes()
-            assert (res.evals, res.status) == (solo.nfev, solo.status)
+            assert_solo_lbfgsb(fun, x0, box, res, **{option: value})
             assert res.status == 1
+
+    @pytest.mark.parametrize("theta", [5.0, -1.0, np.nan])
+    @pytest.mark.parametrize("objective", ["ae", "sym"])
+    def test_out_of_box_start_is_solo_lbfgsb_bit_for_bit(self, objective, theta):
+        # scipy projects x0 into the bounds before its first evaluation, so
+        # a start outside the theta box is counted from its projection.
+        z = 0.5
+        fun = _objective_factory(objective, z)
+        x0 = np.ones(N_PARAMS)
+        x0[0] = theta
+        box = _THETA_BOX[objective]
+        (res,) = _lockstep_lbfgsb(fun, [x0], box)
+        assert_solo_lbfgsb(fun, x0, box, res)
 
     @pytest.mark.parametrize("width", [1, 3, search.LOCKSTEP_WIDTH])
     @pytest.mark.parametrize("objective", ["ae", "sym"])
