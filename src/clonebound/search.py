@@ -531,18 +531,16 @@ def verify_point(z: float, restarts: int = 20, seed: int = 0,
     # search has run.
     sweep = random_cloner_sweep(cfg, n=sweep_trials)
     out = minimize_objective("ae", cfg)
-    violations = sweep.floor_violations + _violations(
-        [out.best_ae - out.bound_ae, out.best_re - out.bound_re])
+    gaps = [out.best_ae - out.bound_ae, out.best_re - out.bound_re]
     return VerifyRecord(
         z=z,
         bound_ae=out.bound_ae,
         bound_re=out.bound_re,
         best_ae=out.best_ae,
         best_re=out.best_re,
-        violations=violations,
+        violations=sweep.floor_violations + _violations(gaps),
         trials=out.trials + sweep.trials,
         seed=seed,
-        attainment_gap=float(max(out.best_ae - out.bound_ae,
-                                 out.best_re - out.bound_re)),
+        attainment_gap=float(max(gaps)),
         sweep=sweep,
     )

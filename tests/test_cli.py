@@ -410,6 +410,9 @@ class TestLemmas:
         code, _, err = run(capsys, "lemmas", "--trials", "5", "--dims", f"2-{10 ** 30}")
         assert code == 1 and err == (f"clonebound lemmas: --dims range '2-{10 ** 30}' "
                                      f"holds too many dimensions\n")
+        code, out, err = run(capsys, "lemmas", "--trials", "5", "--dims", "5-3")
+        assert (code, out) == (1, "")
+        assert err == "clonebound lemmas: --dims range '5-3' is empty: lo exceeds hi\n"
 
     def test_invalid_trials(self, capsys):
         code, _, _ = run(capsys, "lemmas", "--trials", "0")
@@ -470,6 +473,10 @@ class TestVerify:
         assert code == 1 and "(0, 0.99]" in err
         code, _, _ = run(capsys, "verify", "--z", "0")
         assert code == 1
+        for count in ("--restarts", "--sweep-trials"):
+            code, out, err = run(capsys, "verify", "--z", "0.5", count, "0")
+            assert (code, out) == (1, "")
+            assert err == "clonebound verify: --restarts and --sweep-trials must be >= 1\n"
 
     def test_unparsable_z(self, capsys):
         code, _, err = run(capsys, "verify", "--z", "0.5,oops")

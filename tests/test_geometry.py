@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 import tracemalloc
@@ -393,6 +394,15 @@ def test_blocks_run_on_every_worker_and_no_more(monkeypatch, cpus, ndims):
     r = sweep_lemma1(3 * ndims * SWEEP_BLOCK, dims=range(2, 2 + ndims), seed=0)
     assert calls == 3 * ndims and r.violations == 0
     assert peak == workers
+
+
+def test_usable_cpus_without_an_affinity_mask(monkeypatch):
+    # Platforms without sched_getaffinity fall back to the CPU count, and to
+    # one worker where even that is unknown.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert geometry._usable_cpus() == os.cpu_count()
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert geometry._usable_cpus() == 1
 
 
 def test_blocks_are_read_at_most_the_window_ahead(monkeypatch):

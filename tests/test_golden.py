@@ -10,7 +10,8 @@ this host's fingerprint differs, the values of ``"trials"`` are blanked in
 both texts first: they count L-BFGS-B's evaluations, which run on scipy's
 own BLAS, whose last bits move them. ``OPENBLAS_CORETYPE``,
 ``OPENBLAS_NUM_THREADS`` and ``NPY_DISABLE_CPU_FEATURES`` make this process
-imitate another host.
+imitate another host. ``lemmas.txt`` is compared twice: once with the
+sweeps on one worker per usable CPU, once with them on a single worker.
 
 Rewrite the corpus with ``PYTHONPATH=src python tests/test_golden.py``.
 A change to it is a change to a seeded output and is declared as one.
@@ -29,6 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from clonebound import geometry
 from clonebound.cli import main
 from test_cli import strip_timestamp
 
@@ -106,8 +108,14 @@ def assert_matches_golden(name: str, got: str) -> None:
     assert got == want, f"{name} (fingerprint {here}, the corpus's {recorded})"
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_output_matches_the_golden_corpus(name):
+@pytest.mark.parametrize("name, cpus", [
+    *(pytest.param(name, None, id=name) for name in sorted(COMMANDS)),
+    # The sweeps run one worker per usable CPU; their bytes must not depend on it.
+    pytest.param("lemmas.txt", 1, id="lemmas.txt-one-worker"),
+])
+def test_output_matches_the_golden_corpus(name, cpus, monkeypatch):
+    if cpus is not None:
+        monkeypatch.setattr(geometry, "_usable_cpus", lambda: cpus)
     assert_matches_golden(name, stdout_of(COMMANDS[name]))
 
 

@@ -12,6 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from clonebound.cloners import build_asymmetric, build_symmetric, build_wootters_zurek
+from clonebound.cloning import TwoStateSet, unitarity_residual
 from clonebound.search import SUBSPACE_DIM, _pair_errors
 from clonebound.statespace import (
     _NORMAL_PIECE,
@@ -364,10 +366,26 @@ def _joined_residuals(anchor, target):
     return np.concatenate([ov[..., None], r], axis=-1)
 
 
+def _cloner_numbers():
+    """Every number that ``cloner sym|asym|wz --states`` prints for a seeded
+    5-dim pair, the closed forms of z apart: 5 [re, im] normals per state
+    from ``default_rng(5)``, each state normalized as the state file loader
+    does."""
+    pairs = np.random.default_rng(5).standard_normal((2, 5, 2))
+    phi, psi = pairs[..., 0] + 1j * pairs[..., 1]
+    set_ = TwoStateSet.from_states(phi / norm(phi), psi / norm(psi))
+    return [set_.phi, set_.psi, np.array([set_.z, set_.delta, set_.delta_product]),
+            *(np.array([r.a_phi.x, r.a_phi.delta_s, r.a_psi.x, r.a_psi.delta_s,
+                        r.ae, r.re, unitarity_residual(r)])
+              for r in (build_symmetric(set_), build_asymmetric(set_),
+                        build_wootters_zurek(set_)))]
+
+
 def _kernel_digests(names):
     """sha256 of each named kernel's results on seeded rows that
     ``random_states`` draws, in dimensions 2-8; ``_pair_errors`` takes those
-    of the search's dimension at z = 0.1, 0.5 and 0.9."""
+    of the search's dimension at z = 0.1, 0.5 and 0.9, and ``"cloners"`` is
+    the three machines' reports on a seeded 5-dim pair."""
     rng = np.random.default_rng(2026)
     rows = [(random_states(4096, d, rng), random_states(4096, d, rng)) for d in range(2, 9)]
     results = {
@@ -378,6 +396,7 @@ def _kernel_digests(names):
         "_residuals": lambda: [x for a, b in rows for x in _residuals(a, b)],
         "_pair_errors": lambda: [np.stack(_pair_errors(*rows[SUBSPACE_DIM - 2], z))
                                  for z in (0.1, 0.5, 0.9)],
+        "cloners": _cloner_numbers,
     }
     return {name: hashlib.sha256(b"".join(x.tobytes() for x in results[name]())).hexdigest()
             for name in names}
@@ -385,7 +404,8 @@ def _kernel_digests(names):
 
 @pytest.mark.parametrize("env, names", [
     ({"OPENBLAS_CORETYPE": "Haswell"},
-     ["_dots", "_norms", "_angles", "_residuals", "random_states", "_pair_errors"]),
+     ["_dots", "_norms", "_angles", "_residuals", "random_states", "_pair_errors",
+      "cloners"]),
     ({"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"},
      ["_dots", "_norms", "random_states"]),
 ], ids=["openblas-haswell", "numpy-baseline-simd"])
@@ -393,7 +413,8 @@ def test_reductions_give_the_same_bits_on_an_imitated_host(env, names):
     # Another OpenBLAS kernel, or numpy limited to its baseline SIMD target,
     # changes no bit of a reduction. _angles' arctan2 and complex multiply,
     # _residuals' complex multiply and _pair_errors' abs still follow numpy's
-    # SIMD target.
+    # SIMD target. So do the seeded 5-dim cloner reports: baseline-only numpy
+    # moves their bytes, so only the OpenBLAS kernel is varied under them.
     env = src_env({**os.environ, **env})
     env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parent), env["PYTHONPATH"]])
     proc = subprocess.run(
