@@ -90,7 +90,6 @@ from .bounds import (
     BoundCurve,
     ae_lower_bound,
     hb_bound,
-    icasmin_form,
     re_lower_bound,
     sample_curve,
 )

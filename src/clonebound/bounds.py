@@ -8,8 +8,6 @@ Everything here is a scalar formula in z = |<phi|psi>|:
   the absolute error; equals F(z) * sqrt(1 - z^4).
 * ``hb_bound``        2 (sqrt(1 + z(1 - z)) - 1), the earlier absolute-error
   floor it strengthens.
-* ``icasmin_form``    sin(D - d)/sin(D) with cos(D) = z^2, cos(d) = z; an
-  algebraically identical rewrite of F used as a cross-check.
 
 d, D and their sines are computed here once for the package, free of cancellation;
 ``sample_curve`` turns any floor into a :class:`BoundCurve` for CSV/JSON emission.
@@ -26,7 +24,7 @@ import numpy as np
 
 def _check_range(z):
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0.0) or np.any(z > 1.0):
+    if not np.all((z >= 0.0) & (z <= 1.0)):
         raise ValueError("overlap z must be in [0.0, 1.0]")
     return z
 
@@ -66,19 +64,6 @@ def hb_bound(z):
     computed as 2 z(1 - z)/(sqrt(1 + z(1 - z)) + 1)."""
     z = _check_range(z)
     return 2.0 * z * (1.0 - z) / (np.sqrt(1.0 + z * (1.0 - z)) + 1.0)
-
-
-def icasmin_form(z):
-    """F(z) written as sin(D - d)/sin(D), cos(D) = z^2, cos(d) = z.
-
-    Undefined at z = 1 where sin(D) = 0; use :func:`re_lower_bound` there.
-    """
-    z = _check_range(z)
-    if np.any(z >= 1.0):
-        raise ValueError("icasmin_form is 0/0 at z = 1; use re_lower_bound")
-    big = np.arccos(z * z)
-    small = np.arccos(z)
-    return np.sin(big - small) / np.sin(big)
 
 
 #: z at which F attains its maximum: z^2 solves u^2 + u - 1 = 0.

@@ -9,9 +9,10 @@ Four subcommands:
 
 Exit codes: 0 success, 1 usage or domain error (an input too large for
 memory included), 2 I/O error (a failed write to stdout included),
-3 invariant violation, 4 attainment failure. Commands raise ``ValueError``
-for a bad input and let an ``OSError`` from a write through; ``main``
-alone turns these into codes 1 and 2 with a one-line message, while
+3 invariant violation, 4 attainment failure, 130 interrupted (128 +
+SIGINT). Commands raise ``ValueError`` for a bad input and let an
+``OSError`` from a write or a ``KeyboardInterrupt`` through; ``main``
+alone turns these into codes 1, 2 and 130 with a one-line message, while
 ``lemmas`` and ``verify`` return their verdicts 3 and 4, judged at
 ``geometry.DEFAULT_SWEEP_TOL``, which no flag or environment variable sets.
 With a fixed ``--seed`` (default ``CLONEBOUND_SEED``) every data file is
@@ -457,6 +458,9 @@ def main(argv=None) -> int:
             os.close(devnull)
         print(f"{prefix} cannot write {exc.filename or 'stdout'}: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        print(f"{prefix} interrupted", file=sys.stderr)
+        return 130                  # 128 + SIGINT, as a shell reports it
 
 
 if __name__ == "__main__":

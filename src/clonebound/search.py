@@ -498,7 +498,6 @@ class VerifyRecord:
     best_ae: float
     best_re: float
     violations: int
-    trials: int
     seed: int
     attainment_gap: float
     sweep: SweepStats
@@ -539,7 +538,6 @@ def verify_point(z: float, restarts: int = 20, seed: int = 0,
         best_ae=out.best_ae,
         best_re=out.best_re,
         violations=sweep.floor_violations + _violations(gaps),
-        trials=out.trials + sweep.trials,
         seed=seed,
         attainment_gap=float(max(gaps)),
         sweep=sweep,

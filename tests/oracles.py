@@ -90,6 +90,40 @@ def rel_err(value, ref) -> float:
     return abs(value - ref) / abs(ref) if ref else abs(value)
 
 
+def _unit(v):
+    """The components of the vector v, exact, divided by its norm."""
+    v = [mp.mpc(complex(x)) for x in v]
+    n = mp.sqrt(mp.fsum(abs(x) ** 2 for x in v))
+    return [x / n for x in v]
+
+
+def _inner(a, b):
+    """<a|b>, conjugate-linear in a."""
+    return mp.fsum(mp.conj(x) * y for x, y in zip(a, b))
+
+
+def angle(a, b):
+    """acos |<a|b>| of a and b normalized: the angle between their rays."""
+    return mp.acos(min(abs(_inner(_unit(a), _unit(b))), 1))
+
+
+def lemma1_slack(phi, ups, psi):
+    """cos(angle(phi, ups) - angle(ups, psi)) - cos(angle(phi, psi))."""
+    return mp.cos(angle(phi, ups) - angle(ups, psi)) - mp.cos(angle(phi, psi))
+
+
+def lemma2_slack(phi, ups, psi):
+    """angle(phi, psi) + angle(ups, psi) - angle(phi, ups)."""
+    return angle(phi, psi) + angle(ups, psi) - angle(phi, ups)
+
+
+def lemma3_slack(theta, phi, psi):
+    """sin(angle(phi, psi)) - | |<theta|phi>|^2 - |<theta|psi>|^2 |."""
+    theta, phi, psi = _unit(theta), _unit(phi), _unit(psi)
+    lhs = abs(abs(_inner(theta, phi)) ** 2 - abs(_inner(theta, psi)) ** 2)
+    return mp.sin(angle(phi, psi)) - lhs
+
+
 # Overlaps where float64 forms in z cancel: z = 1 - 10^-k, where 1 - z^4 and
 # arccos(z^2) do, z = 10^-k, where differences of terms in z do, and a grid.
 NEAR_ONE = [1.0 - 10.0 ** -k for k in range(2, 16)]

@@ -10,7 +10,6 @@ from clonebound.bounds import (
     _overlap_angles,
     ae_lower_bound,
     hb_bound,
-    icasmin_form,
     re_lower_bound,
     sample_curve,
     table_csv,
@@ -74,20 +73,11 @@ class TestHbBound:
         assert np.allclose(hb_bound(z), hb_bound(1 - z), atol=1e-15)
 
 
-class TestIcasminForm:
-    def test_identity_with_the_algebraic_form(self):
-        z = np.linspace(0, 0.99, 397)
-        assert np.max(np.abs(icasmin_form(z) - re_lower_bound(z))) < 1e-12
-
-    def test_zero_Delta_equals_delta_case(self):
-        assert icasmin_form(0.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_value_at_half(self):
-        assert float(icasmin_form(0.5)) == pytest.approx(oracles.F_AT_HALF, abs=1e-15)
-
-    def test_rejects_the_degenerate_endpoint(self):
-        with pytest.raises(ValueError):
-            icasmin_form(1.0)
+@pytest.mark.parametrize("floor", [ae_lower_bound, re_lower_bound, hb_bound])
+@pytest.mark.parametrize("z", [np.nan, [0.5, np.nan]], ids=["scalar", "array"])
+def test_floors_reject_nan(floor, z):
+    with pytest.raises(ValueError, match=r"overlap z must be in \[0\.0, 1\.0\]"):
+        floor(z)
 
 
 class TestRelations:

@@ -4,9 +4,11 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -650,6 +652,28 @@ def test_full_bounds_file_fails_mid_stream_with_one_line(tmp_path, fmt):
     assert proc.stderr.startswith(
         f"clonebound bounds: cannot write {target}: [Errno 28] ")
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
+def test_interrupt_exits_130_with_one_line(tmp_path):
+    # Wait until the child has written into fig1.csv, so that it is inside
+    # main, then send SIGINT to that child only.
+    out = tmp_path / "d"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "clonebound.cli", "bounds", "--steps", "3000001",
+         "--out", str(out)],
+        env=src_env(os.environ), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True)
+    try:
+        deadline = time.monotonic() + 120
+        while not (out / "fig1.csv").exists() or not (out / "fig1.csv").stat().st_size:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        stdout, stderr = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, stdout, stderr) == (130, "", "clonebound bounds: interrupted\n")
 
 
 def _out_of_memory(*args, **kwargs):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from clonebound import geometry
 from clonebound.geometry import (
     ALL_SWEEPS,
@@ -320,6 +321,24 @@ def test_closest_sample_replays_bit_for_bit(name, sweep):
     dim, block, size, index = r.closest
     assert dim in (2, 3, 7) and 0 <= index < size <= SWEEP_BLOCK
     assert replay_sample(name, 4, *r.closest).hex() == r.min_slack.hex()
+
+
+#: |float slack - exact slack| allowed of lemmas 1-3: a few ulps of pi/2,
+#: the largest angle, for the rounding of each angle and of its cos or sin.
+EXACT_SLACK_TOL = 1e-15
+
+
+@pytest.mark.parametrize("name", ["lemma1", "lemma2", "lemma3"])
+def test_closest_sample_holds_in_exact_arithmetic(name):
+    # The closest sample of each sweep, rebuilt from its address, has its
+    # inequality recomputed at 40 digits from the exact float components.
+    r = dict(ALL_SWEEPS)[name](20000, seed=3)
+    dim, block, size, index = r.closest
+    draw = geometry._SWEEPS[name][0]
+    sample = [x[index] for x in draw(size, dim, geometry._block_rng(3, dim, block))]
+    exact = getattr(oracles, f"{name}_slack")(*sample)
+    assert exact >= 0, (name, exact)
+    assert abs(exact - r.min_slack) <= EXACT_SLACK_TOL, (name, exact, r.min_slack)
 
 
 def test_replay_of_an_unknown_sweep_names_the_sweeps():

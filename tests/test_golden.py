@@ -5,10 +5,8 @@ subdirectory ``golden/<name>/`` one file that a command wrote to its
 ``--out`` directory; the manifest timestamp is blanked in all of them.
 Every file is compared exactly, on every host. ``golden/fingerprint.json``
 records the numpy and OpenBLAS versions, the SIMD targets numpy dispatches
-to and the kernel OpenBLAS picked on the host that wrote the corpus. Where
-this host's fingerprint differs, the values of ``"trials"`` are blanked in
-both texts first: they count L-BFGS-B's evaluations, which run on scipy's
-own BLAS, whose last bits move them. ``OPENBLAS_CORETYPE``,
+to and the kernel OpenBLAS picked on the host that wrote the corpus; a
+failure names it beside this host's. ``OPENBLAS_CORETYPE``,
 ``OPENBLAS_NUM_THREADS`` and ``NPY_DISABLE_CPU_FEATURES`` make this process
 imitate another host. ``lemmas.txt`` is compared twice: once with the
 sweeps on one worker per usable CPU, once with them on a single worker.
@@ -23,7 +21,6 @@ import contextlib
 import ctypes
 import io
 import json
-import re
 import tempfile
 from pathlib import Path
 
@@ -50,7 +47,6 @@ FILE_COMMANDS = {
     "bounds-range": ["bounds", "--z-min", "0.2", "--z-max", "0.7", "--steps", "33",
                      "--format", "json", "--seed", "0"],
 }
-_TRIALS = re.compile(r'("trials": )\d+')
 
 
 def openblas_core() -> str | None:
@@ -98,14 +94,10 @@ def files_of(argv) -> dict[str, str]:
 
 
 def assert_matches_golden(name: str, got: str) -> None:
-    """``got`` against ``golden/<name>``, byte for byte; where this host's
-    fingerprint differs from the corpus's, every ``"trials"`` value is
-    blanked in both first."""
+    """``got`` against ``golden/<name>``, byte for byte, whatever the host."""
     want = (GOLDEN / name).read_text(encoding="utf-8")
-    recorded, here = json.loads((GOLDEN / "fingerprint.json").read_text()), fingerprint()
-    if recorded != here:
-        want, got = (_TRIALS.sub(r"\1_", text) for text in (want, got))
-    assert got == want, f"{name} (fingerprint {here}, the corpus's {recorded})"
+    recorded = json.loads((GOLDEN / "fingerprint.json").read_text())
+    assert got == want, f"{name} (fingerprint {fingerprint()}, the corpus's {recorded})"
 
 
 @pytest.mark.parametrize("name, cpus", [
@@ -127,21 +119,20 @@ def test_files_match_the_golden_corpus(name):
         assert_matches_golden(f"{name}/{file}", text)
 
 
-def test_another_host_excuses_trials_and_nothing_else(monkeypatch):
+@pytest.mark.parametrize("host", ["recorded", "another"])
+def test_one_ulp_fails_whatever_the_fingerprint(host, monkeypatch):
     sym = (GOLDEN / "cloner-sym.json").read_text(encoding="utf-8")
     ae = json.loads(sym)["ae"]
     one_ulp = sym.replace(f'"ae": {ae!r}', f'"ae": {float(np.nextafter(ae, 1.0))!r}')
     verify = (GOLDEN / "verify.json").read_text(encoding="utf-8")
-    trials = verify.replace('"trials": ', '"trials": 1', 1)
+    trials = verify.replace('"seed": ', '"trials": 10954,\n      "seed": ', 1)
     assert one_ulp != sym and trials != verify
-    monkeypatch.setitem(globals(), "fingerprint", lambda: {"openblas_core": "another"})
-    with pytest.raises(AssertionError):
-        assert_matches_golden("cloner-sym.json", one_ulp)
-    assert_matches_golden("verify.json", trials)
     recorded = json.loads((GOLDEN / "fingerprint.json").read_text())
-    monkeypatch.setitem(globals(), "fingerprint", lambda: recorded)
-    with pytest.raises(AssertionError):
-        assert_matches_golden("verify.json", trials)
+    here = recorded if host == "recorded" else {"openblas_core": "another"}
+    monkeypatch.setitem(globals(), "fingerprint", lambda: here)
+    for name, text in (("cloner-sym.json", one_ulp), ("verify.json", trials)):
+        with pytest.raises(AssertionError):
+            assert_matches_golden(name, text)
 
 
 def regenerate() -> None:

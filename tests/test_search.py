@@ -569,8 +569,10 @@ def test_verify_point_record():
     assert rec.attainment_gap < 1e-5
     d = rec.as_dict()
     for key in ("z", "bound_ae", "bound_re", "best_ae", "best_re",
-                "violations", "trials", "seed"):
+                "violations", "seed"):
         assert key in d
+    # L-BFGS-B's evaluation count moves with the host's BLAS; no report carries it.
+    assert "trials" not in d
     assert d["sweep"]["floor_violations"] == 0
 
 
