@@ -97,7 +97,6 @@ from .search import (
     SearchConfig,
     SearchOutcome,
     SweepStats,
-    VerifyRecord,
     minimize_objective,
     random_cloner_sweep,
     verify_point,

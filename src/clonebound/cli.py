@@ -396,8 +396,8 @@ def cmd_verify(args) -> int:
                      sweep_trials=args.sweep_trials)
         for z in z_values
     ]
-    total_violations = sum(r.violations for r in records)
-    max_gap = max(r.attainment_gap for r in records)
+    total_violations = sum(r["violations"] for r in records)
+    max_gap = max(r["attainment_gap"] for r in records)
     manifest = _manifest(
         "verify",
         {"z": z_values, "restarts": args.restarts,
@@ -405,13 +405,13 @@ def cmd_verify(args) -> int:
         args.seed,
     )
     report = {
-        "points": [r.as_dict() for r in records],
+        "points": records,
         "violations": total_violations,
         "max_attainment_gap": max_gap,
         "manifest": manifest,
     }
     _write(args.out, _json_pieces(report))
-    chain_violations = sum(r.sweep.chain_violations for r in records)
+    chain_violations = sum(r["sweep"]["chain_violations"] for r in records)
     for count, kind in ((total_violations, "floor"), (chain_violations, "chain")):
         if count:
             print(f"clonebound verify: {count} {kind} violations", file=sys.stderr)
@@ -419,7 +419,7 @@ def cmd_verify(args) -> int:
         return EXIT_VIOLATION
     # A best point above its floor by more than the rounding allowance, or
     # with a NaN gap, has not attained it.
-    if _violations([-r.attainment_gap for r in records]):
+    if _violations([-r["attainment_gap"] for r in records]):
         print(f"clonebound verify: attainment gap {max_gap:.3e} "
               f"exceeds {DEFAULT_SWEEP_TOL}", file=sys.stderr)
         return EXIT_ATTAINMENT

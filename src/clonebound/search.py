@@ -43,7 +43,7 @@ the ``lemmas`` sweeps' engine (:mod:`clonebound.geometry`), folded in order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -488,38 +488,10 @@ def random_cloner_sweep(cfg: SearchConfig, n: int = 10_000) -> SweepStats:
     )
 
 
-@dataclass(frozen=True)
-class VerifyRecord:
-    """Per-overlap verification record emitted by the ``verify`` command."""
-
-    z: float
-    bound_ae: float
-    bound_re: float
-    best_ae: float
-    best_re: float
-    violations: int
-    seed: int
-    attainment_gap: float
-    sweep: SweepStats
-
-    def as_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["sweep"] = {"trials": self.sweep.trials}
-        for name in ("ae_min", "ae_mean", "ae_max", "re_min", "re_mean", "re_max"):
-            value = getattr(self.sweep, name)
-            # JSON has no NaN: a non-finite summary is written as null.
-            d["sweep"][name] = value if np.isfinite(value) else None
-        d["sweep"] |= {
-            "floor_violations": self.sweep.floor_violations,
-            "chain_violations": self.sweep.chain_violations,
-            "undefined_re": self.sweep.undefined_re,
-        }
-        return d
-
-
 def verify_point(z: float, restarts: int = 20, seed: int = 0,
-                 sweep_trials: int = 10_000) -> VerifyRecord:
-    """Search and sweep at one overlap value.
+                 sweep_trials: int = 10_000) -> dict:
+    """Search and sweep at one overlap value: the point's record, as the
+    ``verify`` report writes it.
 
     One search serves both floors: RE = AE / sin D on every realizable
     pair, so the AE minimizer also minimizes RE, and ``best_ae`` and
@@ -531,14 +503,23 @@ def verify_point(z: float, restarts: int = 20, seed: int = 0,
     sweep = random_cloner_sweep(cfg, n=sweep_trials)
     out = minimize_objective("ae", cfg)
     gaps = [out.best_ae - out.bound_ae, out.best_re - out.bound_re]
-    return VerifyRecord(
-        z=z,
-        bound_ae=out.bound_ae,
-        bound_re=out.bound_re,
-        best_ae=out.best_ae,
-        best_re=out.best_re,
-        violations=sweep.floor_violations + _violations(gaps),
-        seed=seed,
-        attainment_gap=float(max(gaps)),
-        sweep=sweep,
-    )
+    summaries = {name: getattr(sweep, name) for name in
+                 ("ae_min", "ae_mean", "ae_max", "re_min", "re_mean", "re_max")}
+    return {
+        "z": z,
+        "bound_ae": out.bound_ae,
+        "bound_re": out.bound_re,
+        "best_ae": out.best_ae,
+        "best_re": out.best_re,
+        "violations": sweep.floor_violations + _violations(gaps),
+        "seed": seed,
+        "attainment_gap": float(max(gaps)),
+        "sweep": {
+            "trials": sweep.trials,
+            # JSON has no NaN: a non-finite summary is written as null.
+            **{k: v if np.isfinite(v) else None for k, v in summaries.items()},
+            "floor_violations": sweep.floor_violations,
+            "chain_violations": sweep.chain_violations,
+            "undefined_re": sweep.undefined_re,
+        },
+    }

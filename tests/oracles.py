@@ -124,6 +124,29 @@ def lemma3_slack(theta, phi, psi):
     return mp.sin(angle(phi, psi)) - lhs
 
 
+def outcome_prob(q, s):
+    """sum_r |<q_r|s>|^2 of s normalized, q_r the columns of q as given."""
+    s = _unit(s)
+    return mp.fsum(abs(_inner([mp.mpc(complex(x)) for x in col], s)) ** 2 for col in q.T)
+
+
+def gate_bound(diff):
+    """eps sqrt(1 - eps^2/4), eps the largest singular value of diff = U - V,
+    capped at 2."""
+    eps = min(max(mp.svd_c(mp.matrix(diff.tolist()), compute_uv=False)), 2)
+    return eps * mp.sqrt(1 - eps ** 2 / 4)
+
+
+def lemma4_slack(phi, psi, q):
+    """sin(angle(phi, psi)) - |<phi|P|phi> - <psi|P|psi>|, P onto q's columns."""
+    return mp.sin(angle(phi, psi)) - abs(outcome_prob(q, phi) - outcome_prob(q, psi))
+
+
+def gate_approx_slack(diff, q, u_sigma, v_sigma):
+    """gate_bound(U - V) - |P(R | U sigma) - P(R | V sigma)|, P onto q's columns."""
+    return gate_bound(diff) - abs(outcome_prob(q, u_sigma) - outcome_prob(q, v_sigma))
+
+
 # Overlaps where float64 forms in z cancel: z = 1 - 10^-k, where 1 - z^4 and
 # arccos(z^2) do, z = 10^-k, where differences of terms in z do, and a grid.
 NEAR_ONE = [1.0 - 10.0 ** -k for k in range(2, 16)]

@@ -323,19 +323,43 @@ def test_closest_sample_replays_bit_for_bit(name, sweep):
     assert replay_sample(name, 4, *r.closest).hex() == r.min_slack.hex()
 
 
-#: |float slack - exact slack| allowed of lemmas 1-3: a few ulps of pi/2,
+#: |float slack - exact slack| allowed of every sweep: a few ulps of pi/2,
 #: the largest angle, for the rounding of each angle and of its cos or sin.
 EXACT_SLACK_TOL = 1e-15
 
 
-@pytest.mark.parametrize("name", ["lemma1", "lemma2", "lemma3"])
-def test_closest_sample_holds_in_exact_arithmetic(name):
+def _recording(monkeypatch, name, calls):
+    """Replace geometry's ``name`` by a wrapper that appends its arguments to
+    ``calls`` and returns what ``name`` returns."""
+    fn = getattr(geometry, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(geometry, name, wrapper)
+
+
+@pytest.mark.parametrize("name", list(geometry._SWEEPS))
+def test_closest_sample_holds_in_exact_arithmetic(monkeypatch, name):
     # The closest sample of each sweep, rebuilt from its address, has its
     # inequality recomputed at 40 digits from the exact float components.
     r = dict(ALL_SWEEPS)[name](20000, seed=3)
     dim, block, size, index = r.closest
+    # A projector sweep's draw hands its states, then each rank group's
+    # bases and states, to these two; the redraw records both.
+    drawn, groups = [], []
+    _recording(monkeypatch, "_random_projector_probs", drawn)
+    _recording(monkeypatch, "_outcome_probs", groups)
     draw = geometry._SWEEPS[name][0]
     sample = [x[index] for x in draw(size, dim, geometry._block_rng(3, dim, block))]
+    if drawn:
+        # The trial's basis is the row of the group that holds its states;
+        # the oracle takes it in place of the float probabilities.
+        states = drawn[0][0][index]
+        q = next(qs[j] for qs, group in groups for j in range(len(group))
+                 if np.array_equal(group[j], states))
+        sample[-1:] = [q] if name == "lemma4" else [q, *states]
     exact = getattr(oracles, f"{name}_slack")(*sample)
     assert exact >= 0, (name, exact)
     assert abs(exact - r.min_slack) <= EXACT_SLACK_TOL, (name, exact, r.min_slack)

@@ -4,9 +4,9 @@ Each text file in ``golden/`` is one command's stdout, and each file in a
 subdirectory ``golden/<name>/`` one file that a command wrote to its
 ``--out`` directory; the manifest timestamp is blanked in all of them.
 Every file is compared exactly, on every host. ``golden/fingerprint.json``
-records the numpy and OpenBLAS versions, the SIMD targets numpy dispatches
-to and the kernel OpenBLAS picked on the host that wrote the corpus; a
-failure names it beside this host's. ``OPENBLAS_CORETYPE``,
+records the numpy, scipy and OpenBLAS versions, the SIMD targets numpy
+dispatches to and the kernel OpenBLAS picked on the host that wrote the
+corpus; a failure names it beside this host's. ``OPENBLAS_CORETYPE``,
 ``OPENBLAS_NUM_THREADS`` and ``NPY_DISABLE_CPU_FEATURES`` make this process
 imitate another host. ``lemmas.txt`` is compared twice: once with the
 sweeps on one worker per usable CPU, once with them on a single worker.
@@ -26,12 +26,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from clonebound import geometry
 from clonebound.cli import main
 from test_cli import strip_timestamp
 
 GOLDEN = Path(__file__).with_name("golden")
+#: The versions CI installs, one ``name==version`` a line.
+CONSTRAINTS = Path(__file__).parents[1] / ".github" / "constraints.txt"
 COMMANDS = {
     "verify.json": ["verify", "--z", "0.1,0.5,0.9", "--restarts", "20", "--seed", "1"],
     "lemmas.txt": ["lemmas", "--trials", "20000", "--seed", "3"],
@@ -64,11 +67,12 @@ def openblas_core() -> str | None:
 
 
 def fingerprint() -> dict:
-    """numpy's and its BLAS's versions, the SIMD targets numpy is built for
-    and dispatches to, and OpenBLAS's kernel."""
+    """The numpy, scipy and BLAS versions, the SIMD targets numpy is built
+    for and dispatches to, and OpenBLAS's kernel. verify's best
+    points follow the path of scipy's L-BFGS-B routine ``setulb``."""
     config = np.show_config(mode="dicts")
     simd = config["SIMD Extensions"]
-    return {"numpy": np.__version__,
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
             "blas": config["Build Dependencies"]["blas"]["version"],
             # numpy leaves "found" out when it dispatches to no target.
             "cpu_baseline": simd["baseline"], "cpu_dispatch": simd.get("found", []),
@@ -117,6 +121,15 @@ def test_files_match_the_golden_corpus(name):
     assert sorted(files) == sorted(p.name for p in (GOLDEN / name).iterdir())
     for file, text in files.items():
         assert_matches_golden(f"{name}/{file}", text)
+
+
+def test_ci_pins_the_corpus_toolchain():
+    # CI installs the numpy and scipy that wrote the corpus: a bumped pin
+    # must come with a corpus rewritten under it.
+    pins = dict(line.split("==") for line in CONSTRAINTS.read_text().split())
+    recorded = json.loads((GOLDEN / "fingerprint.json").read_text())
+    assert {k: pins[k] for k in ("numpy", "scipy")} == {
+        k: recorded[k] for k in ("numpy", "scipy")}
 
 
 @pytest.mark.parametrize("host", ["recorded", "another"])

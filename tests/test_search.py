@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import json
 import threading
 import tracemalloc
 from dataclasses import fields
@@ -11,6 +12,7 @@ from scipy.optimize import minimize
 import oracles
 from clonebound import search
 from clonebound.bounds import ae_lower_bound, re_lower_bound
+from clonebound.cli import main
 from clonebound.cloners import build_asymmetric, closed_form_re_s, plane_frame
 from clonebound.cloning import FactorDims, TwoStateSet, analyze_pair
 from clonebound.geometry import SWEEP_BLOCK
@@ -541,7 +543,7 @@ class TestRandomSweep:
         assert np.all(np.isnan([stats.ae_min, stats.ae_mean, stats.ae_max,
                                 stats.re_min, stats.re_mean, stats.re_max,
                                 stats.min_chain_slack]))
-        assert verify_point(0.4, restarts=1, seed=3, sweep_trials=7).violations == 2
+        assert verify_point(0.4, restarts=1, seed=3, sweep_trials=7)["violations"] == 2
 
     def test_memory_does_not_grow_with_samples(self):
         def traced_peak(blocks):
@@ -563,17 +565,20 @@ class TestRandomSweep:
             random_cloner_sweep(SearchConfig(z=0.3, seed=8), n=0)
 
 
-def test_verify_point_record():
+def test_verify_point_record(capsys):
     rec = verify_point(0.5, restarts=3, seed=9, sweep_trials=2_000)
-    assert rec.violations == 0
-    assert rec.attainment_gap < 1e-5
-    d = rec.as_dict()
+    assert rec["violations"] == 0
+    assert rec["attainment_gap"] < 1e-5
     for key in ("z", "bound_ae", "bound_re", "best_ae", "best_re",
                 "violations", "seed"):
-        assert key in d
+        assert key in rec
     # L-BFGS-B's evaluation count moves with the host's BLAS; no report carries it.
-    assert "trials" not in d
-    assert d["sweep"]["floor_violations"] == 0
+    assert "trials" not in rec
+    assert rec["sweep"]["floor_violations"] == 0
+    # The report writes the record as returned: no second serializer.
+    assert main(["verify", "--z", "0.5", "--restarts", "3",
+                 "--sweep-trials", "2000", "--seed", "9"]) == 0
+    assert json.loads(capsys.readouterr().out)["points"][0] == rec
 
 
 def test_verify_point_rejects_an_unindexable_count_before_searching(monkeypatch):
