@@ -22,6 +22,7 @@ reproduced byte for byte, but for the manifest timestamp on its own line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -129,19 +130,34 @@ def _csv_pieces(header, columns):
 
 
 def _write(out, pieces) -> None:
-    """Write an iterable of strings to the file ``out`` through one open
-    file, or to stdout when ``out`` is None."""
+    """Write an iterable of strings to stdout when ``out`` is None, else to
+    the file ``out``, which appears whole or not at all.
+
+    The text goes to a new file beside ``out``'s symlink-resolved target and
+    is renamed over it once complete; on any exception the new file is
+    removed. A target that exists and is not a regular file (a device, a
+    FIFO) cannot be replaced by a rename, so it is written in place."""
     if out is None:
         sys.stdout.writelines(pieces)
         return
-    path = Path(out)
+    in_place = os.path.exists(out) and not os.path.isfile(out)
+    target = os.path.realpath(out)
+    head, name = os.path.split(target)
+    path = out if in_place else os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w" if in_place else "x", encoding="utf-8") as fh:
             fh.writelines(pieces)
-    except OSError as exc:
-        # A write or close that fails (a full disk) names no file; main
-        # would report that as a failed write to stdout.
-        exc.filename = exc.filename or str(path)
+        if not in_place:
+            os.replace(path, target)
+    except BaseException as exc:
+        if not in_place:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        if isinstance(exc, OSError):
+            # Name the artifact, not the new file. A write or close that
+            # fails (a full disk) names no file, which main would report as
+            # a failed write to stdout.
+            exc.filename = str(Path(out))
         raise
 
 

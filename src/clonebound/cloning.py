@@ -36,13 +36,6 @@ from .statespace import (
 DEGENERATE_TOL = 1e-12
 
 
-def canonical_phase(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Rephase ``psi`` so that <phi|psi> is real and nonnegative."""
-    ov = _dots(phi, psi)
-    # np.angle(0) = 0, so a vanishing overlap leaves psi untouched.
-    return psi * np.exp(-1j * np.angle(ov))
-
-
 @dataclass(frozen=True)
 class TwoStateSet:
     """The pair of states to be copied, with cached overlap geometry.
@@ -50,12 +43,15 @@ class TwoStateSet:
     ``psi`` is stored with its global phase fixed so that <phi|psi> = z
     is real and nonnegative; every quantity below depends only on moduli,
     and the canonical phase keeps constructed-cloner inner products real.
+    ``delta`` = arccos z is the angle between phi and psi, and
+    ``delta_product`` = arccos z^2 the angle between phi x phi and psi x psi.
     """
 
     phi: np.ndarray
     psi: np.ndarray
     z: float
     delta: float
+    delta_product: float
 
     @classmethod
     def from_states(cls, phi, psi) -> "TwoStateSet":
@@ -63,9 +59,10 @@ class TwoStateSet:
         psi = check_unit(as_state(psi))
         if phi.shape != psi.shape:
             raise ValueError("phi and psi must share one dimension")
-        psi = canonical_phase(phi, psi)
-        z = min(abs(_dots(phi, psi)), 1.0)
-        return cls(phi=phi, psi=psi, z=float(z), delta=_overlap_angles(z)[0])
+        # np.angle(0) = 0, so a vanishing overlap leaves psi untouched.
+        psi = psi * np.exp(-1j * np.angle(_dots(phi, psi)))
+        z = float(min(abs(_dots(phi, psi)), 1.0))
+        return cls(phi, psi, z, *_overlap_angles(z))
 
     @classmethod
     def at_overlap(cls, z: float, dim: int = 2) -> "TwoStateSet":
@@ -81,11 +78,6 @@ class TwoStateSet:
     @property
     def dim(self) -> int:
         return self.phi.shape[0]
-
-    @property
-    def delta_product(self) -> float:
-        """Angle between phi x phi and psi x psi, equal to arccos(z^2)."""
-        return _overlap_angles(self.z)[1]
 
 
 @dataclass(frozen=True)

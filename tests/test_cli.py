@@ -12,6 +12,11 @@ import time
 import tracemalloc
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:          # not on Windows
+    resource = None
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -654,18 +659,38 @@ def test_full_bounds_file_fails_mid_stream_with_one_line(tmp_path, fmt):
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
-def test_interrupt_exits_130_with_one_line(tmp_path):
-    # Wait until the child has written into fig1.csv, so that it is inside
-    # main, then send SIGINT to that child only.
-    out = tmp_path / "d"
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "clonebound.cli", "bounds", "--steps", "3000001",
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_file_size_limit_leaves_no_partial_artifact(tmp_path):
+    # Under a 1 MiB file size limit fig1.csv fails mid-stream (CPython
+    # ignores SIGXFSZ, so the write raises). Its new file is removed, and
+    # the fig2.csv of an earlier run keeps its bytes.
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "fig2.csv").write_bytes(b"earlier run\n")
+    limit = 1 << 20
+    proc = subprocess.run(
+        [sys.executable, "-m", "clonebound.cli", "bounds", "--steps", "200001",
          "--out", str(out)],
+        env=src_env(os.environ), capture_output=True, text=True, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(
+        f"clonebound bounds: cannot write {out / 'fig1.csv'}: [Errno 27] ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert sorted(os.listdir(out)) == ["fig2.csv"]
+    assert (out / "fig2.csv").read_bytes() == b"earlier run\n"
+
+
+def _interrupt(argv, started):
+    """Run ``argv`` in a child, send it SIGINT once ``started(child)`` is
+    true, and return its exit code, stdout and stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "clonebound.cli", *argv],
         env=src_env(os.environ), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True)
     try:
         deadline = time.monotonic() + 120
-        while not (out / "fig1.csv").exists() or not (out / "fig1.csv").stat().st_size:
+        while not started(proc):
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.01)
         proc.send_signal(signal.SIGINT)
@@ -673,7 +698,30 @@ def test_interrupt_exits_130_with_one_line(tmp_path):
     finally:
         proc.kill()
         proc.wait()
-    assert (proc.returncode, stdout, stderr) == (130, "", "clonebound bounds: interrupted\n")
+    return proc.returncode, stdout, stderr
+
+
+def test_interrupt_exits_130_with_one_line(tmp_path):
+    # Wait until the child has created a file in d, so that it is inside
+    # main. The unfinished fig1.csv must then leave nothing behind.
+    out = tmp_path / "d"
+    result = _interrupt(["bounds", "--steps", "3000001", "--out", str(out)],
+                        lambda child: out.exists() and any(out.iterdir()))
+    assert result == (130, "", "clonebound bounds: interrupted\n")
+    assert list(out.iterdir()) == []
+
+
+def test_lemmas_interrupt_exits_130_with_one_line():
+    # Reading the lemma1 line shows that the child is inside main; what it
+    # printed before SIGINT stays whole lines.
+    first = []
+    code, stdout, stderr = _interrupt(
+        ["lemmas", "--trials", "3000000", "--seed", "1"],
+        lambda child: first.append(child.stdout.readline()) or True)
+    assert (code, stderr) == (130, "clonebound lemmas: interrupted\n")
+    assert first[0].startswith("lemma1: ")
+    for line in (first[0] + stdout).splitlines(keepends=True):
+        assert re.fullmatch(r"\w+: trials=\d+ min_slack=\S+ violations=0\n", line)
 
 
 def _out_of_memory(*args, **kwargs):
