@@ -19,6 +19,7 @@ The package is organized bottom-up:
 """
 
 import os as _os
+from types import ModuleType as _ModuleType
 
 # Every matrix here is 8x8 or smaller, too small for BLAS threads to pay
 # off, and an idle OpenBLAS worker spins and takes CPU from the main
@@ -102,4 +103,7 @@ from .search import (
     verify_point,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public names imported above, without the submodules that importing
+# them bound here: those stay attributes but ``import *`` skips them.
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -265,17 +265,22 @@ class _StartResult(NamedTuple):
     status: int
 
 
-def _lbfgsb_start(x0, lower, upper, nbd):
+def _lbfgsb_start(x0, theta_box):
     """One L-BFGS-B start, as a generator that runs scipy's ``_minimize_lbfgsb``
     loop on the reverse-communication routine ``setulb``: it yields each point
     whose value and gradient it needs, is sent them, and returns its
-    :class:`_StartResult`. As scipy does, it projects x0 into its box, then
-    counts evaluations as ``ScalarFunction`` does: x0 first, and a request at
-    the last evaluated point is served from that evaluation.
+    :class:`_StartResult`. ``theta_box`` is the (low, high) bound on theta, or
+    None for none; a and b are free. As scipy does, it projects x0 into its
+    box, then counts evaluations as ``ScalarFunction`` does: x0 first, and a
+    request at the last evaluated point is served from that evaluation.
     """
     n, m = len(x0), LBFGSB_MEMORY
     x, f, g = np.array(x0, dtype=float), 0.0, np.zeros(n)  # setulb moves x in place
-    np.clip(x, lower, upper, out=x, where=nbd == 2)
+    lower, upper = np.zeros(n), np.zeros(n)
+    nbd = np.zeros(n, np.int32)  # setulb's codes: 0 free, 2 both bounds
+    if theta_box is not None:
+        lower[0], upper[0] = theta_box
+        nbd[0], x[0] = 2, np.clip(x[0], *theta_box)
     wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
     iwa = np.zeros(3 * n, np.int32)
     task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
@@ -308,21 +313,15 @@ def _lockstep_lbfgsb(fun, starts, theta_box):
     """L-BFGS-B from every start, driven in lockstep: each start's
     :class:`_StartResult`, in start order.
 
-    ``theta_box`` is the (low, high) bound on theta, or None for none; a and
-    b are free. Up to LOCKSTEP_WIDTH :func:`_lbfgsb_start` generators run at
-    once. Every round, one stacked ``fun`` call answers the point each live
-    start asked for, and each start runs on to its next point or returns.
+    Up to LOCKSTEP_WIDTH :func:`_lbfgsb_start` generators in ``theta_box``
+    run at once. Every round, one stacked ``fun`` call answers the point each
+    live start asked for, and each start runs on to its next point or returns.
     Each follows its solo run under ``scipy.optimize.minimize(method=
     "L-BFGS-B", jac=True)`` bit for bit, since ``fun`` gives a row the bits
     it has alone.
     """
-    lower, upper = np.zeros(N_PARAMS), np.zeros(N_PARAMS)
-    nbd = np.zeros(N_PARAMS, np.int32)  # setulb's codes: 0 free, 2 both bounds
-    if theta_box is not None:
-        nbd[0] = 2
-        lower[0], upper[0] = theta_box
     starts = iter(starts)
-    while runs := [_lbfgsb_start(x0, lower, upper, nbd)
+    while runs := [_lbfgsb_start(x0, theta_box)
                    for x0 in itertools.islice(starts, LOCKSTEP_WIDTH)]:
         asks, results = {run: next(run) for run in runs}, {}
         while asks:

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -816,6 +817,35 @@ def test_blas_threads_default_to_one_unless_set(set_env, threads):
          "print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
         env={**env, **set_env}, capture_output=True, text=True, timeout=300)
     assert (proc.returncode, proc.stdout) == (0, f"{threads}\n")
+
+
+# The package's public names: every function, class and constant that
+# ``import *`` binds. The submodules are reached as attributes.
+PUBLIC_NAMES = {
+    "ATOL_ALG", "ATOL_UNITARY", "BoundCurve", "CloneAnalysis", "ClonerResult",
+    "FactorDims", "InequalityReport", "Projector", "RE_BOUND_ARGMAX", "SearchConfig",
+    "SearchOutcome", "SweepResult", "SweepStats", "TwoStateSet", "absolute_error",
+    "ae_lower_bound", "analyze_output", "analyze_pair", "angle", "apply_projector",
+    "basis_state", "build_asymmetric", "build_symmetric", "build_wootters_zurek",
+    "closed_form_re_s", "closed_form_re_wz", "coplanar_equality_witness",
+    "gate_approx_check", "gate_bound", "gram_schmidt_residual", "hb_bound",
+    "inequality_chain", "inner", "lemma1_check", "lemma2_defect", "lemma3_check",
+    "lemma4_check", "lemma4_saturation_witness", "materialize_unitary", "measure_prob",
+    "measurement_deviation", "minimize_objective", "normalize", "plane_frame",
+    "random_cloner_sweep", "random_projector", "random_state", "random_unitary",
+    "re_lower_bound", "relative_error", "replay_sample", "sample_curve",
+    "sweep_gate_approx", "sweep_lemma1", "sweep_lemma2", "sweep_lemma3",
+    "sweep_lemma4", "tensor", "unitarity_residual", "verify_point",
+}
+
+
+def test_star_import_binds_the_public_names_and_no_module():
+    namespace = {}
+    exec("from clonebound import *", namespace)
+    del namespace["__builtins__"]
+    assert set(clonebound.__all__) == set(namespace) == PUBLIC_NAMES
+    assert not [name for name, value in namespace.items() if inspect.ismodule(value)]
+    assert clonebound.search is search
 
 
 class TestUsage:
