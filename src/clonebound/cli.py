@@ -359,7 +359,7 @@ def cmd_cloner(args) -> int:
 
 
 def _parse_dims(text: str):
-    """``lo-hi`` (both ends included) or ``d1,d2,...``; every dimension >= 2."""
+    """``lo-hi`` (both ends included) or ``d1,d2,...``; the sweeps check the values."""
     text = text.strip()
     try:
         if "-" in text and "," not in text:
@@ -374,8 +374,6 @@ def _parse_dims(text: str):
         raise ValueError(f"--dims range {text!r} holds too many dimensions") from None
     if not dims:
         raise ValueError(f"--dims range {text!r} is empty: lo exceeds hi")
-    if any(d < 2 for d in dims):
-        raise ValueError(f"dimensions must all be >= 2, got {text!r}")
     return dims
 
 

@@ -125,14 +125,17 @@ def _angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Angle between each pair of unit rows of two broadcast stacks.
 
     2 atan2(|a' - b'|, |a' + b'|), a' = a h, b' = b conj(h), h = sqrt(<a|b>/|<a|b>|)
-    or 1 where <a|b> = 0, keeps the digits that arccos(|<a|b>|) loses near
-    overlap 1 (Kahan, "How Futile are Mindless Assessments of Roundoff in
-    Floating-Point Computation?", 2006). Swapping a and b conjugates h and
-    so only negates a' - b': the result is symmetric bit for bit. A row's
-    bits do not depend on its stack.
+    or 1 where |<a|b>| is 0 or subnormal, keeps the digits that
+    arccos(|<a|b>|) loses near overlap 1 (Kahan, "How Futile are Mindless
+    Assessments of Roundoff in Floating-Point Computation?", 2006). Swapping
+    a and b conjugates h and so only negates a' - b': the result is symmetric
+    bit for bit. A row's bits do not depend on its stack.
     """
     ov = _dots(a, b)
-    zero = ov == 0  # then h = sqrt((0 + 1)/(0 + 1)) = 1
+    # Dividing by a subnormal |<a|b>| overflows; such rows are orthogonal to
+    # double precision.
+    zero = np.hypot(ov.real, ov.imag) < np.finfo(float).tiny
+    ov = np.where(zero, 0, ov)  # then h = sqrt((0 + 1)/(0 + 1)) = 1
     h = np.sqrt((ov + zero) / (np.hypot(ov.real, ov.imag) + zero))[..., None]
     a, b = a * h, b * np.conj(h)
     # Rounding may put orthogonal states an ulp past pi/2.

@@ -1,12 +1,11 @@
 """Every script in ``demos/`` runs to its end as a fresh process.
 
-Each demo runs as ``python demos/<name>.py`` with this checkout's ``src`` on
-``PYTHONPATH`` and under the warning options and development mode of the
-interpreter running the tests, so a warning that would fail a test fails a
-demo too. It must exit 0, print its walk-through and write nothing to stderr.
+Each demo runs as ``python demos/<name>.py`` in the environment that
+``tests/conftest.py`` sets up: this checkout's ``src`` on the import path and
+the suite's warning policy, so a warning that would fail a test fails a demo
+too. It must exit 0, print its walk-through and write nothing to stderr.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -25,11 +24,7 @@ def test_every_demo_is_collected():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda demo: demo.stem)
 def test_demo_runs_cleanly(demo, tmp_path):
-    flags = [f"-W{option}" for option in sys.warnoptions]
-    if sys.flags.dev_mode:
-        flags += ["-X", "dev"]
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, *flags, str(demo)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""

@@ -43,7 +43,6 @@ from clonebound.statespace import (
     spectral_norms,
     tensor,
 )
-from test_cli import src_env
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 dims = st.sampled_from([2, 3, 4, 5, 8])
@@ -123,6 +122,16 @@ def test_stacked_angles_are_angle_row_by_row(dim):
     assert np.array_equal(_angles(a, b), [angle(x, y) for x, y in zip(a, b)])
     assert np.array_equal(_angles(a[:, None], b[None, :2])[:, 1],
                           [angle(x, b[1]) for x in a])
+
+
+def test_angle_at_a_subnormal_overlap_is_a_right_angle():
+    # Dividing <a|b> by a subnormal |<a|b>| overflows; such rows are
+    # orthogonal to double precision.
+    for ov in [1e-320, 5e-324j, -2e-310 + 1e-315j]:
+        assert angle([1, 0], [ov, 1]) == np.pi / 2
+        assert angle([ov, 1], [1, 0]) == np.pi / 2
+    tiny = np.finfo(float).tiny
+    assert angle([1, 0], [tiny, np.sqrt(1 - tiny**2)]) == np.pi / 2
 
 
 def test_angle_rejects_non_unit_input():
@@ -415,7 +424,7 @@ def test_reductions_give_the_same_bits_on_an_imitated_host(env, names):
     # _residuals' complex multiply and _pair_errors' abs still follow numpy's
     # SIMD target. So do the seeded 5-dim cloner reports: baseline-only numpy
     # moves their bytes, so only the OpenBLAS kernel is varied under them.
-    env = src_env({**os.environ, **env})
+    env = {**os.environ, **env}
     env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parent), env["PYTHONPATH"]])
     proc = subprocess.run(
         [sys.executable, "-c", "import json, sys, test_statespace as t; "
