@@ -260,8 +260,11 @@ def _split_trials(trials: int, dims) -> list[tuple[int, int]]:
     dims = tuple(dims)
     if trials < 0:
         raise ValueError(f"trial count must be >= 0, got {trials}")
-    if not dims or min(dims) < 2:
-        raise ValueError(f"need one or more dimensions, all >= 2, got {dims}")
+    if not dims:
+        raise ValueError("need one or more dimensions")
+    # The lowest only: a range can hold more dimensions than a line should.
+    if min(dims) < 2:
+        raise ValueError(f"dimensions must all be >= 2, got {min(dims)}")
     # A dimension's blocks are seeded by (dim, block): a repeat would draw
     # the same samples twice and count them as new trials.
     if len(set(dims)) != len(dims):

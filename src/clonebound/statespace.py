@@ -132,11 +132,11 @@ def _angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     bit for bit. A row's bits do not depend on its stack.
     """
     ov = _dots(a, b)
+    mag = np.hypot(ov.real, ov.imag)
     # Dividing by a subnormal |<a|b>| overflows; such rows are orthogonal to
     # double precision.
-    zero = np.hypot(ov.real, ov.imag) < np.finfo(float).tiny
-    ov = np.where(zero, 0, ov)  # then h = sqrt((0 + 1)/(0 + 1)) = 1
-    h = np.sqrt((ov + zero) / (np.hypot(ov.real, ov.imag) + zero))[..., None]
+    zero = mag < np.finfo(float).tiny
+    h = np.sqrt(np.where(zero, 1, ov) / np.where(zero, 1, mag))[..., None]
     a, b = a * h, b * np.conj(h)
     # Rounding may put orthogonal states an ulp past pi/2.
     return np.minimum(2.0 * np.arctan2(_norms(a - b), _norms(a + b)), np.pi / 2)

@@ -404,6 +404,10 @@ class TestLemmas:
     def test_invalid_dims(self, capsys):
         code, _, err = run(capsys, "lemmas", "--trials", "10", "--dims", "1-3")
         assert code == 1 and ">= 2" in err
+        # A long range names its lowest dimension, not every one.
+        code, out, err = run(capsys, "lemmas", "--trials", "10", "--dims", "0-100000")
+        assert (code, out) == (1, "")
+        assert err == "clonebound lemmas: dimensions must all be >= 2, got 0\n"
         # A repeated dimension would draw its blocks twice; no sweep prints.
         code, out, err = run(capsys, "lemmas", "--trials", "8", "--dims", "2,3,2")
         assert (code, out) == (1, "")
