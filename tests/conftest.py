@@ -7,6 +7,8 @@ a child inherits unless it is given an ``env`` of its own: ``PYTHONPATH``
 gains the ini's ``pythonpath``, ``PYTHONWARNINGS`` the ``filterwarnings``
 entries that are not pytest's own, and under ``python -X dev`` the child runs
 in development mode too. The variables are restored when the session ends.
+A ``-W`` flag is not handed on: a filter that children should share goes in
+``PYTHONWARNINGS``, which is kept, before the ini's entries.
 """
 
 import os
