@@ -14,7 +14,8 @@ that hammer every check over dimensions 2..8:
 
 A corollary of (4): if two unitaries satisfy ||U - V|| <= eps in spectral
 norm, any outcome probability after U differs from the one after V by at
-most eps*sqrt(1 - eps^2/4) (see :func:`gate_bound`).
+most eps*sqrt(1 - eps^2/4) while eps <= sqrt(2); beyond, U^H V can turn a
+state orthogonal and the bound is 1 (see :func:`gate_bound`).
 
 Each inequality is written once (``_lemma1`` .. ``_gate_approx``): a check
 evaluates it on a stack of one sample, a sweep on the stacks that its draw
@@ -32,15 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statespace import (
-    Projector, _angles, _complex_normal, _dots, _outcome_probs, _phase_fix_in_place,
-    _projector_probs, as_state, check_unit, check_unitary, random_states, spectral_norms,
+    Projector, _angles, _complex_normal, _dots, _outcome_probs, _projector_probs, as_state,
+    check_unit, check_unitary, random_states,
 )
 
 # Rounding allowance of every inequality verdict in the package (_violations).
 DEFAULT_SWEEP_TOL = 1e-10
 DEFAULT_DIMS = (2, 3, 4, 5, 6, 7, 8)
-# Largest perturbation size eta in the gate-approximation sweep.
-GATE_MAX_PERTURBATION = 0.3
 
 
 def _violations(slack, tol: float = DEFAULT_SWEEP_TOL) -> int:
@@ -108,14 +107,19 @@ def _lemma4(phi, psi, probs):
     return np.abs(probs[:, 0] - probs[:, 1]), np.sin(_angles(phi, psi))
 
 
-def _gate_approx(diff, probs):  # diff = U - V; the states are U sigma, V sigma
-    eps = np.minimum(spectral_norms(diff), 2.0)
-    return np.abs(probs[:, 0] - probs[:, 1]), _gate_bound(eps)
+def _gate_approx(theta, probs):  # theta: the eigenphases of U^H V; states U sigma, V sigma
+    return np.abs(probs[:, 0] - probs[:, 1]), _gate_bound(_gate_epsilon(theta))
+
+
+def _gate_epsilon(theta):
+    """||U - V|| = ||I - U^H V|| = max_k |1 - exp(i theta_k)|, theta the eigenphases."""
+    return 2.0 * np.max(np.abs(np.sin(theta / 2.0)), axis=-1)
 
 
 def _gate_bound(eps):
-    # No range check: a NaN eps in a sweep must stay a violation.
-    return eps * np.sqrt(1.0 - eps * eps / 4.0)
+    # No range check: a NaN eps in a sweep must stay a violation, and
+    # NaN > sqrt(2) is False.
+    return np.where(eps > np.sqrt(2.0), 1.0, eps * np.sqrt(1.0 - eps * eps / 4.0))
 
 
 def _report(inequality, *sample) -> InequalityReport:
@@ -152,10 +156,11 @@ def lemma4_check(p: Projector, phi, psi) -> InequalityReport:
 
 
 def gate_bound(epsilon: float) -> float:
-    """Probability-deviation bound eps*sqrt(1 - eps^2/4) for 0 <= eps <= 2.
+    """Probability-deviation bound for ||U - V|| = eps, 0 <= eps <= 2.
 
-    Increasing on [0, sqrt(2)], equal to 1 at eps = sqrt(2), and never
-    larger than eps itself.
+    eps*sqrt(1 - eps^2/4) up to eps = sqrt(2), where it reaches 1, and 1
+    beyond, where U^H V can turn a state orthogonal to itself. Increasing
+    on [0, sqrt(2)] and never larger than eps itself.
     """
     if not 0.0 <= epsilon <= 2.0:
         raise ValueError(f"epsilon must be in [0, 2], got {epsilon!r}")
@@ -165,16 +170,18 @@ def gate_bound(epsilon: float) -> float:
 def gate_approx_check(u, v, sigma, p: Projector) -> InequalityReport:
     """Outcome-probability deviation between two close unitaries.
 
-    Computes eps = ||u - v|| (largest singular value) and checks
+    Computes eps = ||u - v|| = max_k |1 - exp(i theta_k)| from the
+    eigenphases theta_k of u^H v and checks
 
-        |P(R | u sigma) - P(R | v sigma)| <= gate_bound(min(eps, 2)).
+        |P(R | u sigma) - P(R | v sigma)| <= gate_bound(eps).
     """
     u, v = check_unitary(u), check_unitary(v)
     sigma = check_unit(as_state(sigma))
     if u.shape != v.shape or u.shape[1] != sigma.shape[0]:
         raise ValueError("unitaries and state must share one dimension")
     out = np.einsum("bij,bj->bi", np.stack([u, v]), np.stack([sigma, sigma]))
-    return _report(_gate_approx, u - v, _projector_probs(p, out))
+    theta = np.angle(np.linalg.eigvals(u.conj().T @ v))
+    return _report(_gate_approx, theta, _projector_probs(p, out))
 
 
 # ---------------------------------------------------------------------------
@@ -345,29 +352,20 @@ def _draw_lemma4(n, dim, rng):
 
 
 def _draw_gate_approx(n, dim, rng):
-    """Random (U - V, outcome probabilities) trials of the gate bound.
+    """Random (eigenphases of U^H V, outcome probabilities) trials of the gate bound.
 
-    V is the QR re-orthonormalization of U + eta*G with the Gaussian
-    direction G scaled to unit spectral norm and eta uniform in
-    [0, GATE_MAX_PERTURBATION], which keeps eps = ||U - V|| well inside the
-    bound's valid range eps <= sqrt(2).
+    The slack does not change when sigma, U, V and P are all conjugated by
+    one unitary, and sigma and P's range are Haar and drawn apart from the
+    gates. So (U sigma, V sigma, P) has the law of (sigma', D sigma', P'),
+    D = diag(exp(i theta)) with theta the eigenphases of U^H V, and only D
+    is drawn: theta = t w, with t uniform in [0, pi/2] per trial and w
+    uniform in [-1, 1]^dim, so eps = ||I - D|| spans [0, sqrt(2)], the
+    range where the bound is below 1.
     """
-    # Each Q is written over the matrices it factors: no more than U and G
-    # are alive at once.
-    u = _phase_fix_in_place(_complex_normal(rng, (n, dim, dim)))
-    g = _complex_normal(rng, (n, dim, dim))
-    g /= spectral_norms(g)[:, None, None]
-    eta = rng.uniform(0.0, GATE_MAX_PERTURBATION, size=n)
-    g *= eta[:, None, None]
-    g += u
-    v = _phase_fix_in_place(g)  # of u + eta * g
-    del g
     sigma = random_states(n, dim, rng)
-    out = np.stack([np.einsum("bij,bj->bi", u, sigma),
-                    np.einsum("bij,bj->bi", v, sigma)], axis=1)
-    u -= v  # only u - v is needed from here on
-    del v
-    return u, _random_projector_probs(out, rng)
+    theta = rng.uniform(0.0, np.pi / 2.0, size=(n, 1)) * rng.uniform(-1.0, 1.0, size=(n, dim))
+    states = np.stack([sigma, np.exp(1j * theta) * sigma], axis=1)
+    return theta, _random_projector_probs(states, rng)
 
 
 #: name -> (draw, inequality) of each sweep, in ``lemmas`` print order. A

@@ -12,9 +12,7 @@ Every inner product and vector norm in the package comes from one reduction
 on it (``_residuals``), divided by its computed norm where it must be unit,
 and every angle of two vectors from one kernel that keeps its digits near
 overlap 1 (``_angles``); the angles of a given z come from :mod:`.bounds`.
-All public functions are pure and never mutate their inputs. The one
-function that does is private: ``_phase_fix_in_place``, which the gate
-sweep uses to build its unitaries over their own Gaussian draws.
+All public functions are pure and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -29,15 +27,6 @@ ATOL_ALG = 1e-12
 ATOL_UNITARY = 1e-10
 # Overlap modulus at or above 1 - COLLINEAR_TOL counts as collinear.
 COLLINEAR_TOL = 1e-12
-# Matrices per batched LAPACK call in phase_fixed_q and spectral_norms.
-# Each matrix's result does not depend on the stack it comes in, so the
-# pieces only bound the working copies a call makes: for dimension 8, a few
-# 256 KiB arrays beside the 4 MiB stack of a sweep block. A serial gate
-# block takes the same CPU time with pieces of 256 as with 1024.
-STACK_PIECE = 256
-# Reals per generator fill in _complex_normal (128 KiB of scratch): the
-# state draws of a sweep block take one or a few fills, a matrix stack more.
-_NORMAL_PIECE = 1 << 14
 
 
 def as_state(values) -> np.ndarray:
@@ -247,24 +236,6 @@ def check_unitary(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def spectral_norms(a: np.ndarray) -> np.ndarray:
-    """Spectral norm of each matrix in a stack of shape (n, rows, cols).
-
-    The square root of the largest eigenvalue of the Gram matrix a^H a,
-    from one batched Hermitian eigensolve, which is cheaper than an SVD.
-    The eigenvalue is clamped at 0 so that rounding can never hand the
-    square root a negative number. The stack is taken STACK_PIECE
-    matrices at a time, so the Gram matrices of one piece are all a call
-    holds besides its result.
-    """
-    top = np.empty(len(a))
-    for start in range(0, len(a), STACK_PIECE):
-        piece = a[start:start + STACK_PIECE]
-        gram = np.swapaxes(piece.conj(), -1, -2) @ piece
-        top[start:start + STACK_PIECE] = np.linalg.eigvalsh(gram)[:, -1]
-    return np.sqrt(np.maximum(top, 0.0))
-
-
 def basis_state(dim: int, index: int = 0) -> np.ndarray:
     """Standard basis vector e_index in dimension ``dim``."""
     if not 0 <= index < dim:
@@ -280,19 +251,10 @@ def basis_state(dim: int, index: int = 0) -> np.ndarray:
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Complex standard Gaussians x + iy of ``shape``, all x drawn before any y,
-    as two real ``standard_normal(shape)`` draws summed would give them.
-
-    The generator fills one scratch piece of at most _NORMAL_PIECE reals at
-    a time, copied into the real, then the imaginary parts in C order: the
-    same stream in the same order, without a full-size real temporary.
-    """
+    as two real ``standard_normal(shape)`` draws summed would give them."""
     z = np.empty(shape, dtype=np.complex128)
-    flat = z.reshape(-1)
-    scratch = np.empty(min(flat.size, _NORMAL_PIECE))
-    for part in (flat.real, flat.imag):
-        for start in range(0, flat.size, _NORMAL_PIECE):
-            piece = scratch[:flat.size - start]
-            part[start:start + _NORMAL_PIECE] = rng.standard_normal(out=piece)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
     return z
 
 
@@ -317,30 +279,12 @@ def phase_fixed_q(g: np.ndarray) -> np.ndarray:
     """Q factor of g = QR, for one matrix or a stack, with diag(R) made positive.
 
     Fixing the column phases keeps the result independent of the QR
-    convention of the linear-algebra backend. ``g`` is copied, then
-    factored in place by ``_phase_fix_in_place``.
+    convention of the linear-algebra backend.
     """
-    g = np.asarray(g)
-    return _phase_fix_in_place(g.astype(np.result_type(g, 1.0)))
-
-
-def _phase_fix_in_place(g: np.ndarray) -> np.ndarray:
-    """``phase_fixed_q`` of a writable matrix or stack, written over ``g``; returns ``g``.
-
-    A stack is factored STACK_PIECE matrices at a time, each piece's Q
-    written over that piece, so besides ``g`` a call holds only numpy's
-    working copies of one piece.
-    """
-    stack = g[None] if g.ndim == 2 else g
-    for start in range(0, len(stack), STACK_PIECE):
-        piece = stack[start:start + STACK_PIECE]
-        q, r = np.linalg.qr(piece)
-        d = np.einsum("...ii->...i", r).copy()
-        del r
-        q *= (d / np.abs(d))[..., None, :]
-        piece[...] = q
-        del q
-    return g
+    q, r = np.linalg.qr(g)
+    d = np.einsum("...ii->...i", r)
+    q *= (d / np.abs(d))[..., None, :]
+    return q
 
 
 def random_projector(dim: int, rank: int, rng: np.random.Generator) -> Projector:

@@ -130,11 +130,12 @@ def outcome_prob(q, s):
     return mp.fsum(abs(_inner([mp.mpc(complex(x)) for x in col], s)) ** 2 for col in q.T)
 
 
-def gate_bound(diff):
-    """eps sqrt(1 - eps^2/4), eps the largest singular value of diff = U - V,
-    capped at 2."""
-    eps = min(max(mp.svd_c(mp.matrix(diff.tolist()), compute_uv=False)), 2)
-    return eps * mp.sqrt(1 - eps ** 2 / 4)
+def gate_bound(theta):
+    """eps sqrt(1 - eps^2/4) up to eps = sqrt(2), and 1 beyond, with
+    eps = ||U - V|| = max_k |1 - exp(i theta_k)| = 2 max_k |sin(theta_k / 2)|
+    for the eigenphases theta_k of U^H V."""
+    eps = 2 * max(abs(mp.sin(mp.mpf(float(t)) / 2)) for t in theta)
+    return 1 if eps > mp.sqrt(2) else eps * mp.sqrt(1 - eps ** 2 / 4)
 
 
 def lemma4_slack(phi, psi, q):
@@ -142,9 +143,9 @@ def lemma4_slack(phi, psi, q):
     return mp.sin(angle(phi, psi)) - abs(outcome_prob(q, phi) - outcome_prob(q, psi))
 
 
-def gate_approx_slack(diff, q, u_sigma, v_sigma):
-    """gate_bound(U - V) - |P(R | U sigma) - P(R | V sigma)|, P onto q's columns."""
-    return gate_bound(diff) - abs(outcome_prob(q, u_sigma) - outcome_prob(q, v_sigma))
+def gate_approx_slack(theta, q, u_sigma, v_sigma):
+    """gate_bound(theta) - |P(R | U sigma) - P(R | V sigma)|, P onto q's columns."""
+    return gate_bound(theta) - abs(outcome_prob(q, u_sigma) - outcome_prob(q, v_sigma))
 
 
 # Overlaps where float64 forms in z cancel: z = 1 - 10^-k, where 1 - z^4 and

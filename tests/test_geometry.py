@@ -35,8 +35,10 @@ from clonebound.geometry import (
 )
 from clonebound.statespace import (
     Projector,
+    _complex_normal,
     basis_state,
     check_unitary,
+    phase_fixed_q,
     random_projector,
     random_state,
     random_unitary,
@@ -140,8 +142,9 @@ def test_lemma_checks_hold_on_random_triplets(seed, dim):
 
 def test_gate_bound_values_and_monotonicity():
     assert gate_bound(0.0) == 0.0
-    assert gate_bound(2.0) == pytest.approx(0.0, abs=1e-15)
+    assert gate_bound(2.0) == 1.0
     assert gate_bound(1.0) == pytest.approx(np.sqrt(3) / 2)
+    assert gate_bound(np.sqrt(2)) == pytest.approx(1.0)
     grid = np.linspace(0, np.sqrt(2), 200)
     vals = [gate_bound(e) for e in grid]
     assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -154,6 +157,34 @@ def test_gate_bound_values_and_monotonicity():
         gate_bound(float("nan"))
     # Inside a sweep a NaN eps gives a NaN bound, which counts as a violation.
     assert np.isnan(geometry._gate_bound(np.array([np.nan]))).all()
+
+
+@pytest.mark.parametrize("phase", [0.9 * np.pi, np.pi], ids=["0.9pi", "pi"])
+def test_gate_bound_is_one_where_a_gate_pair_can_part_a_state(phase):
+    # Beyond eps = sqrt(2), U^H V can turn a state orthogonal to itself, so
+    # the bound is 1. I and diag(1, exp(i phase)) are 2 sin(phase / 2) apart
+    # and move the probability of the projector onto (1, 1)/sqrt(2) from 1
+    # to cos^2(phase / 2): 0.9755 apart at 0.9 pi, 1 apart at pi.
+    sigma = np.array([1.0, 1.0]) / np.sqrt(2)
+    r = gate_approx_check(np.eye(2), np.diag([1.0, np.exp(1j * phase)]), sigma,
+                          Projector(sigma[None, :]))
+    assert r.lhs == pytest.approx(np.sin(phase / 2) ** 2)
+    assert r.rhs == 1.0 and r.holds
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_gate_epsilon_is_the_spectral_norm(dim):
+    # eps from the eigenphases of U^H V, as the gate check takes them, is
+    # the largest singular value of U - V, for far unitaries, for near ones
+    # as a small perturbation makes them, and for equal ones.
+    rng = np.random.default_rng(dim)
+    u = np.stack([random_unitary(dim, rng) for _ in range(50)])
+    far = np.stack([random_unitary(dim, rng) for _ in range(50)])
+    near = phase_fixed_q(u + 1e-6 * _complex_normal(rng, (50, dim, dim)))
+    for v in (far, near, u):
+        theta = np.angle(np.linalg.eigvals(np.swapaxes(u.conj(), -1, -2) @ v))
+        want = np.linalg.svd(u - v, compute_uv=False)[:, 0]
+        np.testing.assert_allclose(geometry._gate_epsilon(theta), want, rtol=0, atol=4e-15)
 
 
 def test_gate_approx_identical_and_phase_cases():
@@ -340,10 +371,11 @@ def _recording(monkeypatch, name, calls):
     monkeypatch.setattr(geometry, name, wrapper)
 
 
-@pytest.mark.parametrize("name", list(geometry._SWEEPS))
-def test_closest_sample_holds_in_exact_arithmetic(monkeypatch, name):
-    # The closest sample of each sweep, rebuilt from its address, has its
-    # inequality recomputed at 40 digits from the exact float components.
+def exact_recheck(monkeypatch, name):
+    """Rebuild the closest sample of sweep ``name`` (20000 trials, seed 3)
+    from its address, recompute its inequality at 40 digits from the exact
+    float components, and assert that it holds and that the sweep's
+    ``min_slack`` is that slack within EXACT_SLACK_TOL."""
     r = dict(ALL_SWEEPS)[name](20000, seed=3)
     dim, block, size, index = r.closest
     # A projector sweep's draw hands its states, then each rank group's
@@ -363,6 +395,11 @@ def test_closest_sample_holds_in_exact_arithmetic(monkeypatch, name):
     exact = getattr(oracles, f"{name}_slack")(*sample)
     assert exact >= 0, (name, exact)
     assert abs(exact - r.min_slack) <= EXACT_SLACK_TOL, (name, exact, r.min_slack)
+
+
+@pytest.mark.parametrize("name", list(geometry._SWEEPS))
+def test_closest_sample_holds_in_exact_arithmetic(monkeypatch, name):
+    exact_recheck(monkeypatch, name)
 
 
 def test_replay_of_an_unknown_sweep_names_the_sweeps():
@@ -501,10 +538,9 @@ def test_failing_block_propagates_and_stops_the_sweep(monkeypatch):
 
 
 def test_gate_block_holds_at_most_two_stacks_and_pieces():
-    # A dimension-8 gate block needs U and the perturbation G alive at once;
-    # every other buffer (the pieces of the QR and of the eigensolve, the
-    # generator fills, the states and probabilities) must stay below three
-    # quarters of one more stack.
+    # A dimension-8 gate block draws no matrix: its states, eigenphases,
+    # projector bases and probabilities together stay below one and a half
+    # of the (4096, 8, 8) complex stacks that a draw of U and V would hold.
     stack = SWEEP_BLOCK * 8 * 8 * np.dtype(np.complex128).itemsize
 
     def traced_peak():
@@ -519,7 +555,7 @@ def test_gate_block_holds_at_most_two_stacks_and_pieces():
         peak = traced_peak()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.75 * stack
+    assert peak <= 1.5 * stack
 
 
 @pytest.mark.parametrize("name, sweep", ALL_SWEEPS)
