@@ -19,8 +19,10 @@ state orthogonal and the bound is 1 (see :func:`gate_bound`).
 
 Each inequality is written once (``_lemma1`` .. ``_gate_approx``): a check
 evaluates it on a stack of one sample, a sweep on the stacks that its draw
-makes (``_SWEEPS``). Every angle comes from statespace's one atan2 kernel,
-every outcome probability from its one ||P s||^2 kernel.
+makes (``_SWEEPS``). The gate's is its bound on a deviation: of the
+caller's projector in the check, of every projector at once (lemma 4's
+right side) in the sweep. Every angle comes from statespace's one atan2
+kernel, every outcome probability from its one ||P s||^2 kernel.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statespace import (
-    Projector, _angles, _complex_normal, _dots, _outcome_probs, _projector_probs, as_state,
+    Projector, _angles, _check_same_dim, _dots, _outcome_probs, _projector_probs, as_state,
     check_unit, check_unitary, random_states,
 )
 
@@ -103,12 +105,13 @@ def _lemma3(theta, phi, psi):
     return lhs, np.sin(_angles(phi, psi))
 
 
-def _lemma4(phi, psi, probs):
+def _lemma4(phi, psi, q):  # q: P's frame, orthonormal or zero columns
+    probs = _outcome_probs(q, np.stack([phi, psi], axis=1))
     return np.abs(probs[:, 0] - probs[:, 1]), np.sin(_angles(phi, psi))
 
 
-def _gate_approx(theta, probs):  # theta: the eigenphases of U^H V; states U sigma, V sigma
-    return np.abs(probs[:, 0] - probs[:, 1]), _gate_bound(_gate_epsilon(theta))
+def _gate_approx(theta, deviation):  # theta: the eigenphases of U^H V
+    return deviation, _gate_bound(_gate_epsilon(theta))
 
 
 def _gate_epsilon(theta):
@@ -152,7 +155,8 @@ def lemma3_check(theta, phi, psi) -> InequalityReport:
 def lemma4_check(p: Projector, phi, psi) -> InequalityReport:
     """|<phi|P|phi> - <psi|P|psi>| <= sin(angle(phi, psi))."""
     phi, psi = _unit_states(phi, psi)
-    return _report(_lemma4, phi, psi, _projector_probs(p, np.stack([phi, psi])))
+    _check_same_dim(phi, p.basis[0])
+    return _report(_lemma4, phi, psi, p.basis.T)
 
 
 def gate_bound(epsilon: float) -> float:
@@ -180,8 +184,9 @@ def gate_approx_check(u, v, sigma, p: Projector) -> InequalityReport:
     if u.shape != v.shape or u.shape[1] != sigma.shape[0]:
         raise ValueError("unitaries and state must share one dimension")
     out = np.einsum("bij,bj->bi", np.stack([u, v]), np.stack([sigma, sigma]))
+    probs = _projector_probs(p, out)
     theta = np.angle(np.linalg.eigvals(u.conj().T @ v))
-    return _report(_gate_approx, theta, _projector_probs(p, out))
+    return _report(_gate_approx, theta, np.abs(probs[0] - probs[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +234,8 @@ def lemma4_saturation_witness(delta: float, dim: int = 2):
 # Each dimension's share of the trials is drawn in blocks of SWEEP_BLOCK
 # trials, each block from its own generator (see sweep_blocks). Blocks run
 # concurrently on a thread pool with one worker per usable CPU, and no more
-# workers than dimensions: the batched LAPACK calls, einsum and the
-# generator fills release the interpreter lock. A block shares no state
+# workers than dimensions: einsum, the ufuncs and the generator fills
+# release the interpreter lock. A block shares no state
 # with another, and each sweep folds the blocks' summaries in block order
 # (see _block_summaries), so the result does not depend on which block
 # finishes first. A sweep keeps only running summaries and a bounded
@@ -278,23 +283,6 @@ def _split_trials(trials: int, dims) -> list[tuple[int, int]]:
         raise ValueError(f"dimensions must be distinct, got {dims}")
     base, extra = divmod(trials, len(dims))
     return [(d, base + (1 if i < extra else 0)) for i, d in enumerate(dims)]
-
-
-def _random_projector_probs(states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Per-trial outcome probabilities ||P s||^2 for random projectors.
-
-    ``states`` has shape (n, k, dim): k states per trial sharing one
-    projector of rank uniform in 1..dim-1 (rank 1 when dim = 2). Trials are
-    grouped by rank so the QR factorizations batch.
-    """
-    n, k, dim = states.shape
-    ranks = rng.integers(1, dim, size=n)
-    probs = np.empty((n, k))
-    for rank in np.unique(ranks):
-        idx = np.nonzero(ranks == rank)[0]
-        q, _ = np.linalg.qr(_complex_normal(rng, (idx.size, dim, rank)))
-        probs[idx] = _outcome_probs(q, states[idx])
-    return probs
 
 
 def _usable_cpus() -> int:
@@ -347,25 +335,35 @@ def _draw_triples(n, dim, rng):
 
 
 def _draw_lemma4(n, dim, rng):
+    """Random (phi, psi, frame of P) trials of lemma 4. The slack does not change
+    when all three are conjugated by one unitary, and phi, psi are Haar and drawn
+    apart from P, so P projects onto the first r coordinates, r uniform in 1..dim-1."""
     pair = random_states(2 * n, dim, rng).reshape(n, 2, dim)
-    return pair[:, 0], pair[:, 1], _random_projector_probs(pair, rng)
+    ranks = rng.integers(1, dim, size=(n, 1, 1))
+    return pair[:, 0], pair[:, 1], np.eye(dim, dim - 1) * (np.arange(dim - 1) < ranks)
 
 
 def _draw_gate_approx(n, dim, rng):
-    """Random (eigenphases of U^H V, outcome probabilities) trials of the gate bound.
+    """Random (eigenphases of U^H V, sigma) trials of the gate bound.
 
-    The slack does not change when sigma, U, V and P are all conjugated by
-    one unitary, and sigma and P's range are Haar and drawn apart from the
-    gates. So (U sigma, V sigma, P) has the law of (sigma', D sigma', P'),
-    D = diag(exp(i theta)) with theta the eigenphases of U^H V, and only D
-    is drawn: theta = t w, with t uniform in [0, pi/2] per trial and w
-    uniform in [-1, 1]^dim, so eps = ||I - D|| spans [0, sqrt(2)], the
-    range where the bound is below 1.
+    The deviation's supremum over projectors, sin(angle(U sigma, V sigma))
+    (lemma 4, which is sharp), does not change when sigma, U and V are all
+    conjugated by one unitary, and sigma is Haar and drawn apart from the
+    gates. So (U sigma, V sigma) has the law of (sigma', D sigma'), D =
+    diag(exp(i theta)) with theta the eigenphases of U^H V, and only D is
+    drawn: theta = t w, with t uniform in [0, pi/2] per trial and w uniform
+    in [-1, 1]^dim, so eps = ||I - D|| spans [0, sqrt(2)], the range where
+    the bound is below 1.
     """
     sigma = random_states(n, dim, rng)
     theta = rng.uniform(0.0, np.pi / 2.0, size=(n, 1)) * rng.uniform(-1.0, 1.0, size=(n, dim))
-    states = np.stack([sigma, np.exp(1j * theta) * sigma], axis=1)
-    return theta, _random_projector_probs(states, rng)
+    return theta, sigma
+
+
+def _gate_sup(theta, sigma):
+    """The gate bound on (sigma, D sigma) against the deviation of every
+    projector at once, sin(angle(sigma, D sigma)): lemma 4's right side."""
+    return _gate_approx(theta, np.sin(_angles(sigma, np.exp(1j * theta) * sigma)))
 
 
 #: name -> (draw, inequality) of each sweep, in ``lemmas`` print order. A
@@ -375,7 +373,7 @@ _SWEEPS = {
     "lemma2": (_draw_triples, _lemma2),
     "lemma3": (_draw_triples, _lemma3),
     "lemma4": (_draw_lemma4, _lemma4),
-    "gate_approx": (_draw_gate_approx, _gate_approx),
+    "gate_approx": (_draw_gate_approx, _gate_sup),
 }
 
 

@@ -197,8 +197,7 @@ class Projector:
 def apply_projector(p: Projector, v) -> np.ndarray:
     """Project ``v`` onto the range of ``p``: sum_k b_k <b_k|v>."""
     v = as_state(v)
-    if v.shape[0] != p.ambient_dim:
-        raise ValueError(f"dimension mismatch: {v.shape[0]} vs {p.ambient_dim}")
+    _check_same_dim(v, p.basis[0])
     coeff = p.basis.conj() @ v
     return coeff @ p.basis
 
@@ -213,8 +212,7 @@ def _outcome_probs(q: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 def _projector_probs(p: Projector, states: np.ndarray) -> np.ndarray:
     """``_outcome_probs`` of ``p`` on the rows of ``states``, as one trial."""
-    if states.shape[-1] != p.ambient_dim:
-        raise ValueError(f"dimension mismatch: {states.shape[-1]} vs {p.ambient_dim}")
+    _check_same_dim(states[0], p.basis[0])
     return _outcome_probs(p.basis.T[None], states[None])[0]
 
 

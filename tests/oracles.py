@@ -92,7 +92,7 @@ def rel_err(value, ref) -> float:
 
 def _unit(v):
     """The components of the vector v, exact, divided by its norm."""
-    v = [mp.mpc(complex(x)) for x in v]
+    v = [mp.mpc(x) for x in v]
     n = mp.sqrt(mp.fsum(abs(x) ** 2 for x in v))
     return [x / n for x in v]
 
@@ -143,9 +143,12 @@ def lemma4_slack(phi, psi, q):
     return mp.sin(angle(phi, psi)) - abs(outcome_prob(q, phi) - outcome_prob(q, psi))
 
 
-def gate_approx_slack(theta, q, u_sigma, v_sigma):
-    """gate_bound(theta) - |P(R | U sigma) - P(R | V sigma)|, P onto q's columns."""
-    return gate_bound(theta) - abs(outcome_prob(q, u_sigma) - outcome_prob(q, v_sigma))
+def gate_approx_slack(theta, sigma):
+    """gate_bound(theta) - sin(angle(sigma, D sigma)), D = diag(exp(i theta)):
+    the bound against |P(R | sigma) - P(R | D sigma)| at the projector P that
+    parts the two states most."""
+    d_sigma = [mp.expj(mp.mpf(float(t))) * mp.mpc(complex(x)) for t, x in zip(theta, sigma)]
+    return gate_bound(theta) - mp.sin(angle(sigma, d_sigma))
 
 
 # Overlaps where float64 forms in z cancel: z = 1 - 10^-k, where 1 - z^4 and
