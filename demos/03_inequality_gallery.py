@@ -79,8 +79,9 @@ print(f"   the bound never exceeds eps itself: gate_bound(1.0) = "
 print()
 
 print("seeded sweeps (10^4 trials each, dims 2..8):")
+results = {}    # lemmas 1-3 share one draw: the lemma 1 pass leaves 2 and 3 here
 for sweep in (sweep_lemma1, sweep_lemma2, sweep_lemma3, sweep_lemma4,
               sweep_gate_approx):
-    r = sweep(10_000, seed=7)
+    r = sweep(10_000, seed=7, results=results)
     print(f"   {r.name:<12} min slack {r.min_slack:+.3e}   "
           f"violations {r.violations}")

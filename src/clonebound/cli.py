@@ -381,9 +381,9 @@ def cmd_lemmas(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     dims = _parse_dims(args.dims)
-    total_violations = 0
+    total_violations, results = 0, {}   # one pass per draw group: see geometry._GROUPS
     for name, sweep in ALL_SWEEPS:
-        r = sweep(args.trials, dims=dims, seed=args.seed)
+        r = sweep(args.trials, dims=dims, seed=args.seed, results=results)
         total_violations += r.violations
         print(
             f"{name}: trials={r.trials} min_slack={r.min_slack:.6e} "

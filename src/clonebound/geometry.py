@@ -17,12 +17,14 @@ norm, any outcome probability after U differs from the one after V by at
 most eps*sqrt(1 - eps^2/4) while eps <= sqrt(2); beyond, U^H V can turn a
 state orthogonal and the bound is 1 (see :func:`gate_bound`).
 
-Each inequality is written once (``_lemma1`` .. ``_gate_approx``): a check
-evaluates it on a stack of one sample, a sweep on the stacks that its draw
-makes (``_SWEEPS``). The gate's is its bound on a deviation: of the
-caller's projector in the check, of every projector at once (lemma 4's
-right side) in the sweep. Every angle comes from statespace's one atan2
-kernel, every outcome probability from its one ||P s||^2 kernel.
+Each inequality is written once, in the group of those that one sample
+serves (``_triples``, ``_lemma4``, ``_gate_approx``): a check evaluates it
+on a stack of one sample, a sweep on the stacks that its group's draw makes
+(``_GROUPS``), so lemmas 1-3 share each block's triples and their angles.
+The gate's is its bound on a deviation: of the caller's projector in the
+check, of every projector at once (lemma 4's right side) in the sweep.
+Every angle comes from statespace's one atan2 kernel, every outcome
+probability from its one ||P s||^2 kernel.
 """
 
 from __future__ import annotations
@@ -86,32 +88,29 @@ class SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# The inequalities, each written once: a function of stacks of samples (one
-# trial per row; probs[:, j] is an outcome's probability in state j) that
-# returns the (lhs, rhs) arrays of lhs <= rhs. A check validates its sample
-# and evaluates its inequality on a stack of one.
+# The inequalities, each written once in a group: a function of stacks of
+# samples (one trial per row; probs[:, j] is an outcome's probability in
+# state j) that returns the (lhs, rhs) arrays of lhs <= rhs of each of its
+# inequalities. A check validates its sample and evaluates its group on a
+# stack of one.
 # ---------------------------------------------------------------------------
 
-def _lemma1(phi, ups, psi):
-    return np.cos(_angles(phi, psi)), np.cos(_angles(phi, ups) - _angles(ups, psi))
-
-
-def _lemma2(phi, ups, psi):
-    return _angles(phi, ups), _angles(phi, psi) + _angles(ups, psi)
-
-
-def _lemma3(theta, phi, psi):
-    lhs = np.abs(np.abs(_dots(theta, phi)) ** 2 - np.abs(_dots(theta, psi)) ** 2)
-    return lhs, np.sin(_angles(phi, psi))
+def _triples(a, b, c):
+    """Lemmas 1 and 2 at (phi, ups, psi) = (a, b, c) and lemma 3 at
+    (theta, phi, psi) = (a, b, c), from the triple's three angles. The overlaps
+    come after the angles, so a block peaks while it holds two angle stacks."""
+    ac, ab, bc = _angles(a, c), _angles(a, b), _angles(b, c)
+    lemma3 = np.abs(np.abs(_dots(a, b)) ** 2 - np.abs(_dots(a, c)) ** 2), np.sin(bc)
+    return (np.cos(ac), np.cos(ab - bc)), (ab, ac + bc), lemma3
 
 
 def _lemma4(phi, psi, q):  # q: P's frame, orthonormal or zero columns
     probs = _outcome_probs(q, np.stack([phi, psi], axis=1))
-    return np.abs(probs[:, 0] - probs[:, 1]), np.sin(_angles(phi, psi))
+    return (np.abs(probs[:, 0] - probs[:, 1]), np.sin(_angles(phi, psi))),
 
 
 def _gate_approx(theta, deviation):  # theta: the eigenphases of U^H V
-    return deviation, _gate_bound(_gate_epsilon(theta))
+    return (deviation, _gate_bound(_gate_epsilon(theta))),
 
 
 def _gate_epsilon(theta):
@@ -125,8 +124,8 @@ def _gate_bound(eps):
     return np.where(eps > np.sqrt(2.0), 1.0, eps * np.sqrt(1.0 - eps * eps / 4.0))
 
 
-def _report(inequality, *sample) -> InequalityReport:
-    lhs, rhs = inequality(*(np.asarray(x)[None] for x in sample))
+def _report(group, verdict: int, *sample) -> InequalityReport:
+    lhs, rhs = group(*(np.asarray(x)[None] for x in sample))[verdict]
     return InequalityReport.compare(float(lhs[0]), float(rhs[0]))
 
 
@@ -139,24 +138,24 @@ def _unit_states(*states):
 
 def lemma1_check(phi, ups, psi) -> InequalityReport:
     """cos(angle(phi, psi)) <= cos(angle(phi, ups) - angle(ups, psi))."""
-    return _report(_lemma1, *_unit_states(phi, ups, psi))
+    return _report(_triples, 0, *_unit_states(phi, ups, psi))
 
 
 def lemma2_defect(phi, ups, psi) -> InequalityReport:
     """Spherical triangle inequality: angle(phi, ups) <= angle(phi, psi) + angle(ups, psi)."""
-    return _report(_lemma2, *_unit_states(phi, ups, psi))
+    return _report(_triples, 1, *_unit_states(phi, ups, psi))
 
 
 def lemma3_check(theta, phi, psi) -> InequalityReport:
     """| |<theta|phi>|^2 - |<theta|psi>|^2 | <= sin(angle(phi, psi))."""
-    return _report(_lemma3, *_unit_states(theta, phi, psi))
+    return _report(_triples, 2, *_unit_states(theta, phi, psi))
 
 
 def lemma4_check(p: Projector, phi, psi) -> InequalityReport:
     """|<phi|P|phi> - <psi|P|psi>| <= sin(angle(phi, psi))."""
     phi, psi = _unit_states(phi, psi)
     _check_same_dim(phi, p.basis[0])
-    return _report(_lemma4, phi, psi, p.basis.T)
+    return _report(_lemma4, 0, phi, psi, p.basis.T)
 
 
 def gate_bound(epsilon: float) -> float:
@@ -186,7 +185,7 @@ def gate_approx_check(u, v, sigma, p: Projector) -> InequalityReport:
     out = np.einsum("bij,bj->bi", np.stack([u, v]), np.stack([sigma, sigma]))
     probs = _projector_probs(p, out)
     theta = np.angle(np.linalg.eigvals(u.conj().T @ v))
-    return _report(_gate_approx, theta, np.abs(probs[0] - probs[1]))
+    return _report(_gate_approx, 0, theta, np.abs(probs[0] - probs[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +229,7 @@ def lemma4_saturation_witness(delta: float, dim: int = 2):
 
 
 # ---------------------------------------------------------------------------
-# Seeded random sweeps: the five of _SWEEPS and search.random_cloner_sweep.
+# Seeded random sweeps: the five of _GROUPS and search.random_cloner_sweep.
 # Each dimension's share of the trials is drawn in blocks of SWEEP_BLOCK
 # trials, each block from its own generator (see sweep_blocks). Blocks run
 # concurrently on a thread pool with one worker per usable CPU, and no more
@@ -366,49 +365,59 @@ def _gate_sup(theta, sigma):
     return _gate_approx(theta, np.sin(_angles(sigma, np.exp(1j * theta) * sigma)))
 
 
-#: name -> (draw, inequality) of each sweep, in ``lemmas`` print order. A
-#: draw ``(n, dim, rng)`` returns the ``n``-sample stacks its inequality takes.
-_SWEEPS = {
-    "lemma1": (_draw_triples, _lemma1),
-    "lemma2": (_draw_triples, _lemma2),
-    "lemma3": (_draw_triples, _lemma3),
-    "lemma4": (_draw_lemma4, _lemma4),
-    "gate_approx": (_draw_gate_approx, _gate_sup),
+#: Draw groups: the names of the sweeps that share one draw, in ``lemmas``
+#: print order -> (draw, group). A draw ``(n, dim, rng)`` returns the
+#: ``n``-sample stacks its group takes.
+_GROUPS = {
+    ("lemma1", "lemma2", "lemma3"): (_draw_triples, _triples),
+    ("lemma4",): (_draw_lemma4, _lemma4),
+    ("gate_approx",): (_draw_gate_approx, _gate_sup),
 }
+_GROUP_OF = {name: names for names in _GROUPS for name in names}
 
 
-def _slack(name: str, n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """rhs - lhs of sweep ``name`` on ``n`` samples drawn from ``rng``."""
-    draw, inequality = _SWEEPS[name]
-    lhs, rhs = inequality(*draw(n, dim, rng))
-    return rhs - lhs
+def _slacks(names, n: int, dim: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """rhs - lhs of each sweep of group ``names`` on ``n`` samples drawn from ``rng``."""
+    draw, group = _GROUPS[names]
+    verdicts = group(*draw(n, dim, rng))
+    return [rhs - lhs for lhs, rhs in verdicts]
 
 
-def _sweep(name: str, trials: int, dims, seed: int, tol: float) -> SweepResult:
+def _sweep(names, trials: int, dims, seed: int, tol: float) -> list[SweepResult]:
+    """The result of each sweep of group ``names``, from one pass over the blocks."""
     def run(dim, block, rng, size):
-        s = _slack(name, size, dim, rng)
-        index = int(np.argmin(s))  # the first NaN, if there is one
-        return float(s[index]), (dim, block, size, index), _violations(s, tol)
+        slacks = _slacks(names, size, dim, rng)
+        lows = [int(np.argmin(s)) for s in slacks]  # the first NaN, if there is one
+        return [(float(s[i]), (dim, block, size, i), _violations(s, tol))
+                for s, i in zip(slacks, lows)]
 
-    min_slack, closest, violations = np.inf, None, 0
-    for low, address, bad in _block_summaries(run, trials, dims, seed):
-        violations += bad
-        # Strictly lower, so the earliest block wins a tie; a NaN beats any number.
-        if closest is None or low < min_slack or np.isnan(low) > np.isnan(min_slack):
-            min_slack, closest = low, address
-    return SweepResult(name, trials, min_slack, violations, closest)
+    least = [(np.inf, None, 0)] * len(names)
+    for blocks in _block_summaries(run, trials, dims, seed):
+        for k, (low, address, bad) in enumerate(blocks):
+            min_slack, closest, violations = least[k]
+            # Strictly lower, so the earliest block wins a tie; a NaN beats any number.
+            if closest is None or low < min_slack or np.isnan(low) > np.isnan(min_slack):
+                min_slack, closest = low, address
+            least[k] = min_slack, closest, violations + bad
+    return [SweepResult(name, trials, m, v, c) for name, (m, c, v) in zip(names, least)]
 
 
-def _sweep_function(name: str):
+def _sweep_function(names, name: str):
     def sweep(trials: int, dims=DEFAULT_DIMS, seed: int = 0,
-              tol: float = DEFAULT_SWEEP_TOL) -> SweepResult:
-        return _sweep(name, trials, dims, seed, tol)
+              tol: float = DEFAULT_SWEEP_TOL, results: dict | None = None) -> SweepResult:
+        """Sweep ``name``. Its group's one pass leaves the group's other results in
+        ``results``, where a sweep of the group with the same arguments takes its own."""
+        results = {} if results is None else results
+        key = (trials, tuple(dims), seed, tol)
+        if (name, key) not in results:
+            results.update(((n, key), r) for n, r in zip(names, _sweep(names, *key)))
+        return results.pop((name, key))
     sweep.__name__ = sweep.__qualname__ = f"sweep_{name}"
     return sweep
 
 
 #: Sweeps driven by the command-line ``lemmas`` command, in print order.
-ALL_SWEEPS = tuple((name, _sweep_function(name)) for name in _SWEEPS)
+ALL_SWEEPS = tuple((name, _sweep_function(names, name)) for name, names in _GROUP_OF.items())
 sweep_lemma1, sweep_lemma2, sweep_lemma3, sweep_lemma4, sweep_gate_approx = (
     sweep for _, sweep in ALL_SWEEPS)
 
@@ -421,10 +430,11 @@ def replay_sample(name: str, seed: int, dim: int, block: int, size: int,
     result equals that sweep's ``min_slack`` bit for bit. An address that no
     sweep makes is rejected.
     """
-    if name not in _SWEEPS:
-        raise ValueError(f"unknown sweep {name!r}; the sweeps are {', '.join(_SWEEPS)}")
+    if name not in _GROUP_OF:
+        raise ValueError(f"unknown sweep {name!r}; the sweeps are {', '.join(_GROUP_OF)}")
     if dim < 2 or block < 0 or not 0 <= index < size <= SWEEP_BLOCK:
         raise ValueError(f"no sweep samples at (dim, block, size, index) = "
                          f"{(dim, block, size, index)}: it needs dim >= 2, block >= 0 "
                          f"and 0 <= index < size <= {SWEEP_BLOCK}")
-    return float(_slack(name, size, dim, _block_rng(seed, dim, block))[index])
+    names = _GROUP_OF[name]
+    return float(_slacks(names, size, dim, _block_rng(seed, dim, block))[names.index(name)][index])

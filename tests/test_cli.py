@@ -436,13 +436,14 @@ class TestLemmas:
         # Every sample of lemma 2 misses by 5e-10, five times the rounding
         # allowance DEFAULT_SWEEP_TOL, and a CLONEBOUND_TOL in the
         # environment is not read.
-        draw, inequality = geometry._SWEEPS["lemma2"]
+        names = geometry._GROUP_OF["lemma2"]
+        draw, group = geometry._GROUPS[names]
 
         def undercut(*sample):
-            lhs, _ = inequality(*sample)
-            return lhs, lhs - 5e-10
+            lemma1, (lhs, _), lemma3 = group(*sample)
+            return lemma1, (lhs, lhs - 5e-10), lemma3
 
-        monkeypatch.setitem(geometry._SWEEPS, "lemma2", (draw, undercut))
+        monkeypatch.setitem(geometry._GROUPS, names, (draw, undercut))
         monkeypatch.setenv("CLONEBOUND_TOL", "1e-9")
         code, out, err = run(capsys, "lemmas", "--trials", "100", "--dims", "2")
         assert code == 3
@@ -453,6 +454,28 @@ class TestLemmas:
         code, out, err = run(capsys, "lemmas", "--trials", "5", "--tol", "0")
         assert (code, out) == (1, "")
         assert "unrecognized arguments: --tol 0" in err
+
+    def test_each_block_is_drawn_once(self, capsys, monkeypatch):
+        assert_each_block_drawn_once(capsys, monkeypatch)
+
+
+def assert_each_block_drawn_once(capsys, monkeypatch):
+    """Run ``lemmas --trials 20000 --dims 2-8`` with ``geometry.random_states``,
+    the tracer's seam, counting its calls, and assert that each draw group
+    drew each of its blocks once: from every block's generator one draw of
+    n states (the gate sweep), 2n (lemma 4) and 3n (the triples of lemmas 1-3)."""
+    calls = []
+    random_states = geometry.random_states
+
+    def counted(n, dim, rng):
+        calls.append((rng.bit_generator.seed_seq.spawn_key, n))
+        return random_states(n, dim, rng)
+
+    monkeypatch.setattr(geometry, "random_states", counted)
+    assert run(capsys, "lemmas", "--trials", "20000", "--dims", "2-8")[0] == 0
+    # 20000 trials over seven dimensions: one block of 2857 or 2858 each.
+    blocks = [((dim, 0), n) for dim, n in geometry._split_trials(20000, range(2, 9))]
+    assert sorted(calls) == sorted((key, k * n) for key, n in blocks for k in (1, 2, 3))
 
 
 class TestVerify:

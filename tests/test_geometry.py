@@ -1,3 +1,4 @@
+import copy
 import os
 import sys
 import threading
@@ -48,15 +49,30 @@ seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 dims = st.sampled_from([2, 3, 4, 6, 8])
 
 
+#: The group seam as the module defines it, out of reach of patch_slack.
+_SLACKS = geometry._slacks
+
+
+def sweep_slack(name, n, dim, rng):
+    """rhs - lhs of the sweep ``name`` on ``n`` samples drawn from ``rng``:
+    its verdict among those of its draw group."""
+    names = geometry._GROUP_OF[name]
+    return _SLACKS(names, n, dim, rng)[names.index(name)]
+
+
 def patch_slack(monkeypatch, name, fn):
     """Make ``fn(n, dim, rng)`` the slack of the sweep ``name``; the other
-    sweeps keep theirs."""
-    slack = geometry._slack
+    sweeps of its draw group keep theirs, drawn from a copy of the block's
+    generator, and the other groups are untouched."""
+    slacks = geometry._slacks
 
-    def patched(key, n, dim, rng):
-        return fn(n, dim, rng) if key == name else slack(key, n, dim, rng)
+    def patched(names, n, dim, rng):
+        if name not in names:
+            return slacks(names, n, dim, rng)
+        own = slacks(names, n, dim, copy.deepcopy(rng))
+        return [fn(n, dim, rng) if key == name else s for key, s in zip(names, own)]
 
-    monkeypatch.setattr(geometry, "_slack", patched)
+    monkeypatch.setattr(geometry, "_slacks", patched)
 
 
 def test_report_holds_iff_slack_above_minus_tol():
@@ -280,7 +296,7 @@ def test_gate_sweep_meets_the_projector_that_parts_its_states_most(dim):
     # them more: the sweep checks the bound against every projector at once.
     rng = np.random.default_rng(dim)
     theta, sigma = geometry._draw_gate_approx(5, dim, rng)
-    deviation, bound = geometry._gate_sup(theta, sigma)
+    (deviation, bound), = geometry._gate_sup(theta, sigma)
     for t, s, dev, rhs in zip(theta, sigma, deviation, bound):
         d = np.diag(np.exp(1j * t))
         best = gate_approx_check(np.eye(dim), d, s, parting_projector(s, d @ s))
@@ -348,7 +364,7 @@ def test_sweep_blocks_rebuild_from_their_seeds(monkeypatch, name, sweep):
     # Block b of dimension d is drawn from SeedSequence(seed, spawn_key=(d, b)).
     # Blocks run concurrently, so they are keyed by that spawn key, not by
     # call order.
-    slack = partial(geometry._slack, name)
+    slack = partial(sweep_slack, name)
     drawn = {}
 
     def recording(n, dim, rng):
@@ -390,7 +406,7 @@ def test_threaded_sweep_equals_serial_loop(monkeypatch, name, sweep):
         r = sweep(trials, dims=dims, seed=3, tol=tol)
     finally:
         sys.setswitchinterval(interval)
-    slack = partial(geometry._slack, name)
+    slack = partial(sweep_slack, name)
     want = _serial_reference(slack, trials, dims, 3, tol)
     assert (r.min_slack, r.violations, r.closest) == want
     assert r.min_slack.hex() == want[0].hex()
@@ -402,6 +418,33 @@ def test_closest_sample_replays_bit_for_bit(name, sweep):
     dim, block, size, index = r.closest
     assert dim in (2, 3, 7) and 0 <= index < size <= SWEEP_BLOCK
     assert replay_sample(name, 4, *r.closest).hex() == r.min_slack.hex()
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_group_verdicts_keep_each_formulas_bits(seed, dim):
+    # One draw serves lemmas 1-3. Each verdict's slack stack has, bit for
+    # bit, the bits of its lemma's own formula on the same draw, written out
+    # here as each stood alone, angles recomputed.
+    phi, ups, psi = geometry._draw_triples(SWEEP_BLOCK, dim, geometry._block_rng(seed, dim, 0))
+    angle, dot = geometry._angles, geometry._dots
+    alone = [
+        np.cos(angle(phi, ups) - angle(ups, psi)) - np.cos(angle(phi, psi)),
+        (angle(phi, psi) + angle(ups, psi)) - angle(phi, ups),
+        np.sin(angle(ups, psi)) - np.abs(np.abs(dot(phi, ups)) ** 2 - np.abs(dot(phi, psi)) ** 2),
+    ]
+    names = geometry._GROUP_OF["lemma1"]
+    grouped = geometry._slacks(names, SWEEP_BLOCK, dim, geometry._block_rng(seed, dim, 0))
+    assert names == ("lemma1", "lemma2", "lemma3")
+    for name, want, got in zip(names, alone, grouped):
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), name
+    # A lemmas pass: one draw per group, and every closest sample replays
+    # to its sweep's min_slack.
+    results = {}
+    for name, sweep in ALL_SWEEPS:
+        r = sweep(SWEEP_BLOCK + 7, dims=(dim,), seed=seed, results=results)
+        assert replay_sample(name, seed, *r.closest).hex() == r.min_slack.hex(), name
+    assert results == {}
 
 
 #: |float slack - exact slack| allowed of every sweep: a few ulps of pi/2,
@@ -416,14 +459,14 @@ def exact_recheck(name):
     ``min_slack`` is that slack within EXACT_SLACK_TOL."""
     r = dict(ALL_SWEEPS)[name](20000, seed=3)
     dim, block, size, index = r.closest
-    draw = geometry._SWEEPS[name][0]
+    draw = geometry._GROUPS[geometry._GROUP_OF[name]][0]
     sample = [x[index] for x in draw(size, dim, geometry._block_rng(3, dim, block))]
     exact = getattr(oracles, f"{name}_slack")(*sample)
     assert exact >= 0, (name, exact)
     assert abs(exact - r.min_slack) <= EXACT_SLACK_TOL, (name, exact, r.min_slack)
 
 
-@pytest.mark.parametrize("name", list(geometry._SWEEPS))
+@pytest.mark.parametrize("name", list(geometry._GROUP_OF))
 def test_closest_sample_holds_in_exact_arithmetic(name):
     exact_recheck(name)
 
@@ -563,6 +606,23 @@ def test_failing_block_propagates_and_stops_the_sweep(monkeypatch):
     assert threading.active_count() == threads
 
 
+def block_peak(name):
+    """Bytes that one seeded dimension-8 block of the draw group of sweep
+    ``name`` holds at its peak."""
+    def traced_peak():
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        geometry._slacks(geometry._GROUP_OF[name], SWEEP_BLOCK, 8, geometry._block_rng(1, 8, 0))
+        return tracemalloc.get_traced_memory()[1] - before
+
+    tracemalloc.start()
+    try:
+        traced_peak()       # first-call allocations out of the way
+        return traced_peak()
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("name, stacks", [("lemma4", 1.5), ("gate_approx", 1.0)],
                          ids=["lemma4", "gate_approx"])
 def test_projector_block_holds_at_most_its_stacks(name, stacks):
@@ -571,20 +631,19 @@ def test_projector_block_holds_at_most_its_stacks(name, stacks):
     # ``stacks`` of the (4096, 8, 8) complex stacks that a draw of U and V
     # would hold. Lemma 4's einsum takes its real frame as a complex copy.
     stack = SWEEP_BLOCK * 8 * 8 * np.dtype(np.complex128).itemsize
+    assert block_peak(name) <= stacks * stack
 
-    def traced_peak():
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        geometry._slack(name, SWEEP_BLOCK, 8, geometry._block_rng(1, 8, 0))
-        return tracemalloc.get_traced_memory()[1] - before
 
-    tracemalloc.start()
-    try:
-        traced_peak()       # first-call allocations out of the way
-        peak = traced_peak()
-    finally:
-        tracemalloc.stop()
-    assert peak <= stacks * stack
+#: Bytes that a dimension-8 lemma 1 block peaked at when each of lemmas 1-3
+#: drew its own triples (Python 3.11, numpy 2.4.6): the draw, two angle
+#: stacks and the temporaries of the third angle.
+LEMMA1_BLOCK_PEAK = 4_005_671
+
+
+def test_triple_block_peaks_no_higher_than_lemma1_alone():
+    # The group's block holds the same draw and at most two angle stacks
+    # while it computes the third; lemma 3's overlaps come after the angles.
+    assert block_peak("lemma1") <= LEMMA1_BLOCK_PEAK
 
 
 @pytest.mark.parametrize("name, sweep", ALL_SWEEPS)

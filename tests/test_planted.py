@@ -15,7 +15,7 @@ import pytest
 from clonebound import geometry, search
 from clonebound.cli import EXIT_VIOLATION
 from clonebound.geometry import SWEEP_BLOCK, sweep_gate_approx, sweep_lemma1
-from test_cli import run
+from test_cli import assert_each_block_drawn_once, run
 from test_geometry import exact_recheck
 
 SEEDS = range(1, 6)
@@ -56,16 +56,32 @@ def test_sweeps_catch_a_gate_bound_one_percent_low(monkeypatch, capsys):
     assert run(capsys, "lemmas", "--seed", "1")[0] == EXIT_VIOLATION
 
 
+def test_draw_count_catches_a_triple_draw_bound_at_definition(capsys, monkeypatch):
+    # A draw that binds random_states when it is defined draws past the
+    # module attribute that the tracer wraps: no triple block is counted.
+    names = geometry._GROUP_OF["lemma1"]
+    _, group = geometry._GROUPS[names]
+
+    def bound_draw(n, dim, rng, draw=geometry.random_states):
+        t = draw(3 * n, dim, rng).reshape(n, 3, dim)
+        return t[:, 0], t[:, 1], t[:, 2]
+
+    monkeypatch.setitem(geometry._GROUPS, names, (bound_draw, group))
+    with pytest.raises(AssertionError):
+        assert_each_block_drawn_once(capsys, monkeypatch)
+
+
 @pytest.mark.xfail(reason="uniform triples in dimensions 5-8 stay 0.02 from "
                           "equality; needs near-equality families (ROADMAP item 5)")
 def test_sweeps_catch_lemma1_low_by_a_thousandth_in_high_dimensions(monkeypatch):
-    draw, lemma1 = geometry._SWEEPS["lemma1"]
+    names = geometry._GROUP_OF["lemma1"]
+    draw, group = geometry._GROUPS[names]
 
     def lowered(phi, ups, psi):
-        lhs, rhs = lemma1(phi, ups, psi)
-        return lhs, rhs - 1e-3 * (phi.shape[-1] >= 5)
+        (lhs, rhs), *others = group(phi, ups, psi)
+        return (lhs, rhs - 1e-3 * (phi.shape[-1] >= 5)), *others
 
-    monkeypatch.setitem(geometry._SWEEPS, "lemma1", (draw, lowered))
+    monkeypatch.setitem(geometry._GROUPS, names, (draw, lowered))
     for seed in SEEDS:
         assert sweep_lemma1(100_000, seed=seed).violations, seed
 
