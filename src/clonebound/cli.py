@@ -15,8 +15,9 @@ SIGINT). Commands raise ``ValueError`` for a bad input and let an
 alone turns these into codes 1, 2 and 130 with a one-line message, while
 ``lemmas`` and ``verify`` return their verdicts 3 and 4, judged at
 ``geometry.DEFAULT_SWEEP_TOL``, which no flag or environment variable sets.
-With a fixed ``--seed`` (default ``CLONEBOUND_SEED``) every data file is
-reproduced byte for byte, but for the manifest timestamp on its own line.
+The seed comes from ``--seed`` alone (default 0). With a fixed seed every
+data file is reproduced byte for byte, but for the manifest timestamp on its
+own line.
 """
 
 from __future__ import annotations
@@ -76,20 +77,6 @@ class _Parser(argparse.ArgumentParser):
         # argparse's own version swallows an OSError; let it reach main (exit 2).
         if message:
             (file or sys.stderr).write(message)
-
-
-def _resolve_seed(args) -> int:
-    """``--seed``, else ``CLONEBOUND_SEED``, else 0; an integer >= 0."""
-    name, text = "--seed", args.seed
-    if text is None:
-        name, text = "CLONEBOUND_SEED", os.environ.get("CLONEBOUND_SEED", "0")
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {text!r}")
-    return seed
 
 
 def _json_pieces(payload: dict):
@@ -172,7 +159,7 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=int, default=201)
     p.add_argument("--out", type=str, default=".", help="output directory")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("cloner", help="build and analyze one machine")
@@ -185,14 +172,14 @@ def build_parser() -> _Parser:
                    help="dimension of the --z pair (default 2)")
     p.add_argument("--favored", choices=("phi", "psi"), default="phi")
     p.add_argument("--out", type=str, default=None, help="report file (default stdout)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_cloner)
 
     p = sub.add_parser("lemmas", help="run the inequality sweeps")
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--dims", type=str, default="2-8",
                    help="dimensions, e.g. '2-8' or '2,4,8'")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_lemmas)
 
     p = sub.add_parser("verify", help="check the bounds are tight floors")
@@ -200,7 +187,7 @@ def build_parser() -> _Parser:
                    help="overlap value or comma list, each in (0, 0.99]")
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--sweep-trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None, help="report file (default stdout)")
     p.set_defaults(func=cmd_verify)
 
@@ -450,7 +437,8 @@ def main(argv=None) -> int:
             code = int(exc.code or 0)
         else:
             prefix = f"clonebound {args.command}:"
-            args.seed = _resolve_seed(args)
+            if args.seed < 0:
+                raise ValueError(f"--seed must be an integer >= 0, got {args.seed}")
             code = args.func(args)
         sys.stdout.flush()          # a failed write to stdout exits 2 too
         return code

@@ -27,8 +27,8 @@ import numpy as np
 from .bounds import _overlap_angles, _overlap_sines
 from .geometry import InequalityReport
 from .statespace import (
-    Projector, _dots, _projector_probs, _residuals, angle, as_state, basis_state, check_unit,
-    inner, measure_prob, norm, tensor,
+    Projector, _dots, _projector_probs, _residuals, _unit_states, angle, as_state, basis_state,
+    check_unit, inner, measure_prob, norm, tensor,
 )
 
 # A length this small counts as zero: ||q|| at or below it leaves the ideal
@@ -55,10 +55,7 @@ class TwoStateSet:
 
     @classmethod
     def from_states(cls, phi, psi) -> "TwoStateSet":
-        phi = check_unit(as_state(phi))
-        psi = check_unit(as_state(psi))
-        if phi.shape != psi.shape:
-            raise ValueError("phi and psi must share one dimension")
+        phi, psi = _unit_states(phi, psi)
         # np.angle(0) = 0, so a vanishing overlap leaves psi untouched.
         psi = psi * np.exp(-1j * np.angle(_dots(phi, psi)))
         z = float(min(abs(_dots(phi, psi)), 1.0))

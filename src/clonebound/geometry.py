@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statespace import (
-    Projector, _angles, _check_same_dim, _dots, _outcome_probs, _projector_probs, as_state,
-    check_unit, check_unitary, random_states,
+    Projector, _angles, _check_same_dim, _dots, _outcome_probs, _projector_probs, _unit_states,
+    as_state, check_unit, check_unitary, random_states,
 )
 
 # Rounding allowance of every inequality verdict in the package (_violations).
@@ -129,13 +129,6 @@ def _report(group, verdict: int, *sample) -> InequalityReport:
     return InequalityReport.compare(float(lhs[0]), float(rhs[0]))
 
 
-def _unit_states(*states):
-    states = [check_unit(as_state(x)) for x in states]
-    if len({x.shape for x in states}) > 1:
-        raise ValueError("all states must share one dimension")
-    return states
-
-
 def lemma1_check(phi, ups, psi) -> InequalityReport:
     """cos(angle(phi, psi)) <= cos(angle(phi, ups) - angle(ups, psi))."""
     return _report(_triples, 0, *_unit_states(phi, ups, psi))
@@ -180,8 +173,8 @@ def gate_approx_check(u, v, sigma, p: Projector) -> InequalityReport:
     """
     u, v = check_unitary(u), check_unitary(v)
     sigma = check_unit(as_state(sigma))
-    if u.shape != v.shape or u.shape[1] != sigma.shape[0]:
-        raise ValueError("unitaries and state must share one dimension")
+    _check_same_dim(u, v)
+    _check_same_dim(u[0], sigma)
     out = np.einsum("bij,bj->bi", np.stack([u, v]), np.stack([sigma, sigma]))
     probs = _projector_probs(p, out)
     theta = np.angle(np.linalg.eigvals(u.conj().T @ v))
@@ -196,6 +189,8 @@ def coplanar_state(theta: float, dim: int = 2) -> np.ndarray:
     """Real-plane state cos(theta) e1 + sin(theta) e2 embedded in ``dim``."""
     if dim < 2:
         raise ValueError(f"a coplanar state needs dimension >= 2, got {dim}")
+    if not np.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     v = np.zeros(dim, dtype=np.complex128)
     v[0] = np.cos(theta)
     v[1] = np.sin(theta)

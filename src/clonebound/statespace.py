@@ -88,6 +88,14 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
 
 
+def _unit_states(*states) -> list[np.ndarray]:
+    """The states as unit vectors of the first one's dimension, or a ValueError."""
+    states = [check_unit(as_state(x)) for x in states]
+    for x in states[1:]:
+        _check_same_dim(states[0], x)
+    return states
+
+
 def inner(a, b) -> complex:
     """Hermitian inner product <a|b>, conjugate-linear in the first argument."""
     a = as_state(a)
@@ -104,10 +112,7 @@ def angle(a, b) -> float:
     ValueError
         If dimensions differ or either input is not a unit vector.
     """
-    a = check_unit(as_state(a))
-    b = check_unit(as_state(b))
-    _check_same_dim(a, b)
-    return float(_angles(a, b))
+    return float(_angles(*_unit_states(a, b)))
 
 
 def _angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -148,9 +153,7 @@ def gram_schmidt_residual(target, anchor) -> np.ndarray:
         If the two states are collinear (overlap modulus >= 1 - 1e-12),
         where the residual direction is undefined.
     """
-    target = check_unit(as_state(target))
-    anchor = check_unit(as_state(anchor))
-    _check_same_dim(target, anchor)
+    target, anchor = _unit_states(target, anchor)
     ov, residual = _residuals(anchor, target)
     if abs(ov) >= 1.0 - COLLINEAR_TOL:
         raise ValueError(

@@ -18,10 +18,18 @@ from clonebound.cloning import (
     relative_error,
     unitarity_residual,
 )
-from clonebound.geometry import gate_approx_check, lemma4_saturation_witness
+from clonebound.geometry import (
+    coplanar_state,
+    gate_approx_check,
+    lemma1_check,
+    lemma2_defect,
+    lemma3_check,
+    lemma4_saturation_witness,
+)
 from clonebound.search import N_PARAMS
 from clonebound.statespace import (
     Projector,
+    angle,
     apply_projector,
     as_state,
     basis_state,
@@ -279,6 +287,7 @@ def test_unitarity_residual_zero_for_constructions():
 
 
 _E0 = basis_state(2, 0)
+_E3 = basis_state(3, 0)
 _HALF = TwoStateSet.at_overlap(0.5)
 
 
@@ -292,10 +301,19 @@ _HALF = TwoStateSet.at_overlap(0.5)
     (random_projector, (3, 0, np.random.default_rng(0)), r"rank must be in 1\.\.3, got 0"),
     (random_projector, (3, 4, np.random.default_rng(0)), r"rank must be in 1\.\.3, got 4"),
     (gate_approx_check, (np.eye(2), np.eye(3), _E0, Projector(_E0)),
-     "unitaries and state must share one dimension"),
+     "dimension mismatch: 2 vs 3"),
+    (gate_approx_check, (np.eye(2), np.eye(2), _E3, Projector(_E0)),
+     "dimension mismatch: 2 vs 3"),
+    (angle, (_E0, _E3), "dimension mismatch: 2 vs 3"),
+    (gram_schmidt_residual, (_E0, _E3), "dimension mismatch: 2 vs 3"),
+    (lemma1_check, (_E0, _E0, _E3), "dimension mismatch: 2 vs 3"),
+    (lemma2_defect, (_E0, _E3, _E0), "dimension mismatch: 2 vs 3"),
+    (lemma3_check, (_E0, _E0, _E3), "dimension mismatch: 2 vs 3"),
+    (coplanar_state, (float("nan"), 3), "theta must be finite, got nan"),
+    (coplanar_state, (float("inf"), 3), "theta must be finite, got inf"),
     (lemma4_saturation_witness, (0.0,), r"delta must be in \(0, pi/2\]"),
     (lemma4_saturation_witness, (1.6,), r"delta must be in \(0, pi/2\]"),
-    (TwoStateSet.from_states, (_E0, basis_state(3, 0)), "phi and psi must share one dimension"),
+    (TwoStateSet.from_states, (_E0, _E3), "dimension mismatch: 2 vs 3"),
     (TwoStateSet.at_overlap, (0.5, 1), "need dimension >= 2"),
     (absolute_error, (analyze_output(tensor(_E0, _E0), _E0, FactorDims(2, 2, 1)),
                       analyze_output(basis_state(8, 0), _E0, FactorDims(2, 2, 2))),
@@ -306,7 +324,10 @@ _HALF = TwoStateSet.at_overlap(0.5)
      "inequality chain needs non-degenerate ideals"),
 ], ids=["as_state-empty", "as_state-2d", "normalize-zero", "complement-full-rank",
         "apply_projector-dims", "check_unitary-not-square", "random_projector-rank-0",
-        "random_projector-rank-above-dim", "gate_approx_check-dims", "lemma4-delta-0",
+        "random_projector-rank-above-dim", "gate_approx_check-dims",
+        "gate_approx_check-state-dims", "angle-dims", "gram_schmidt_residual-dims",
+        "lemma1-dims", "lemma2-dims", "lemma3-dims", "coplanar_state-nan",
+        "coplanar_state-inf", "lemma4-delta-0",
         "lemma4-delta-above-half-pi", "from_states-dims", "at_overlap-dim-1",
         "absolute_error-layouts", "inequality_chain-degenerate"])
 def test_library_checks_reject_bad_arguments(call, args, message):

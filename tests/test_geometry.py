@@ -254,7 +254,7 @@ def test_probability_checks_reject_a_projector_of_another_dimension():
         lemma4_check(p, a, b)
     with pytest.raises(ValueError, match="dimension mismatch: 4 vs 3"):
         gate_approx_check(u, u, a, p)
-    with pytest.raises(ValueError, match="share one dimension"):
+    with pytest.raises(ValueError, match="dimension mismatch: 4 vs 3"):
         lemma4_check(p, a, random_state(3, rng))
 
 
@@ -420,6 +420,7 @@ def test_closest_sample_replays_bit_for_bit(name, sweep):
     assert replay_sample(name, 4, *r.closest).hex() == r.min_slack.hex()
 
 
+@pytest.mark.host_bits
 @pytest.mark.parametrize("seed", [5, 11])
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_group_verdicts_keep_each_formulas_bits(seed, dim):

@@ -32,6 +32,8 @@ from clonebound import geometry
 from clonebound.cli import main
 from test_cli import strip_timestamp
 
+pytestmark = pytest.mark.host_bits
+
 GOLDEN = Path(__file__).with_name("golden")
 #: The versions CI installs, one ``name==version`` a line.
 CONSTRAINTS = Path(__file__).parents[1] / ".github" / "constraints.txt"

@@ -1,4 +1,4 @@
-"""Planted defects: each case plants one fault in a kernel and asserts that
+"""Planted defects: each case plants one fault in the package and asserts that
 the check named for it fails, calling the check's own helper under
 ``pytest.raises`` or reading the command's exit code. One more asserts
 that the gate draw spans the range where such faults show.
@@ -9,10 +9,13 @@ The faults that no check catches yet are kept as ``xfail`` cases, strict by
 the suite's configuration, so the marker must go once one is caught.
 """
 
+import gc
+import json
+
 import numpy as np
 import pytest
 
-from clonebound import geometry, search
+from clonebound import cli, geometry, search
 from clonebound.cli import EXIT_VIOLATION
 from clonebound.geometry import SWEEP_BLOCK, sweep_gate_approx, sweep_lemma1
 from test_cli import assert_each_block_drawn_once, run
@@ -69,6 +72,23 @@ def test_draw_count_catches_a_triple_draw_bound_at_definition(capsys, monkeypatc
     monkeypatch.setitem(geometry._GROUPS, names, (bound_draw, group))
     with pytest.raises(AssertionError):
         assert_each_block_drawn_once(capsys, monkeypatch)
+
+
+def test_warning_policy_catches_a_state_file_left_open(tmp_path, capsys, monkeypatch):
+    # A file left open is closed by garbage collection with a ResourceWarning,
+    # which the suite's warning policy makes a failure of any test that loads one.
+    load = cli._load_state_file
+
+    def leaky_load(path):
+        open(path, encoding="utf-8")    # never closed
+        return load(path)
+
+    monkeypatch.setattr(cli, "_load_state_file", leaky_load)
+    f = tmp_path / "states.json"
+    f.write_text(json.dumps({"phi": [[1, 0], [0, 0]], "psi": [[0.6, 0], [0.8, 0]]}))
+    with pytest.warns(ResourceWarning, match="unclosed file"):
+        assert run(capsys, "cloner", "sym", "--states", str(f))[0] == 0
+        gc.collect()
 
 
 @pytest.mark.xfail(reason="uniform triples in dimensions 5-8 stay 0.02 from "

@@ -166,6 +166,7 @@ def _reference_objective(objective, z):
     return fun
 
 
+@pytest.mark.host_bits
 class TestBitIdentity:
     """The objective gives the bits of its formula written out on the one
     reduction kernel.
@@ -186,6 +187,7 @@ class TestBitIdentity:
             assert np.array_equal(fun(x)[0], ref(x)), (x, fun(x)[0], ref(x))
 
 
+@pytest.mark.host_bits
 @pytest.mark.parametrize("objective", ["ae", "sym"])
 @pytest.mark.parametrize("z", [0.1, 0.5, 0.9])
 def test_objective_gives_a_row_the_same_bits_in_any_stack(objective, z):
@@ -210,6 +212,7 @@ def test_objective_gives_a_row_the_same_bits_in_any_stack(objective, z):
     assert not grad[rejected].any()
 
 
+@pytest.mark.host_bits
 @pytest.mark.parametrize("z", [0.1, 0.5, 0.9])
 def test_pair_errors_give_a_row_the_same_bits_in_any_stack(z):
     # So a sweep sample recomputed alone matches its block.
@@ -348,6 +351,7 @@ def assert_solo_lbfgsb(fun, x0, box, res, **options):
 class TestLockstep:
     """Driving every start in lockstep changes no start's run."""
 
+    @pytest.mark.host_bits
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("objective", ["ae", "sym"])
     @pytest.mark.parametrize("z", [0.1, 0.5, 0.9])
@@ -362,6 +366,7 @@ class TestLockstep:
         for x0, res in zip(starts, runs):
             assert_solo_lbfgsb(fun, x0, box, res)
 
+    @pytest.mark.host_bits
     @pytest.mark.parametrize("cap, option, value", [
         ("LBFGSB_MAX_ITER", "maxiter", 1), ("LBFGSB_MAX_ITER", "maxiter", 3),
         ("LBFGSB_MAX_EVALS", "maxfun", 1), ("LBFGSB_MAX_EVALS", "maxfun", 5),
@@ -380,6 +385,7 @@ class TestLockstep:
             assert_solo_lbfgsb(fun, x0, box, res, **{option: value})
             assert res.status == 1
 
+    @pytest.mark.host_bits
     @pytest.mark.parametrize("theta", [5.0, -1.0, np.nan])
     @pytest.mark.parametrize("objective", ["ae", "sym"])
     def test_out_of_box_start_is_solo_lbfgsb_bit_for_bit(self, objective, theta):

@@ -273,6 +273,7 @@ def test_measure_prob_rejects_a_dimension_mismatch():
         measure_prob(Projector(basis_state(2, 0)[None, :]), basis_state(3, 0))
 
 
+@pytest.mark.host_bits
 @pytest.mark.parametrize("shape", [
     7, (5, 3), (4, 3, 3), (6, 4, 2), (0, 3),
     (515, 3, 3), (3 * 4096, 2), 16389, 32768, (4096, 8, 8),
@@ -349,6 +350,7 @@ def test_norm_is_the_kernels_and_near_mpmath(v):
                 assert abs(got - exact) <= (x.size + 1) * np.finfo(float).eps * exact
 
 
+@pytest.mark.host_bits
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_reductions_give_a_row_the_same_bits_in_any_stack(dim):
     rng = np.random.default_rng(dim)
@@ -404,6 +406,7 @@ def _kernel_digests(names):
             for name in names}
 
 
+@pytest.mark.host_bits
 @pytest.mark.parametrize("env, names", [
     ({"OPENBLAS_CORETYPE": "Haswell"},
      ["_dots", "_norms", "_angles", "_residuals", "random_states", "_pair_errors",
@@ -427,6 +430,7 @@ def test_reductions_give_the_same_bits_on_an_imitated_host(env, names):
     assert json.loads(proc.stdout) == _kernel_digests(names)
 
 
+@pytest.mark.host_bits
 def test_stacks_give_each_matrix_its_own_result():
     # Every matrix of a stack comes out as it does alone, bit for bit, and
     # the input is left as it was.
