@@ -27,6 +27,7 @@ import contextlib
 import json
 import math
 import os
+import signal
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -368,7 +369,7 @@ def cmd_lemmas(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     dims = _parse_dims(args.dims)
-    total_violations, results = 0, {}   # one pass per draw group: see geometry._GROUPS
+    total_violations, results = 0, {}   # the lemma1 sweep's one pass serves all five
     for name, sweep in ALL_SWEEPS:
         r = sweep(args.trials, dims=dims, seed=args.seed, results=results)
         total_violations += r.violations
@@ -465,5 +466,22 @@ def main(argv=None) -> int:
         return 130                  # 128 + SIGINT, as a shell reports it
 
 
+def console_main() -> None:
+    """Run ``main`` and exit with its code: the ``clonebound`` script and ``python
+    -m clonebound.cli``. A Ctrl-C that lands after ``main`` has returned, as the
+    interpreter shuts down, ends the process by the signal, with no traceback;
+    a SIGINT that the process was started ignoring stays ignored."""
+    reset = signal.getsignal(signal.SIGINT) is signal.default_int_handler
+    try:
+        code = main()
+        if reset:
+            signal.signal(signal.SIGINT, signal.SIG_DFL)
+    except KeyboardInterrupt:
+        # It landed between main's return and the line above: end as it would.
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

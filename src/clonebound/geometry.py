@@ -17,12 +17,11 @@ norm, any outcome probability after U differs from the one after V by at
 most eps*sqrt(1 - eps^2/4) while eps <= sqrt(2); beyond, U^H V can turn a
 state orthogonal and the bound is 1 (see :func:`gate_bound`).
 
-Each inequality is written once, in the group of those that one sample
-serves (``_triples``, ``_lemma4``, ``_gate_approx``): a check evaluates it
-on a stack of one sample, a sweep on the stacks that its group's draw makes
-(``_GROUPS``), so lemmas 1-3 share each block's triples and their angles.
-The gate's is its bound on a deviation: of the caller's projector in the
-check, of every projector at once (lemma 4's right side) in the sweep.
+Each inequality is written once (``_triples``, ``_lemma4``, ``_gate_approx``):
+a check evaluates it on a stack of one sample, and the sweeps all five on
+each block's one draw (``_draw``, ``_slacks``). The gate's is its bound on
+a deviation: of the caller's projector in the check, of every projector at
+once (lemma 4's right side) in the sweep.
 Every angle comes from statespace's one atan2 kernel, every outcome
 probability from its one ||P s||^2 kernel.
 """
@@ -88,11 +87,11 @@ class SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# The inequalities, each written once in a group: a function of stacks of
-# samples (one trial per row; probs[:, j] is an outcome's probability in
-# state j) that returns the (lhs, rhs) arrays of lhs <= rhs of each of its
-# inequalities. A check validates its sample and evaluates its group on a
-# stack of one.
+# The inequalities, each written once in a function of stacks of samples
+# (one trial per row; probs[:, j] is an outcome's probability in state j)
+# that returns the (lhs, rhs) arrays of lhs <= rhs of each inequality that
+# one sample serves. A check validates its sample and evaluates its function
+# on a stack of one; the sweeps evaluate all three on one draw (_slacks).
 # ---------------------------------------------------------------------------
 
 def _triples(a, b, c):
@@ -164,7 +163,7 @@ def gate_bound(epsilon: float) -> float:
 
 
 def gate_approx_check(u, v, sigma, p: Projector) -> InequalityReport:
-    """Outcome-probability deviation between two close unitaries.
+    """|P(R | u sigma) - P(R | v sigma)| <= gate_bound(||u - v||), u and v unitaries.
 
     Computes eps = ||u - v|| = max_k |1 - exp(i theta_k)| from the
     eigenphases theta_k of u^H v and checks
@@ -224,13 +223,13 @@ def lemma4_saturation_witness(delta: float, dim: int = 2):
 
 
 # ---------------------------------------------------------------------------
-# Seeded random sweeps: the five of _GROUPS and search.random_cloner_sweep.
+# Seeded random sweeps: the five of ALL_SWEEPS and search.random_cloner_sweep.
 # Each dimension's share of the trials is drawn in blocks of SWEEP_BLOCK
 # trials, each block from its own generator (see sweep_blocks). Blocks run
 # concurrently on a thread pool with one worker per usable CPU, and no more
 # workers than dimensions: einsum, the ufuncs and the generator fills
-# release the interpreter lock. A block shares no state
-# with another, and each sweep folds the blocks' summaries in block order
+# release the interpreter lock. A block shares no state with another, and
+# each pass folds the blocks' summaries in block order
 # (see _block_summaries), so the result does not depend on which block
 # finishes first. A sweep keeps only running summaries and a bounded
 # window of blocks in flight, so its memory is bounded for any trial count,
@@ -323,70 +322,50 @@ def _block_summaries(summarize, trials: int, dims, seed: int):
     return _in_order(summarize, blocks, min(_usable_cpus(), len(splits)))
 
 
-def _draw_triples(n, dim, rng):
-    t = random_states(3 * n, dim, rng).reshape(n, 3, dim)
-    return t[:, 0], t[:, 1], t[:, 2]
+def _draw(n, dim, rng):
+    """One block's ``n`` samples of all five sweeps: a Haar triple (a, b, c),
+    then lemma 4's projector frame and the gate's eigenphases theta.
 
-
-def _draw_lemma4(n, dim, rng):
-    """Random (phi, psi, frame of P) trials of lemma 4. The slack does not change
-    when all three are conjugated by one unitary, and phi, psi are Haar and drawn
-    apart from P, so P projects onto the first r coordinates, r uniform in 1..dim-1."""
-    pair = random_states(2 * n, dim, rng).reshape(n, 2, dim)
-    ranks = rng.integers(1, dim, size=(n, 1, 1))
-    return pair[:, 0], pair[:, 1], np.eye(dim, dim - 1) * (np.arange(dim - 1) < ranks)
-
-
-def _draw_gate_approx(n, dim, rng):
-    """Random (eigenphases of U^H V, sigma) trials of the gate bound.
-
-    The deviation's supremum over projectors, sin(angle(U sigma, V sigma))
-    (lemma 4, which is sharp), does not change when sigma, U and V are all
-    conjugated by one unitary, and sigma is Haar and drawn apart from the
-    gates. So (U sigma, V sigma) has the law of (sigma', D sigma'), D =
-    diag(exp(i theta)) with theta the eigenphases of U^H V, and only D is
-    drawn: theta = t w, with t uniform in [0, pi/2] per trial and w uniform
-    in [-1, 1]^dim, so eps = ||I - D|| spans [0, sqrt(2)], the range where
-    the bound is below 1.
+    Lemma 4's slack, and the gate's deviation's supremum over projectors,
+    sin(angle(U sigma, V sigma)), do not change when all their states and
+    operators are conjugated by one unitary, and their states are Haar and
+    drawn apart from the operators. So P projects onto the first r
+    coordinates, r uniform in 1..dim-1, and (U sigma, V sigma) has the law of
+    (sigma, D sigma), D = diag(exp(i theta)) with theta the eigenphases of
+    U^H V: theta = t w, t uniform in [0, pi/2] per trial and w in [-1, 1]^dim,
+    so eps = ||I - D|| spans [0, sqrt(2)], where the bound is below 1.
     """
-    sigma = random_states(n, dim, rng)
+    t = random_states(3 * n, dim, rng).reshape(n, 3, dim)
+    ranks = rng.integers(1, dim, size=(n, 1, 1))
     theta = rng.uniform(0.0, np.pi / 2.0, size=(n, 1)) * rng.uniform(-1.0, 1.0, size=(n, dim))
-    return theta, sigma
+    return t[:, 0], t[:, 1], t[:, 2], np.eye(dim, dim - 1) * (np.arange(dim - 1) < ranks), theta
 
 
-def _gate_sup(theta, sigma):
-    """The gate bound on (sigma, D sigma) against the deviation of every
-    projector at once, sin(angle(sigma, D sigma)): lemma 4's right side."""
-    return _gate_approx(theta, np.sin(_angles(sigma, np.exp(1j * theta) * sigma)))
-
-
-#: Draw groups: the names of the sweeps that share one draw, in ``lemmas``
-#: print order -> (draw, group). A draw ``(n, dim, rng)`` returns the
-#: ``n``-sample stacks its group takes.
-_GROUPS = {
-    ("lemma1", "lemma2", "lemma3"): (_draw_triples, _triples),
-    ("lemma4",): (_draw_lemma4, _lemma4),
-    ("gate_approx",): (_draw_gate_approx, _gate_sup),
-}
-_GROUP_OF = {name: names for names in _GROUPS for name in names}
-
-
-def _slacks(names, n: int, dim: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """rhs - lhs of each sweep of group ``names`` on ``n`` samples drawn from ``rng``."""
-    draw, group = _GROUPS[names]
-    verdicts = group(*draw(n, dim, rng))
+def _slacks(n: int, dim: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """rhs - lhs of the five sweeps, in ``lemmas`` print order, on one draw of ``n``
+    samples from ``rng``: lemmas 1-3 on the triple (a, b, c), lemma 4 at (phi, psi) =
+    (b, c), and the gate at sigma = a, against the deviation of every projector at
+    once, sin(angle(sigma, D sigma)): lemma 4's right side."""
+    a, b, c, q, theta = _draw(n, dim, rng)
+    verdicts = (*_triples(a, b, c), *_lemma4(b, c, q),
+                *_gate_approx(theta, np.sin(_angles(a, np.exp(1j * theta) * a))))
     return [rhs - lhs for lhs, rhs in verdicts]
 
 
-def _sweep(names, trials: int, dims, seed: int, tol: float) -> list[SweepResult]:
-    """The result of each sweep of group ``names``, from one pass over the blocks."""
+#: Each sweep's check, in ``lemmas`` print order.
+_CHECKS = {"lemma1": lemma1_check, "lemma2": lemma2_defect, "lemma3": lemma3_check,
+           "lemma4": lemma4_check, "gate_approx": gate_approx_check}
+
+
+def _sweep(trials: int, dims, seed: int, tol: float) -> list[SweepResult]:
+    """The result of each of the five sweeps, from one pass over the blocks."""
     def run(dim, block, rng, size):
-        slacks = _slacks(names, size, dim, rng)
+        slacks = _slacks(size, dim, rng)
         lows = [int(np.argmin(s)) for s in slacks]  # the first NaN, if there is one
         return [(float(s[i]), (dim, block, size, i), _violations(s, tol))
                 for s, i in zip(slacks, lows)]
 
-    least = [(np.inf, None, 0)] * len(names)
+    least = [(np.inf, None, 0)] * len(_CHECKS)
     for blocks in _block_summaries(run, trials, dims, seed):
         for k, (low, address, bad) in enumerate(blocks):
             min_slack, closest, violations = least[k]
@@ -394,25 +373,29 @@ def _sweep(names, trials: int, dims, seed: int, tol: float) -> list[SweepResult]
             if closest is None or low < min_slack or np.isnan(low) > np.isnan(min_slack):
                 min_slack, closest = low, address
             least[k] = min_slack, closest, violations + bad
-    return [SweepResult(name, trials, m, v, c) for name, (m, c, v) in zip(names, least)]
+    return [SweepResult(name, trials, m, v, c) for name, (m, c, v) in zip(_CHECKS, least)]
 
 
-def _sweep_function(names, name: str):
+def _sweep_function(name: str):
     def sweep(trials: int, dims=DEFAULT_DIMS, seed: int = 0,
               tol: float = DEFAULT_SWEEP_TOL, results: dict | None = None) -> SweepResult:
-        """Sweep ``name``. Its group's one pass leaves the group's other results in
-        ``results``, where a sweep of the group with the same arguments takes its own."""
         results = {} if results is None else results
         key = (trials, tuple(dims), seed, tol)
         if (name, key) not in results:
-            results.update(((n, key), r) for n, r in zip(names, _sweep(names, *key)))
+            results.update(((n, key), r) for n, r in zip(_CHECKS, _sweep(*key)))
         return results.pop((name, key))
     sweep.__name__ = sweep.__qualname__ = f"sweep_{name}"
+    sweep.__doc__ = f"""Sweep the inequality of {_CHECKS[name].__name__}:
+        {_CHECKS[name].__doc__.splitlines()[0]}
+
+        One pass judges all five sweeps on each seeded block's one draw, and
+        leaves the other four results in ``results`` for the sweeps' calls
+        with the same arguments."""
     return sweep
 
 
 #: Sweeps driven by the command-line ``lemmas`` command, in print order.
-ALL_SWEEPS = tuple((name, _sweep_function(names, name)) for name, names in _GROUP_OF.items())
+ALL_SWEEPS = tuple((name, _sweep_function(name)) for name in _CHECKS)
 sweep_lemma1, sweep_lemma2, sweep_lemma3, sweep_lemma4, sweep_gate_approx = (
     sweep for _, sweep in ALL_SWEEPS)
 
@@ -425,11 +408,11 @@ def replay_sample(name: str, seed: int, dim: int, block: int, size: int,
     result equals that sweep's ``min_slack`` bit for bit. An address that no
     sweep makes is rejected.
     """
-    if name not in _GROUP_OF:
-        raise ValueError(f"unknown sweep {name!r}; the sweeps are {', '.join(_GROUP_OF)}")
+    if name not in _CHECKS:
+        raise ValueError(f"unknown sweep {name!r}; the sweeps are {', '.join(_CHECKS)}")
     if dim < 2 or block < 0 or not 0 <= index < size <= SWEEP_BLOCK:
         raise ValueError(f"no sweep samples at (dim, block, size, index) = "
                          f"{(dim, block, size, index)}: it needs dim >= 2, block >= 0 "
                          f"and 0 <= index < size <= {SWEEP_BLOCK}")
-    names = _GROUP_OF[name]
-    return float(_slacks(names, size, dim, _block_rng(seed, dim, block))[names.index(name)][index])
+    slacks = _slacks(size, dim, _block_rng(seed, dim, block))
+    return float(slacks[list(_CHECKS).index(name)][index])

@@ -436,14 +436,13 @@ class TestLemmas:
         # Every sample of lemma 2 misses by 5e-10, five times the rounding
         # allowance DEFAULT_SWEEP_TOL, and a CLONEBOUND_TOL in the
         # environment is not read.
-        names = geometry._GROUP_OF["lemma2"]
-        draw, group = geometry._GROUPS[names]
+        triples = geometry._triples
 
         def undercut(*sample):
-            lemma1, (lhs, _), lemma3 = group(*sample)
+            lemma1, (lhs, _), lemma3 = triples(*sample)
             return lemma1, (lhs, lhs - 5e-10), lemma3
 
-        monkeypatch.setitem(geometry._GROUPS, names, (draw, undercut))
+        monkeypatch.setattr(geometry, "_triples", undercut)
         monkeypatch.setenv("CLONEBOUND_TOL", "1e-9")
         code, out, err = run(capsys, "lemmas", "--trials", "100", "--dims", "2")
         assert code == 3
@@ -461,9 +460,9 @@ class TestLemmas:
 
 def assert_each_block_drawn_once(capsys, monkeypatch):
     """Run ``lemmas --trials 20000 --dims 2-8`` with ``geometry.random_states``,
-    the tracer's seam, counting its calls, and assert that each draw group
-    drew each of its blocks once: from every block's generator one draw of
-    n states (the gate sweep), 2n (lemma 4) and 3n (the triples of lemmas 1-3)."""
+    the tracer's seam, counting its calls, and assert that each block was
+    drawn once: from every block's generator one draw of 3n states, the
+    triples that all five sweeps share."""
     calls = []
     random_states = geometry.random_states
 
@@ -475,7 +474,7 @@ def assert_each_block_drawn_once(capsys, monkeypatch):
     assert run(capsys, "lemmas", "--trials", "20000", "--dims", "2-8")[0] == 0
     # 20000 trials over seven dimensions: one block of 2857 or 2858 each.
     blocks = [((dim, 0), n) for dim, n in geometry._split_trials(20000, range(2, 9))]
-    assert sorted(calls) == sorted((key, k * n) for key, n in blocks for k in (1, 2, 3))
+    assert sorted(calls) == sorted((key, 3 * n) for key, n in blocks)
 
 
 class TestVerify:
@@ -697,13 +696,15 @@ def test_file_size_limit_leaves_no_partial_artifact(tmp_path):
     assert (out / "fig2.csv").read_bytes() == b"earlier run\n"
 
 
-def _interrupt(argv, started):
-    """Run ``argv`` in a child, send it SIGINT once ``started(child)`` is
-    true, and return its exit code, stdout and stderr."""
+def _interrupt(argv, started, env=None, sigint=signal.SIG_DFL):
+    """Run ``argv`` in a child that starts with ``sigint`` as its SIGINT
+    action, whatever this process's is (a shell starts a background job
+    ignoring SIGINT), send it SIGINT once ``started(child)`` is true, and
+    return its exit code, stdout and stderr."""
     proc = subprocess.Popen(
         [sys.executable, "-u", "-m", "clonebound.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        text=True)
+        text=True, env=env, preexec_fn=lambda: signal.signal(signal.SIGINT, sigint))
     try:
         deadline = time.monotonic() + 120
         while not started(proc):
@@ -727,17 +728,46 @@ def test_interrupt_exits_130_with_one_line(tmp_path):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
 def test_lemmas_interrupt_exits_130_with_one_line():
-    # Reading the lemma1 line shows that the child is inside main; what it
-    # printed before SIGINT stays whole lines.
-    first = []
+    # The sweeps' one pass prints nothing until it ends, so a second thread
+    # shows that the child is inside it: the pass starts a thread pool, and
+    # nothing before it starts a thread while OpenBLAS keeps one, as it does
+    # when neither variable below is set. What the child printed before
+    # SIGINT stays whole lines.
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     code, stdout, stderr = _interrupt(
         ["lemmas", "--trials", "3000000", "--seed", "1"],
-        lambda child: first.append(child.stdout.readline()) or True)
+        lambda child: len(os.listdir(f"/proc/{child.pid}/task")) > 1, env)
     assert (code, stderr) == (130, "clonebound lemmas: interrupted\n")
-    assert first[0].startswith("lemma1: ")
-    for line in (first[0] + stdout).splitlines(keepends=True):
+    for line in stdout.splitlines(keepends=True):
         assert re.fullmatch(r"\w+: trials=\d+ min_slack=\S+ violations=0\n", line)
+
+
+@pytest.mark.parametrize("argv, last", [
+    (["cloner", "sym", "--z", "0.5"], "}\n"),
+    (["lemmas", "--trials", "2000"], "gate_approx: "),
+], ids=["cloner", "lemmas"])
+def test_late_interrupt_ends_the_command_without_a_traceback(argv, last):
+    # SIGINT right after the report's last line lands as main returns or
+    # while the interpreter shuts down. Either main reports it, or the
+    # process ends by the signal; no try prints a traceback.
+    for _ in range(3):
+        code, _, stderr = _interrupt(
+            argv, lambda child: any(line.startswith(last) for line in child.stdout))
+        assert "Traceback" not in stderr and "Exception ignored" not in stderr
+        assert (code, stderr) in ((130, f"clonebound {argv[0]}: interrupted\n"),
+                                  (-signal.SIGINT, ""))
+
+
+def test_late_interrupt_that_the_caller_ignores_stays_ignored():
+    # A command started with SIGINT ignored, as a shell starts a background
+    # job, finishes as if no SIGINT came.
+    code, _, stderr = _interrupt(["cloner", "sym", "--z", "0.5"],
+                                 lambda child: any(line == "}\n" for line in child.stdout),
+                                 sigint=signal.SIG_IGN)
+    assert (code, stderr) == (0, "")
 
 
 def _out_of_memory(*args, **kwargs):
@@ -860,6 +890,10 @@ def test_star_import_binds_the_public_names_and_no_module():
     assert set(clonebound.__all__) == set(namespace) == PUBLIC_NAMES
     assert not [name for name, value in namespace.items() if inspect.ismodule(value)]
     assert clonebound.search is search
+    # Each public sweep's help names its inequality, not a template's field.
+    for name in sorted(n for n in PUBLIC_NAMES if n.startswith("sweep_")):
+        doc = inspect.getdoc(namespace[name])
+        assert "``name``" not in doc and " <= " in doc.splitlines()[1], name
 
 
 class TestUsage:

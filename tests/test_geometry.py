@@ -49,28 +49,26 @@ seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 dims = st.sampled_from([2, 3, 4, 6, 8])
 
 
-#: The group seam as the module defines it, out of reach of patch_slack.
+#: The sweeps' names, in the order of the slacks of one draw.
+NAMES = [name for name, _ in ALL_SWEEPS]
+#: The slack seam as the module defines it, out of reach of patch_slack.
 _SLACKS = geometry._slacks
 
 
 def sweep_slack(name, n, dim, rng):
     """rhs - lhs of the sweep ``name`` on ``n`` samples drawn from ``rng``:
-    its verdict among those of its draw group."""
-    names = geometry._GROUP_OF[name]
-    return _SLACKS(names, n, dim, rng)[names.index(name)]
+    its verdict among the five on one draw."""
+    return _SLACKS(n, dim, rng)[NAMES.index(name)]
 
 
 def patch_slack(monkeypatch, name, fn):
     """Make ``fn(n, dim, rng)`` the slack of the sweep ``name``; the other
-    sweeps of its draw group keep theirs, drawn from a copy of the block's
-    generator, and the other groups are untouched."""
+    four sweeps keep theirs, drawn from a copy of the block's generator."""
     slacks = geometry._slacks
 
-    def patched(names, n, dim, rng):
-        if name not in names:
-            return slacks(names, n, dim, rng)
-        own = slacks(names, n, dim, copy.deepcopy(rng))
-        return [fn(n, dim, rng) if key == name else s for key, s in zip(names, own)]
+    def patched(n, dim, rng):
+        own = slacks(n, dim, copy.deepcopy(rng))
+        return [fn(n, dim, rng) if key == name else s for key, s in zip(NAMES, own)]
 
     monkeypatch.setattr(geometry, "_slacks", patched)
 
@@ -295,26 +293,25 @@ def test_gate_sweep_meets_the_projector_that_parts_its_states_most(dim):
     # projector that parts sigma and D sigma most, and no projector parts
     # them more: the sweep checks the bound against every projector at once.
     rng = np.random.default_rng(dim)
-    theta, sigma = geometry._draw_gate_approx(5, dim, rng)
-    (deviation, bound), = geometry._gate_sup(theta, sigma)
-    for t, s, dev, rhs in zip(theta, sigma, deviation, bound):
+    sigma, *_, theta = geometry._draw(5, dim, copy.deepcopy(rng))
+    for t, s, slack in zip(theta, sigma, sweep_slack("gate_approx", 5, dim, rng)):
         d = np.diag(np.exp(1j * t))
         best = gate_approx_check(np.eye(dim), d, s, parting_projector(s, d @ s))
-        assert abs(best.lhs - dev) <= 1e-12 and abs(best.rhs - rhs) <= 1e-12
+        assert abs(best.slack - slack) <= 1e-12
         for _ in range(100):
             p = random_projector(dim, int(rng.integers(1, dim + 1)), rng)
-            assert gate_approx_check(np.eye(dim), d, s, p).lhs <= dev + 1e-12
+            assert gate_approx_check(np.eye(dim), d, s, p).slack >= slack - 1e-12
 
 
 def test_lemma4_slack_does_not_move_under_a_common_rotation():
     # The lemma 4 sweep draws P onto coordinate axes. That loses nothing,
     # since one unitary applied to phi, psi and P's frame leaves the slack.
-    # Rounding moved the closest samples of seeds 1 to 20 by at most 8 ulps
+    # Rounding moved the closest samples of seeds 1 to 20 by at most 7 ulps
     # of 1; the bound allows 18.
     r = sweep_lemma4(20000, seed=3)
     dim, block, size, index = r.closest
-    phi, psi, q = (x[index] for x in geometry._draw_lemma4(
-        size, dim, geometry._block_rng(3, dim, block)))
+    phi, psi, q = (x[index] for x in geometry._draw(
+        size, dim, geometry._block_rng(3, dim, block))[1:4])
     frame = q[:, q.any(axis=0)]
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -424,22 +421,27 @@ def test_closest_sample_replays_bit_for_bit(name, sweep):
 @pytest.mark.parametrize("seed", [5, 11])
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_group_verdicts_keep_each_formulas_bits(seed, dim):
-    # One draw serves lemmas 1-3. Each verdict's slack stack has, bit for
-    # bit, the bits of its lemma's own formula on the same draw, written out
-    # here as each stood alone, angles recomputed.
-    phi, ups, psi = geometry._draw_triples(SWEEP_BLOCK, dim, geometry._block_rng(seed, dim, 0))
+    # One draw serves all five sweeps. Each verdict's slack stack has, bit
+    # for bit, the bits of its inequality's own formula on its states of the
+    # same draw, written out here as each stood alone, angles recomputed:
+    # lemmas 1-3 on the triple, lemma 4 on its last two states, the gate on
+    # its first.
+    phi, ups, psi, q, theta = geometry._draw(SWEEP_BLOCK, dim, geometry._block_rng(seed, dim, 0))
     angle, dot = geometry._angles, geometry._dots
+    probs = geometry._outcome_probs(q, np.stack([ups, psi], axis=1))
     alone = [
         np.cos(angle(phi, ups) - angle(ups, psi)) - np.cos(angle(phi, psi)),
         (angle(phi, psi) + angle(ups, psi)) - angle(phi, ups),
         np.sin(angle(ups, psi)) - np.abs(np.abs(dot(phi, ups)) ** 2 - np.abs(dot(phi, psi)) ** 2),
+        np.sin(angle(ups, psi)) - np.abs(probs[:, 0] - probs[:, 1]),
+        geometry._gate_bound(geometry._gate_epsilon(theta))
+        - np.sin(angle(phi, np.exp(1j * theta) * phi)),
     ]
-    names = geometry._GROUP_OF["lemma1"]
-    grouped = geometry._slacks(names, SWEEP_BLOCK, dim, geometry._block_rng(seed, dim, 0))
-    assert names == ("lemma1", "lemma2", "lemma3")
-    for name, want, got in zip(names, alone, grouped):
+    verdicts = geometry._slacks(SWEEP_BLOCK, dim, geometry._block_rng(seed, dim, 0))
+    assert NAMES == ["lemma1", "lemma2", "lemma3", "lemma4", "gate_approx"]
+    for name, want, got in zip(NAMES, alone, verdicts, strict=True):
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), name
-    # A lemmas pass: one draw per group, and every closest sample replays
+    # A lemmas pass: one draw per block, and every closest sample replays
     # to its sweep's min_slack.
     results = {}
     for name, sweep in ALL_SWEEPS:
@@ -451,6 +453,9 @@ def test_group_verdicts_keep_each_formulas_bits(seed, dim):
 #: |float slack - exact slack| allowed of every sweep: a few ulps of pi/2,
 #: the largest angle, for the rounding of each angle and of its cos or sin.
 EXACT_SLACK_TOL = 1e-15
+#: Where each sweep's oracle finds its arguments in a draw (a, b, c, q, theta).
+ORACLE_ARGS = {"lemma1": (0, 1, 2), "lemma2": (0, 1, 2), "lemma3": (0, 1, 2),
+               "lemma4": (1, 2, 3), "gate_approx": (4, 0)}
 
 
 def exact_recheck(name):
@@ -460,14 +465,13 @@ def exact_recheck(name):
     ``min_slack`` is that slack within EXACT_SLACK_TOL."""
     r = dict(ALL_SWEEPS)[name](20000, seed=3)
     dim, block, size, index = r.closest
-    draw = geometry._GROUPS[geometry._GROUP_OF[name]][0]
-    sample = [x[index] for x in draw(size, dim, geometry._block_rng(3, dim, block))]
-    exact = getattr(oracles, f"{name}_slack")(*sample)
+    draw = [x[index] for x in geometry._draw(size, dim, geometry._block_rng(3, dim, block))]
+    exact = getattr(oracles, f"{name}_slack")(*(draw[k] for k in ORACLE_ARGS[name]))
     assert exact >= 0, (name, exact)
     assert abs(exact - r.min_slack) <= EXACT_SLACK_TOL, (name, exact, r.min_slack)
 
 
-@pytest.mark.parametrize("name", list(geometry._GROUP_OF))
+@pytest.mark.parametrize("name", NAMES)
 def test_closest_sample_holds_in_exact_arithmetic(name):
     exact_recheck(name)
 
@@ -607,13 +611,12 @@ def test_failing_block_propagates_and_stops_the_sweep(monkeypatch):
     assert threading.active_count() == threads
 
 
-def block_peak(name):
-    """Bytes that one seeded dimension-8 block of the draw group of sweep
-    ``name`` holds at its peak."""
+def block_peak():
+    """Bytes that one seeded dimension-8 block of the five sweeps holds at its peak."""
     def traced_peak():
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        geometry._slacks(geometry._GROUP_OF[name], SWEEP_BLOCK, 8, geometry._block_rng(1, 8, 0))
+        geometry._slacks(SWEEP_BLOCK, 8, geometry._block_rng(1, 8, 0))
         return tracemalloc.get_traced_memory()[1] - before
 
     tracemalloc.start()
@@ -624,27 +627,18 @@ def block_peak(name):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("name, stacks", [("lemma4", 1.5), ("gate_approx", 1.0)],
-                         ids=["lemma4", "gate_approx"])
-def test_projector_block_holds_at_most_its_stacks(name, stacks):
-    # A dimension-8 block of a projector sweep draws no matrix: its states,
-    # eigenphases or coordinate frames and probabilities together stay below
-    # ``stacks`` of the (4096, 8, 8) complex stacks that a draw of U and V
-    # would hold. Lemma 4's einsum takes its real frame as a complex copy.
-    stack = SWEEP_BLOCK * 8 * 8 * np.dtype(np.complex128).itemsize
-    assert block_peak(name) <= stacks * stack
+#: Bytes that the dimension-8 block of the five sweeps peaked at when they
+#: began to share one draw (Python 3.11, numpy 2.4.6): 1.52 of the (4096,
+#: 8, 8) complex stacks that a draw of U and V would hold.
+BLOCK_PEAK = 6_360_504
 
 
-#: Bytes that a dimension-8 lemma 1 block peaked at when each of lemmas 1-3
-#: drew its own triples (Python 3.11, numpy 2.4.6): the draw, two angle
-#: stacks and the temporaries of the third angle.
-LEMMA1_BLOCK_PEAK = 4_005_671
-
-
-def test_triple_block_peaks_no_higher_than_lemma1_alone():
-    # The group's block holds the same draw and at most two angle stacks
-    # while it computes the third; lemma 3's overlaps come after the angles.
-    assert block_peak("lemma1") <= LEMMA1_BLOCK_PEAK
+def test_block_peaks_no_higher_than_when_the_sweeps_began_to_share_it():
+    # The block draws no matrix. It holds the triple, lemma 4's coordinate
+    # frame, which its einsum takes as a complex copy, and the eigenphases,
+    # and at most two angle stacks while it computes the third; lemma 3's
+    # overlaps come after the angles.
+    assert block_peak() <= BLOCK_PEAK
 
 
 @pytest.mark.parametrize("name, sweep", ALL_SWEEPS)

@@ -44,7 +44,7 @@ def test_a_gate_block_spans_the_bounds_range():
     # One seeded dimension-8 block reaches eps = ||U - V|| near 0 and near
     # sqrt(2), where the bound reaches 1, and never beyond: a draw that
     # narrowed the range would hide a defect of the bound at either end.
-    theta, _ = geometry._draw_gate_approx(SWEEP_BLOCK, 8, geometry._block_rng(1, 8, 0))
+    *_, theta = geometry._draw(SWEEP_BLOCK, 8, geometry._block_rng(1, 8, 0))
     eps = geometry._gate_epsilon(theta)
     assert eps.min() < 0.05 and eps.max() > 1.35
     assert eps.max() <= np.sqrt(2)
@@ -59,17 +59,25 @@ def test_sweeps_catch_a_gate_bound_one_percent_low(monkeypatch, capsys):
     assert run(capsys, "lemmas", "--seed", "1")[0] == EXIT_VIOLATION
 
 
+@pytest.mark.xfail(reason="the gate sweep's least relative slack stays near 7e-4; "
+                          "needs each verdict's closest samples polished (ROADMAP item 9)")
+def test_sweeps_catch_a_gate_bound_low_by_a_ten_thousandth(monkeypatch):
+    bound = geometry._gate_bound
+    monkeypatch.setattr(geometry, "_gate_bound", lambda eps: (1 - 1e-4) * bound(eps))
+    for seed in SEEDS:
+        assert sweep_gate_approx(100_000, seed=seed).violations, seed
+
+
 def test_draw_count_catches_a_triple_draw_bound_at_definition(capsys, monkeypatch):
     # A draw that binds random_states when it is defined draws past the
     # module attribute that the tracer wraps: no triple block is counted.
-    names = geometry._GROUP_OF["lemma1"]
-    _, group = geometry._GROUPS[names]
+    def bound_draw(n, dim, rng, states=geometry.random_states):
+        t = states(3 * n, dim, rng).reshape(n, 3, dim)
+        ranks = rng.integers(1, dim, size=(n, 1, 1))
+        theta = rng.uniform(0.0, np.pi / 2.0, size=(n, 1)) * rng.uniform(-1.0, 1.0, size=(n, dim))
+        return t[:, 0], t[:, 1], t[:, 2], np.eye(dim, dim - 1) * (np.arange(dim - 1) < ranks), theta
 
-    def bound_draw(n, dim, rng, draw=geometry.random_states):
-        t = draw(3 * n, dim, rng).reshape(n, 3, dim)
-        return t[:, 0], t[:, 1], t[:, 2]
-
-    monkeypatch.setitem(geometry._GROUPS, names, (bound_draw, group))
+    monkeypatch.setattr(geometry, "_draw", bound_draw)
     with pytest.raises(AssertionError):
         assert_each_block_drawn_once(capsys, monkeypatch)
 
@@ -94,14 +102,13 @@ def test_warning_policy_catches_a_state_file_left_open(tmp_path, capsys, monkeyp
 @pytest.mark.xfail(reason="uniform triples in dimensions 5-8 stay 0.02 from "
                           "equality; needs near-equality families (ROADMAP item 5)")
 def test_sweeps_catch_lemma1_low_by_a_thousandth_in_high_dimensions(monkeypatch):
-    names = geometry._GROUP_OF["lemma1"]
-    draw, group = geometry._GROUPS[names]
+    triples = geometry._triples
 
     def lowered(phi, ups, psi):
-        (lhs, rhs), *others = group(phi, ups, psi)
+        (lhs, rhs), *others = triples(phi, ups, psi)
         return (lhs, rhs - 1e-3 * (phi.shape[-1] >= 5)), *others
 
-    monkeypatch.setitem(geometry._GROUPS, names, (draw, lowered))
+    monkeypatch.setattr(geometry, "_triples", lowered)
     for seed in SEEDS:
         assert sweep_lemma1(100_000, seed=seed).violations, seed
 
